@@ -21,9 +21,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CertificationError, TwistSearchError
 from .fields import Field, get_field, ordered_elements
-from .linear import LinearCode, WeightVector, make_code, nullspace_syms, rref_syms
+from .linear import (
+    LinearCode,
+    WeightVector,
+    from_symbols,
+    make_code,
+    nullspace,
+    rref,
+    to_symbols,
+)
 
 _HERMITIAN_Q = (2, 4, 8)
 
@@ -296,23 +306,23 @@ def solve_twist_vector(
 
     field = curve.field
     rows = _product_rows(curve, a)
-    rr, pv = rref_syms(rows, field, n_full)
-    null = nullspace_syms(rr, pv, field, n_full)
-    if not null:
+    constraints = from_symbols(field, np.array(rows, dtype=np.uint8))
+    rr, pv = rref(constraints, field, n_full)
+    null = to_symbols(field, nullspace(rr, pv, field, n_full), n_full)
+    if not len(null):
         raise TwistSearchError("constraint system has a trivial solution space")
 
-    forced = [
-        i for i in range(n_full) if all(b[i] == 0 for b in null)
-    ]
-    kept = tuple(i for i in range(n_full) if i not in forced)
+    support = null.any(axis=0)
+    forced = [int(i) for i in np.flatnonzero(~support)]
+    kept = tuple(int(i) for i in np.flatnonzero(support))
     if not kept:
         raise TwistSearchError("every coordinate is forced to zero")
     if forced:
-        null = [tuple(b[i] for i in kept) for b in null]
-        null, _ = rref_syms(null, field, len(kept))
-        null = list(null)
+        null, _ = rref(from_symbols(field, null[:, kept]), field, len(kept))
+        null = to_symbols(field, null, len(kept))
 
-    w, attempts = _all_nonzero_combination(list(null), field, search_limit)
+    basis = [tuple(r) for r in null.tolist()]
+    w, attempts = _all_nonzero_combination(basis, field, search_limit)
     weights = WeightVector(field, tuple(w))
 
     # Defining property, checked rather than assumed.

@@ -13,18 +13,25 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CertificationError
 from .fields import Field, SelfDualBasis
 from .linear import (
     LinearCode,
     binary_code,
-    make_code,
-    nullspace_syms,
-    reduce_syms,
-    rref_syms,
-    zero_code,
+    code_from_matrix,
+    combine,
+    from_symbols,
+    nullspace,
+    reduce,
+    rref,
 )
 from .curves import DualChainTriple
+
+# Generator rows expanded per block; bounds the unpacked scratch of
+# expand_code at 16 * k^2 * n bytes.
+_EXPAND_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -54,16 +61,27 @@ class ExpansionMap:
 
 
 def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
-    """Binary [kn, k*dim] image of a GF(2^k) code under the expansion map."""
+    """Binary [kn, k*dim] image of a GF(2^k) code under the expansion map.
+
+    Rows of the image are alpha_a * g for each generator g and basis
+    element alpha_a, in that order; bit j*k + i of such a row is
+    Tr(alpha_a * g_j * alpha_i), read from a q x k x k table.
+    """
     if code.field != emap.field:
         raise ValueError("code and expansion map use different fields")
     f = emap.field
     k = f.k
+    alpha = np.array(emap.basis.elements)
+    x = np.arange(f.order)
+    product = f.mul_table[f.mul_table[x[:, None, None], alpha[None, :, None]], alpha]
+    table = np.array(f.trace_table, dtype=np.uint8)[product]
+    gens = np.array(code.generators, dtype=np.uint8).reshape(code.k_dim, code.n)
     rows = []
-    for gen in code.rows:
-        for alpha in emap.basis.elements:
-            scaled = tuple(f.mul(alpha, e) for e in gen)
-            rows.append(emap.expand_word(scaled))
+    for lo in range(0, code.k_dim, _EXPAND_BLOCK):
+        bits = table[gens[lo : lo + _EXPAND_BLOCK]]  # [g, j, a, i]
+        bits = bits.transpose(0, 2, 1, 3).reshape(-1, k * code.n)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
     out = binary_code(k * code.n, rows)
     if out.k_dim != k * code.k_dim:
         raise CertificationError(
@@ -102,27 +120,20 @@ def random_dual_containing_code(
     the latter being linear in characteristic 2), then returns dual(S).
     """
     target = rng.randint(0, n // 2) if max_seed_dim is None else max_seed_dim
-    seed_rows: list[tuple[int, ...]] = []
-    while len(seed_rows) < target:
-        constraints = [list(r) for r in seed_rows]
-        constraints.append([1] * n)  # sum of coordinates = 0 makes v.v = 0
-        rr, pv = rref_syms(constraints, field, n)
-        null = nullspace_syms(rr, pv, field, n)
-        span_rr, span_pv = rref_syms(seed_rows, field, n) if seed_rows else ([], [])
+    # sum of coordinates = 0 makes v.v = 0
+    ones = from_symbols(field, np.ones((1, n), dtype=np.uint8))
+    seed = ones[:0]
+    while len(seed) < target:
+        rr, pv = rref(np.concatenate([seed, ones]), field, n)
+        null = nullspace(rr, pv, field, n)
+        span_rr, span_pv = rref(seed.copy(), field, n)
         candidate = None
         for _ in range(32):
-            v = [0] * n
-            for b in null:
-                c = rng.randrange(field.order)
-                if c:
-                    v = [e ^ field.mul(c, be) for e, be in zip(v, b)]
-            rem = reduce_syms(v, span_rr, span_pv, field) if seed_rows else tuple(v)
-            if any(rem):
-                candidate = tuple(v)
+            v = combine([rng.randrange(field.order) for _ in null], null, field)
+            if reduce(v[None], span_rr, span_pv, field).any():
+                candidate = v
                 break
         if candidate is None:
             break  # solution space exhausted below the target dimension
-        seed_rows.append(candidate)
-    if not seed_rows:
-        return zero_code(field, n).dual()
-    return make_code(field, n, seed_rows).dual()
+        seed = np.concatenate([seed, candidate[None]])
+    return code_from_matrix(field, n, seed).dual()

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 _MODULI = {
     1: 0b10,  # x: GF(2) needs no reduction, kept for loop uniformity
     2: 0b111,
@@ -39,7 +41,10 @@ _MODULI = {
 class Field:
     """Arithmetic context for GF(2^k), immutable after construction."""
 
-    __slots__ = ("k", "modulus", "order", "generator", "exp", "log", "trace_table")
+    __slots__ = (
+        "k", "modulus", "order", "generator", "exp", "log", "trace_table",
+        "mul_table", "inv_table",
+    )
 
     def __init__(self, k: int) -> None:
         if k not in _MODULI:
@@ -71,6 +76,16 @@ class Field:
             if t not in (0, 1):
                 raise RuntimeError(f"internal: trace of {x} not in GF(2)")
             self.trace_table[x] = t
+
+        # uint8 tables for the numpy row-reduction kernels in ``linear``:
+        # mul_table[a, b] = a*b and inv_table[a] = 1/a (inv_table[0] = 0).
+        exp = np.array(self.exp * 2, dtype=np.uint8)
+        log = np.array(self.log, dtype=np.intp)
+        self.mul_table = exp[log[:, None] + log[None, :]]
+        self.mul_table[0, :] = 0
+        self.mul_table[:, 0] = 0
+        self.inv_table = exp[-log % (self.order - 1)]
+        self.inv_table[0] = 0
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Carry-less multiply modulo the pinned polynomial (table-free)."""

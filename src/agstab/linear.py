@@ -1,16 +1,28 @@
 """Linear codes over GF(2^k) held as canonical generator matrices.
 
-Biased toward enumeration throughput: binary codes keep bit-packed
-integer rows (one int per row, bit j = coordinate j), codes over larger
-fields keep symbol tuples.  Canonical form is reduced row echelon with
-pivot columns leftmost first, so two equal codes compare equal by their
-stored generators.
+At the boundary a code's rows are plain Python values: bit-packed ints
+for binary codes (bit j = coordinate j), symbol tuples otherwise, so
+enumeration, artifacts and the symplectic layer never see numpy.
+Canonical form is reduced row echelon with pivot columns leftmost
+first, so two equal codes compare equal by their stored generators.
+
+Elimination runs in numpy on a *kernel matrix* built from those rows:
+
+- GF(2): rows packed into little-endian uint64 words, coordinate j at
+  bit j % 64 of word j // 64; a row operation is a word-wise XOR.
+- GF(2^k), k > 1: a uint8 symbol matrix; a row operation gathers a
+  scaled row from the field's multiplication table and XORs it in.
+
+``rref`` is the one elimination loop for both; ``reduce`` and
+``nullspace`` work on its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import Field, get_field
@@ -19,117 +31,167 @@ DEFAULT_BUDGET = 1 << 26
 
 GF2 = get_field(1)
 
+_ONE = np.uint64(1)
+_WORD = np.dtype("<u8")
+# Free columns per block when building a nullspace basis; bounds the
+# unpacked scratch of the binary case at 64 rows of n bytes.
+_NULL_BLOCK = 64
+
 
 # ----------------------------------------------------------------------
-# bit-packed row helpers (binary codes, symplectic spaces)
+# kernel matrices
 # ----------------------------------------------------------------------
 
-def rref_bits(rows: Iterable[int], n: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows; returns (rows, pivots)."""
-    mat = [int(r) for r in rows]
+def _n_words(n: int) -> int:
+    return (n + 63) // 64
+
+
+def to_matrix(field: Field, n: int, rows: Iterable) -> np.ndarray:
+    """Kernel matrix of boundary rows (bit-packed ints for GF(2), symbol tuples otherwise)."""
+    rows = list(rows)
+    if field.k == 1:
+        width = 8 * _n_words(n)
+        buf = bytearray(len(rows) * width)
+        for i, r in enumerate(rows):
+            buf[i * width : (i + 1) * width] = r.to_bytes(width, "little")
+        return np.frombuffer(buf, dtype=_WORD).reshape(len(rows), _n_words(n))
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+
+
+def to_rows(field: Field, mat: np.ndarray) -> list:
+    """Boundary rows of a kernel matrix; inverse of ``to_matrix``."""
+    if field.k == 1:
+        return [int.from_bytes(row.tobytes(), "little") for row in mat]
+    return [tuple(row) for row in mat.tolist()]
+
+
+def from_symbols(field: Field, symbols: np.ndarray) -> np.ndarray:
+    """Kernel matrix of a uint8 symbol matrix (packs the bits for GF(2))."""
+    if field.k > 1:
+        return symbols
+    m, n = symbols.shape
+    out = np.zeros((m, 8 * _n_words(n)), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(symbols, axis=1, bitorder="little")
+    return out.view(_WORD)
+
+
+def to_symbols(field: Field, mat: np.ndarray, n: int) -> np.ndarray:
+    """uint8 symbol matrix of a kernel matrix; inverse of ``from_symbols``."""
+    if field.k > 1:
+        return mat
+    return np.unpackbits(mat.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _columns(mat: np.ndarray, cols: np.ndarray, field: Field) -> np.ndarray:
+    """uint8 symbol entries of the given columns, one row per matrix row."""
+    if field.k > 1:
+        return mat[:, cols]
+    bits = mat[:, cols >> 6]
+    bits >>= (cols & 63).astype(np.uint64)
+    bits &= _ONE
+    return bits.astype(np.uint8)
+
+
+# ----------------------------------------------------------------------
+# the elimination kernel
+# ----------------------------------------------------------------------
+
+def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a kernel matrix; returns (rows, pivots).
+
+    Gauss-Jordan elimination, one pivot column at a time from the left.
+    Row r of the result is zero left of its pivot, so each row operation
+    touches only the columns (or words) from the pivot onward.  ``mat``
+    is reduced in place, which saves a copy of the largest matrices the
+    pipeline eliminates; the returned rows are a view of it.
+    """
     m = len(mat)
+    packed = field.k == 1
+    mul, inv = field.mul_table, field.inv_table
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        bit = 1 << c
-        pivot = next((i for i in range(r, m) if mat[i] & bit), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r]
-        for i in range(m):
-            if i != r and mat[i] & bit:
-                mat[i] ^= pv
-        pivots.append(c)
-        r += 1
         if r == m:
             break
+        if packed:
+            w = c >> 6
+            col = (mat[:, w] >> np.uint64(c & 63)) & _ONE
+        else:
+            col = mat[:, c].copy()
+        below = np.flatnonzero(col[r:])
+        if not below.size:
+            continue
+        p = r + int(below[0])
+        if p != r:
+            mat[[r, p]] = mat[[p, r]]
+            col[[r, p]] = col[[p, r]]
+        if not packed and col[r] != 1:
+            mat[r, c:] = mul[inv[col[r]], mat[r, c:]]
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if packed:
+            mat[hit, w:] ^= mat[r, w:]
+        else:
+            mat[hit, c:] ^= mul[col[hit, None], mat[r, c:]]
+        pivots.append(c)
+        r += 1
     return mat[:r], pivots
 
 
-def reduce_bits(vec: int, rows: Sequence[int], pivots: Sequence[int]) -> int:
-    """Remainder of vec modulo the row space (rows in RREF)."""
-    for row, p in zip(rows, pivots):
-        if vec & (1 << p):
-            vec ^= row
-    return vec
+def reduce(
+    vecs: np.ndarray, basis: np.ndarray, pivots: Sequence[int], field: Field
+) -> np.ndarray:
+    """Remainders of the rows of ``vecs`` modulo the span of ``basis``.
+
+    ``basis`` must be in RREF with the given pivots.  Each remainder is
+    the unique member of its coset that vanishes on every pivot column,
+    so the result does not depend on the order of elimination.
+    """
+    out = vecs.copy()
+    packed = field.k == 1
+    for row, p in zip(basis, pivots):
+        if packed:
+            w = p >> 6
+            hit = np.flatnonzero((out[:, w] >> np.uint64(p & 63)) & _ONE)
+            out[hit, w:] ^= row[w:]
+        else:
+            f = out[:, p]
+            hit = np.flatnonzero(f)
+            out[hit, p:] ^= field.mul_table[f[hit, None], row[p:]]
+    return out
 
 
-def nullspace_bits(rows: Sequence[int], pivots: Sequence[int], n: int) -> list[int]:
-    """Basis of {x : row . x = 0 for all rows}; rows must be in RREF."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        bit = 1 << f
-        for row, p in zip(rows, pivots):
-            if row & bit:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+def nullspace(
+    basis: np.ndarray, pivots: Sequence[int], field: Field, n: int
+) -> np.ndarray:
+    """Basis of {x : row . x = 0 for all rows}; ``basis`` must be in RREF.
+
+    One vector per free column f, in increasing f: x_f = 1, x_p = row[f]
+    at the pivot p of each row (characteristic 2, so no sign), zero at
+    the other free columns.
+    """
+    piv = np.asarray(pivots, dtype=np.intp)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    out = np.empty((len(free), basis.shape[1]), dtype=basis.dtype)
+    for lo in range(0, len(free), _NULL_BLOCK):
+        cols = free[lo : lo + _NULL_BLOCK]
+        block = np.zeros((len(cols), n), dtype=np.uint8)
+        block[np.arange(len(cols)), cols] = 1
+        block[:, piv] = _columns(basis, cols, field).T
+        out[lo : lo + len(cols)] = from_symbols(field, block)
+    return out
 
 
-# ----------------------------------------------------------------------
-# symbol-tuple row helpers (codes over GF(2^k), k > 1)
-# ----------------------------------------------------------------------
-
-def rref_syms(
-    rows: Iterable[Sequence[int]], field: Field, n: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [field.mul(inv, e) for e in mat[r]]
-        pv = mat[r]
-        for i in range(m):
-            f = mat[i][c]
-            if i != r and f:
-                mat[i] = [e ^ field.mul(f, p) for e, p in zip(mat[i], pv)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def reduce_syms(
-    vec: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    pivots: Sequence[int],
-    field: Field,
-) -> tuple[int, ...]:
-    out = list(vec)
-    for row, p in zip(rows, pivots):
-        f = out[p]
-        if f:
-            out = [e ^ field.mul(f, r) for e, r in zip(out, row)]
-    return tuple(out)
-
-
-def nullspace_syms(
-    rows: Sequence[Sequence[int]], pivots: Sequence[int], field: Field, n: int
-) -> list[tuple[int, ...]]:
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [0] * n
-        v[f] = 1
-        for row, p in zip(rows, pivots):
-            v[p] = row[f]
-        basis.append(tuple(v))
-    return basis
+def combine(coeffs: Sequence[int], mat: np.ndarray, field: Field) -> np.ndarray:
+    """The kernel row sum_i coeffs[i] * mat[i]."""
+    c = np.asarray(coeffs, dtype=np.intp)
+    if field.k == 1:
+        terms = mat[c.astype(bool)]
+    else:
+        terms = field.mul_table[c[:, None], mat]
+    return np.bitwise_xor.reduce(terms, axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -211,37 +273,24 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"[{self.n},{self.k_dim}] over {self.field}"
 
-    # -- construction ---------------------------------------------------
-
-    @staticmethod
-    def _pack(row: Sequence[int]) -> int:
-        v = 0
-        for j, e in enumerate(row):
-            if e:
-                v |= 1 << j
-        return v
+    def _matrix(self) -> np.ndarray:
+        return to_matrix(self.field, self.n, self.rows)
 
     # -- operations -----------------------------------------------------
 
     def contains(self, other: "LinearCode") -> bool:
         """True iff every generator of ``other`` lies in this row space."""
         self._check_compatible(other)
-        if self.is_binary:
-            return all(
-                reduce_bits(r, self.rows, self.pivots) == 0 for r in other.rows
-            )
-        return all(
-            not any(reduce_syms(r, self.rows, self.pivots, self.field))
-            for r in other.rows
-        )
+        rem = reduce(other._matrix(), self._matrix(), self.pivots, self.field)
+        return not rem.any()
 
     def dual(self) -> "LinearCode":
         """Euclidean dual; dim n - k, involutive on canonical forms."""
+        f = self.field
+        basis = to_rows(f, nullspace(self._matrix(), self.pivots, f, self.n))
         if self.is_binary:
-            basis = nullspace_bits(self.rows, self.pivots, self.n)
             return binary_code(self.n, basis)
-        basis = nullspace_syms(self.rows, self.pivots, self.field, self.n)
-        return make_code(self.field, self.n, basis)
+        return make_code(f, self.n, basis)
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
         """Dual under the w-weighted form sum(w_i x_i y_i)."""
@@ -250,12 +299,9 @@ class LinearCode:
         if self.is_binary:
             return self.dual()  # GF(2)* = {1}
         f = self.field
-        scaled = [
-            tuple(f.mul(wi, e) for wi, e in zip(w.entries, row)) for row in self.rows
-        ]
-        rr, pv = rref_syms(scaled, f, self.n)
-        basis = nullspace_syms(rr, pv, f, self.n)
-        return make_code(f, self.n, basis)
+        scaled = f.mul_table[np.array(w.entries), self._matrix()]
+        rr, pv = rref(scaled, f, self.n)
+        return make_code(f, self.n, to_rows(f, nullspace(rr, pv, f, self.n)))
 
     def scale(self, v: WeightVector) -> "LinearCode":
         """Coordinatewise multiplication by v; same dimension."""
@@ -264,10 +310,8 @@ class LinearCode:
         if self.is_binary:
             return self
         f = self.field
-        rows = [
-            tuple(f.mul(vi, e) for vi, e in zip(v.entries, row)) for row in self.rows
-        ]
-        return make_code(f, self.n, rows)
+        scaled = f.mul_table[np.array(v.entries), self._matrix()]
+        return make_code(f, self.n, to_rows(f, scaled))
 
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
         """All q^k codewords as symbol tuples (test-sized codes only)."""
@@ -393,21 +437,26 @@ class LinearCode:
             raise ValueError("codes have different lengths")
 
 
+def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
+    """The code spanned by the rows of a kernel matrix, which is reduced in place."""
+    rr, pv = rref(mat, field, n)
+    return LinearCode(field, n, tuple(to_rows(field, rr)), tuple(pv))
+
+
 def make_code(field: Field, n: int, rows: Iterable[Sequence[int]]) -> LinearCode:
     """Canonicalize generator rows (symbol sequences) into a LinearCode."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError(f"generator length {len(r)} != n = {n}")
-        for e in r:
-            if not 0 <= e < field.order:
-                raise ValueError(f"symbol {e} outside {field}")
-    if field.k == 1:
-        packed = [LinearCode._pack(r) for r in rows]
-        rr, pv = rref_bits(packed, n)
-        return LinearCode(field, n, tuple(rr), tuple(pv))
-    rr, pv = rref_syms(rows, field, n)
-    return LinearCode(field, n, tuple(rr), tuple(pv))
+    try:
+        symbols = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    except OverflowError:  # a symbol below 0 or above 255
+        symbols = None
+    if symbols is None or (symbols >= field.order).any():
+        bad = next(e for r in rows for e in r if not 0 <= e < field.order)
+        raise ValueError(f"symbol {bad} outside {field}")
+    return code_from_matrix(field, n, from_symbols(field, symbols))
 
 
 def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
@@ -416,8 +465,32 @@ def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
     for r in bit_rows:
         if r < 0 or r >> n:
             raise ValueError(f"row {r:#x} does not fit in {n} bits")
-    rr, pv = rref_bits(bit_rows, n)
-    return LinearCode(GF2, n, tuple(rr), tuple(pv))
+    return code_from_matrix(GF2, n, to_matrix(GF2, n, bit_rows))
+
+
+def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
+    """Rows completing a basis of binary ``sub`` to one of ``sup`` (sub <= sup).
+
+    Each generator of ``sup``, in order, is reduced modulo ``sub`` and
+    the rows kept before it; a nonzero remainder is kept, with its
+    lowest set bit as pivot.  Remainders are unique given the pivots,
+    so the rows equal those of the same procedure done one row at a time.
+    """
+    if not (sub.is_binary and sup.is_binary):
+        raise TypeError("basis extension is implemented for binary codes")
+    rem = reduce(sup._matrix(), sub._matrix(), sub.pivots, GF2)
+    kept = []
+    for i, row in enumerate(rem):
+        nonzero = np.flatnonzero(row)
+        if not nonzero.size:
+            continue
+        w = int(nonzero[0])
+        word = int(row[w])
+        bit = np.uint64((word & -word).bit_length() - 1)
+        later = i + 1 + np.flatnonzero((rem[i + 1 :, w] >> bit) & _ONE)
+        rem[later, w:] ^= row[w:]
+        kept.append(i)
+    return to_rows(GF2, rem[kept])
 
 
 def zero_code(field: Field, n: int) -> LinearCode:

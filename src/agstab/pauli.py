@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fields import EPS, EPS_BAR
+from .linear import GF2, rref, to_matrix
 from .symplectic import pack_gf4, symplectic_form
 
 HARD_MAX_N = 8  # 2^8 = 256 keeps every intermediate product inside int64
@@ -185,10 +186,8 @@ class StabilizerSpec:
             for y in packed[i + 1 :]:
                 if symplectic_form(x, y, n):
                     raise ValueError("basis is not isotropic: operators would not commute")
-        from .linear import rref_bits
-
-        rows, _ = rref_bits(packed, 2 * n)
-        if len(rows) != len(self.basis):
+        _, pivots = rref(to_matrix(GF2, 2 * n, packed), GF2, 2 * n)
+        if len(pivots) != len(self.basis):
             raise ValueError("basis vectors are not independent")
 
     @property

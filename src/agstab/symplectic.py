@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CertificationError
 from .fields import EPS, EPS_BAR
-from .linear import DEFAULT_BUDGET, LinearCode, binary_code, reduce_bits
+from .linear import DEFAULT_BUDGET, LinearCode, binary_code, extend_basis
 
 _SYMBOL_FROM_BITS = {(0, 0): 0, (0, 1): EPS, (1, 0): EPS_BAR, (1, 1): 1}
 _BITS_FROM_SYMBOL = {v: k for k, v in _SYMBOL_FROM_BITS.items()}
@@ -164,16 +164,7 @@ def steane_compose(
     if k_prime < k + 2:
         raise ValueError(f"need k' >= k + 2, got k={k}, k'={k_prime}")
 
-    # Extension rows: reduce D' generators against D, keep the remainders.
-    acc_rows = list(d.rows)
-    acc_piv = list(d.pivots)
-    ext: list[int] = []
-    for row in d_prime.rows:
-        rem = reduce_bits(row, acc_rows, acc_piv)
-        if rem:
-            acc_rows.append(rem)
-            acc_piv.append((rem & -rem).bit_length() - 1)
-            ext.append(rem)
+    ext = extend_basis(d, d_prime)
     r = len(ext)
     if r != k_prime - k:
         raise CertificationError(f"extension rank {r} != k' - k = {k_prime - k}")
@@ -232,20 +223,6 @@ class QuantumCodeReport:
         return f"[[{self.n}, {self.k_q}, {rel}{self.d_q}]]"
 
 
-def _extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
-    """Rows completing a basis of ``sub`` to one of ``sup`` (both binary RREF)."""
-    acc_rows = list(sub.rows)
-    acc_piv = list(sub.pivots)
-    ext = []
-    for row in sup.rows:
-        rem = reduce_bits(row, acc_rows, acc_piv)
-        if rem:
-            acc_rows.append(rem)
-            acc_piv.append((rem & -rem).bit_length() - 1)
-            ext.append(rem)
-    return ext
-
-
 def _min_weight_difference(
     big: LinearCode, small: LinearCode, n: int
 ) -> tuple[int, int]:
@@ -254,7 +231,7 @@ def _min_weight_difference(
     Iterates cosets of the subgroup: Gray code over transversal
     combinations, full subgroup scan per coset, subgroup itself skipped.
     """
-    trans = _extend_basis(small, big)
+    trans = extend_basis(small, big)
     t = len(trans)
     if t == 0:
         raise ValueError("the two spaces coincide; the difference set is empty")

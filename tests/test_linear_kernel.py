@@ -1,0 +1,212 @@
+"""Property tests for the numpy row-reduction kernel in ``agstab.linear``.
+
+Matrices are drawn over GF(2^k) for k in {1, 2, 3, 4, 6, 8} with widths
+on both sides of the 64-bit word boundary, more rows than columns, zero
+rows and duplicate rows.  The kernel is checked against the definition
+of reduced row echelon form, against a brute-force span oracle, and
+against the one-row-at-a-time Python elimination it replaced.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agstab.expansion import ExpansionMap, expand_code
+from agstab.fields import get_field, self_dual_basis
+from agstab.linear import (
+    WeightVector,
+    binary_code,
+    code_from_matrix,
+    extend_basis,
+    from_symbols,
+    make_code,
+    nullspace,
+    reduce,
+    rref,
+    to_matrix,
+    to_rows,
+    to_symbols,
+)
+
+KS = (1, 2, 3, 4, 6, 8)
+WIDTHS = (1, 63, 64, 65, 129)
+SPAN_ORACLE_LIMIT = 4096
+REFERENCE_COST_LIMIT = 300_000
+
+
+@st.composite
+def matrices(draw, ks=KS):
+    """(field, n, uint8 symbol matrix) with a bounded rank, zero and repeated rows."""
+    field = get_field(draw(st.sampled_from(ks)))
+    n = draw(st.sampled_from(WIDTHS))
+    m = draw(st.integers(0, n + 3))
+    rank = draw(st.integers(0, min(m, n, 12)))
+    zeros = draw(st.integers(0, 2))
+    dups = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = field.order
+    base = rng.integers(0, q, (rank, n))
+    coeffs = rng.integers(0, q, (m, rank))
+    mat = np.zeros((m, n), dtype=np.uint8)
+    for t in range(rank):
+        mat ^= field.mul_table[coeffs[:, t, None], base[t]]
+    extra = [np.zeros(n, dtype=np.uint8)] * zeros
+    if m:
+        extra += [mat[rng.integers(0, m)] for _ in range(dups)]
+    for row in extra:
+        mat = np.insert(mat, rng.integers(0, len(mat) + 1), row, axis=0)
+    return field, n, mat
+
+
+def reference_rref(rows, field, n):
+    """The elimination the kernel replaced: Python lists and Field.mul."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, e) for e in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [e ^ field.mul(f, p) for e, p in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def span(rows, field):
+    """All linear combinations, each symbol vector packed k bits per symbol."""
+    k = field.k
+
+    def pack(row):
+        return sum(e << (j * k) for j, e in enumerate(row))
+
+    out = {0}
+    for row in rows:
+        if pack(row) in out:
+            continue
+        multiples = [pack([field.mul(c, e) for e in row]) for c in field.nonzero_elements()]
+        out |= {s ^ t for s in out for t in multiples}
+    return out
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_rref_is_canonical_and_spans_the_input(case):
+    field, n, symbols = case
+    mat = from_symbols(field, symbols)
+    rr, pivots = rref(mat.copy(), field, n)
+    out = to_symbols(field, rr, n)
+    r = len(pivots)
+
+    assert out.shape == (r, n)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, p in enumerate(pivots):
+        assert out[i, p] == 1
+        assert not out[i, :p].any()
+        assert np.count_nonzero(out[:, p]) == 1
+    assert r <= min(len(symbols), n)
+    assert not reduce(mat, rr, pivots, field).any()
+
+    if field.order**r <= SPAN_ORACLE_LIMIT:
+        want = span(symbols.tolist(), field)
+        assert span(out.tolist(), field) == want
+        assert len(want) == field.order**r
+
+    if len(symbols) * n * max(r, 1) <= REFERENCE_COST_LIMIT:
+        ref_rows, ref_pivots = reference_rref(symbols.tolist(), field, n)
+        assert ref_pivots == pivots
+        assert ref_rows == [tuple(row) for row in out.tolist()]
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_nullspace_is_the_orthogonal_complement(case):
+    field, n, symbols = case
+    rr, pivots = rref(from_symbols(field, symbols), field, n)
+    null = to_symbols(field, nullspace(rr, pivots, field, n), n)
+    assert null.shape == (n - len(pivots), n)
+    if len(null) and len(symbols):
+        products = field.mul_table[symbols[:, None, :], null[None, :, :]]
+        assert not np.bitwise_xor.reduce(products, axis=2).any()
+
+
+@settings(deadline=None)
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_code_duals_are_involutive(case, seed):
+    field, n, symbols = case
+    code = code_from_matrix(field, n, from_symbols(field, symbols))
+    dual = code.dual()
+    assert dual.k_dim == n - code.k_dim
+    assert dual.dual() == code
+    rng = random.Random(seed)
+    w = WeightVector(field, tuple(rng.randrange(1, field.order) for _ in range(n)))
+    assert code.weighted_dual(w).weighted_dual(w) == code
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_boundary_rows_round_trip(case):
+    field, n, symbols = case
+    code = code_from_matrix(field, n, from_symbols(field, symbols))
+    assert to_rows(field, to_matrix(field, n, code.rows)) == list(code.rows)
+    if field.k == 1:
+        assert binary_code(n, code.rows) == code
+    assert make_code(field, n, code.generators) == code
+
+
+def reference_extend_basis(sub, sup):
+    """Remainders of sup's rows modulo sub and the rows kept so far, one at a time."""
+    rows, pivots, ext = list(sub.rows), list(sub.pivots), []
+    for vec in sup.rows:
+        for row, p in zip(rows, pivots):
+            if vec >> p & 1:
+                vec ^= row
+        if vec:
+            rows.append(vec)
+            pivots.append((vec & -vec).bit_length() - 1)
+            ext.append(vec)
+    return ext
+
+
+@settings(deadline=None)
+@given(matrices(ks=(1,)), st.integers(0, 2**32 - 1))
+def test_extend_basis_matches_the_sequential_procedure(case, seed):
+    field, n, symbols = case
+    sup = code_from_matrix(field, n, from_symbols(field, symbols))
+    rng = random.Random(seed)
+    combos = []
+    for _ in range(rng.randint(0, sup.k_dim)):
+        v = 0
+        for row in sup.rows:
+            if rng.random() < 0.5:
+                v ^= row
+        combos.append(v)
+    sub = binary_code(n, combos)
+    ext = extend_basis(sub, sup)
+    assert ext == reference_extend_basis(sub, sup)
+    assert len(ext) == sup.k_dim - sub.k_dim
+    assert binary_code(n, list(sub.rows) + ext) == sup
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_expand_code_matches_symbolwise_expansion(case):
+    field, n, symbols = case
+    if n > 65:
+        return
+    code = code_from_matrix(field, n, from_symbols(field, symbols))
+    emap = ExpansionMap(field=field, basis=self_dual_basis(field))
+    want = [
+        emap.expand_word([field.mul(alpha, e) for e in gen])
+        for gen in code.generators
+        for alpha in emap.basis.elements
+    ]
+    assert expand_code(code, emap) == binary_code(field.k * n, want)
