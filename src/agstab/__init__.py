@@ -80,7 +80,6 @@ from .symplectic import (
     SymplecticCode,
     gf4_weight,
     make_symplectic,
-    min_symplectic_weight,
     pack_gf4,
     quantum_bound,
     quantum_params,

@@ -128,13 +128,6 @@ class BoundCurve:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def rate_at(self, delta) -> float:
-        d = Fraction(delta)
-        for s in self.samples:
-            if s.delta == d:
-                return s.r
-        raise KeyError(f"no sample at delta = {d}")
-
 
 def delta_grid(step, stop, start=None) -> list[Fraction]:
     """step, 2*step, ... up to stop inclusive (exact rational grid)."""

@@ -32,7 +32,13 @@ from .pauli import (
     stabilizer_projector,
 )
 from .pipeline import PipelineConfig, pipeline_build
-from .symplectic import quantum_params, steane_compose, symplectic_dual, unpack_gf4
+from .symplectic import (
+    designed_quantum_bound,
+    quantum_params,
+    steane_compose,
+    symplectic_dual,
+    unpack_gf4,
+)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -65,7 +71,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_steane(args: argparse.Namespace) -> int:
     pair = artifacts.pair_from_obj(artifacts.load_json(args.d))
     src = pair.source
-    designed = min(src.designed_d, -(-3 * src.designed_d_prime // 2))
+    designed = designed_quantum_bound(src.designed_d, src.designed_d_prime)
     fcode = steane_compose(
         pair.d, pair.d_prime, budget=args.budget, designed_bound=designed
     )

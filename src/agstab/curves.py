@@ -28,9 +28,11 @@ from .fields import Field, get_field, ordered_elements
 from .linear import (
     LinearCode,
     WeightVector,
+    combine,
     from_symbols,
     make_code,
     nullspace,
+    odometer,
     rref,
     to_symbols,
 )
@@ -210,54 +212,29 @@ def _all_nonzero_combination(
     """Deterministic search for an all-nonzero vector in a spanned space.
 
     In echelon form every coefficient must be nonzero (each pivot
-    coordinate equals its coefficient), so the search runs over
-    (q-1)^r combinations in odometer order with incremental updates.
-    Beyond ``limit`` combinations a greedy repair pass is used instead.
+    coordinate equals its coefficient), so the search runs over the
+    (q-1)^r combinations in ``odometer`` order; attempts counts them up
+    to the first hit, the plain sum being the first.  Beyond ``limit``
+    combinations a greedy repair pass from the plain sum is used instead.
     """
     r = len(basis)
-    n = len(basis[0])
-    q = field.order
     nz = list(field.exp)  # 1, g, g^2, ... in generator-power order
+    mat = np.array(basis, dtype=np.uint8)
 
-    w = [0] * n
-    for b in basis:
-        for j in range(n):
-            w[j] ^= b[j]
+    if len(nz) ** r <= limit:
+        seen = 0
+        for coeffs in odometer(np.array(nz), r, mat.size):
+            words = combine(coeffs, mat, field)
+            hit = np.flatnonzero(words.all(axis=1))
+            if hit.size:
+                return words[hit[0]].tolist(), seen + int(hit[0]) + 1
+            seen += len(words)
+        raise TwistSearchError(
+            "no all-nonzero combination exists in the solution space"
+        )
+
+    w = combine([1] * r, mat, field).tolist()
     attempts = 1
-    if all(w):
-        return w, attempts
-
-    if (q - 1) ** r <= limit:
-        coeff = [0] * r  # indices into nz, all start at nz[0] = 1
-        while True:
-            pos = 0
-            wrapped = False
-            while True:
-                old = nz[coeff[pos]]
-                coeff[pos] += 1
-                if coeff[pos] == q - 1:
-                    coeff[pos] = 0
-                    delta = old ^ nz[0]
-                else:
-                    delta = old ^ nz[coeff[pos]]
-                row = basis[pos]
-                for j in range(n):
-                    if row[j]:
-                        w[j] ^= field.mul(delta, row[j])
-                if coeff[pos]:
-                    break
-                pos += 1
-                if pos == r:
-                    wrapped = True
-                    break
-            if wrapped:
-                raise TwistSearchError(
-                    "no all-nonzero combination exists in the solution space"
-                )
-            attempts += 1
-            if all(w):
-                return w, attempts
-
     # Greedy repair: accept only strictly fewer zero coordinates, so the
     # loop terminates within n steps; deterministic first-improvement.
     zeros = sum(1 for e in w if e == 0)

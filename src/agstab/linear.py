@@ -2,11 +2,12 @@
 
 At the boundary a code's rows are plain Python values: bit-packed ints
 for binary codes (bit j = coordinate j), symbol tuples otherwise, so
-enumeration, artifacts and the symplectic layer never see numpy.
-Canonical form is reduced row echelon with pivot columns leftmost
-first, so two equal codes compare equal by their stored generators.
+artifacts and the symplectic layer never see numpy.  Canonical form is
+reduced row echelon with pivot columns leftmost first, so two equal
+codes compare equal by their stored generators.
 
-Elimination runs in numpy on a *kernel matrix* built from those rows:
+Elimination and enumeration run in numpy on a *kernel matrix* built
+from those rows:
 
 - GF(2): rows packed into little-endian uint64 words, coordinate j at
   bit j % 64 of word j // 64; a row operation is a word-wise XOR.
@@ -14,7 +15,17 @@ Elimination runs in numpy on a *kernel matrix* built from those rows:
   scaled row from the field's multiplication table and XORs it in.
 
 ``rref`` is the one elimination loop for both; ``reduce`` and
-``nullspace`` work on its output.
+``nullspace`` work on its output.  Codewords are enumerated by two
+primitives, both yielding blocks of rows:
+
+- ``gray_span``: the 2^k XOR combinations of packed rows in Gray-code
+  order from 0, step t flipping row (t & -t).bit_length() - 1;
+- ``odometer``: the a^r coefficient vectors over an alphabet of size a
+  in counting order, digit 0 fastest, from (alphabet[0],) * r.
+
+A block and what its caller builds from it hold at most ``_SPAN_BLOCK``
+cells (8-byte words or symbols), unless one row alone is larger; the
+memory of an enumeration is that, plus whatever the caller keeps whole.
 """
 
 from __future__ import annotations
@@ -36,6 +47,9 @@ _WORD = np.dtype("<u8")
 # Free columns per block when building a nullspace basis; bounds the
 # unpacked scratch of the binary case at 64 rows of n bytes.
 _NULL_BLOCK = 64
+# Cells per enumeration block: 2^16 words are 512 KB, and a consumer's
+# temporaries (XOR, popcount) stay within a few times that.
+_SPAN_BLOCK = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -184,14 +198,60 @@ def nullspace(
     return out
 
 
-def combine(coeffs: Sequence[int], mat: np.ndarray, field: Field) -> np.ndarray:
-    """The kernel row sum_i coeffs[i] * mat[i]."""
-    c = np.asarray(coeffs, dtype=np.intp)
-    if field.k == 1:
-        terms = mat[c.astype(bool)]
-    else:
-        terms = field.mul_table[c[:, None], mat]
-    return np.bitwise_xor.reduce(terms, axis=0)
+def combine(coeffs, mat: np.ndarray, field: Field) -> np.ndarray:
+    """The kernel rows sum_i c[i] * mat[i], one per vector c on the last axis of ``coeffs``."""
+    c = np.asarray(coeffs, dtype=np.intp)[..., None]
+    terms = np.where(c != 0, mat, 0) if field.k == 1 else field.mul_table[c, mat]
+    return np.bitwise_xor.reduce(terms, axis=-2)
+
+
+# ----------------------------------------------------------------------
+# enumeration
+# ----------------------------------------------------------------------
+
+def gray_span(mat: np.ndarray, row_cells: int | None = None) -> Iterator[np.ndarray]:
+    """All 2^k XOR combinations of the k packed rows of ``mat``, in blocks.
+
+    Gray-code order from 0: step t flips row (t & -t).bit_length() - 1.
+    The low L rows give a reflected table of 2^L words; block h is that
+    table, reversed when h is odd, XOR the high rows at Gray step h.
+    ``row_cells`` is what the caller holds per yielded word (by default
+    the word's width); 2^L is the largest power of two with
+    2^L * row_cells <= _SPAN_BLOCK, and at least 1.
+    """
+    k, width = mat.shape
+    row_cells = width if row_cells is None else row_cells
+    low = 0
+    while low < k and (2 << low) * row_cells <= _SPAN_BLOCK:
+        low += 1
+    table = np.zeros((1 << low, width), dtype=mat.dtype)
+    for i in range(low):
+        h = 1 << i
+        table[h : 2 * h] = table[h - 1 :: -1] ^ mat[i]
+    high = np.zeros(width, dtype=mat.dtype)
+    for h in range(1 << (k - low)):
+        if h:
+            high ^= mat[low + (h & -h).bit_length() - 1]
+        yield (table[::-1] if h & 1 else table) ^ high
+
+
+def odometer(
+    alphabet: np.ndarray, r: int, row_cells: int | None = None
+) -> Iterator[np.ndarray]:
+    """All a^r coefficient vectors over ``alphabet`` (size a), in blocks of rows.
+
+    Counting order with digit 0 fastest, from (alphabet[0],) * r: digit
+    i of row t is alphabet[(t // a^i) % a].  ``row_cells`` is what the
+    caller holds per yielded row (by default r); a block has at most
+    _SPAN_BLOCK // row_cells rows, and at least 1.  Callers bound a^r.
+    """
+    a = len(alphabet)
+    total = a**r
+    step = max(1, _SPAN_BLOCK // (row_cells or r or 1))
+    place = a ** np.arange(r, dtype=np.int64)
+    for lo in range(0, total, step):
+        t = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        yield alphabet[t[:, None] // place % a]
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +347,8 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """Euclidean dual; dim n - k, involutive on canonical forms."""
         f = self.field
-        basis = to_rows(f, nullspace(self._matrix(), self.pivots, f, self.n))
-        if self.is_binary:
-            return binary_code(self.n, basis)
-        return make_code(f, self.n, basis)
+        null = nullspace(self._matrix(), self.pivots, f, self.n)
+        return code_from_matrix(f, self.n, null)
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
         """Dual under the w-weighted form sum(w_i x_i y_i)."""
@@ -301,7 +359,7 @@ class LinearCode:
         f = self.field
         scaled = f.mul_table[np.array(w.entries), self._matrix()]
         rr, pv = rref(scaled, f, self.n)
-        return make_code(f, self.n, to_rows(f, nullspace(rr, pv, f, self.n)))
+        return code_from_matrix(f, self.n, nullspace(rr, pv, f, self.n))
 
     def scale(self, v: WeightVector) -> "LinearCode":
         """Coordinatewise multiplication by v; same dimension."""
@@ -313,46 +371,6 @@ class LinearCode:
         scaled = f.mul_table[np.array(v.entries), self._matrix()]
         return make_code(f, self.n, to_rows(f, scaled))
 
-    def iter_codewords(self) -> Iterator[tuple[int, ...]]:
-        """All q^k codewords as symbol tuples (test-sized codes only)."""
-        if self.is_binary:
-            for w in self._bit_codewords():
-                yield tuple((w >> j) & 1 for j in range(self.n))
-            return
-        f = self.field
-        q = f.order
-        k = self.k_dim
-        word = [0] * self.n
-        msg = [0] * k
-        yield tuple(word)
-        for _ in range(q**k - 1):
-            i = 0
-            while True:
-                old = msg[i]
-                msg[i] = (old + 1) % q
-                delta = old ^ msg[i]
-                row = self.rows[i]
-                for j in range(self.n):
-                    if row[j]:
-                        word[j] ^= f.mul(delta, row[j])
-                if msg[i]:
-                    break
-                i += 1
-            yield tuple(word)
-
-    def _bit_codewords(self) -> list[int]:
-        """All 2^k codewords, Gray-code order starting at 0."""
-        words = [0]
-        cw = 0
-        prev = 0
-        for t in range(1, 1 << self.k_dim):
-            gray = t ^ (t >> 1)
-            idx = (gray ^ prev).bit_length() - 1
-            cw ^= self.rows[idx]
-            prev = gray
-            words.append(cw)
-        return words
-
     def min_distance_exact(self, budget: int = DEFAULT_BUDGET) -> int:
         """Exact minimum Hamming weight over nonzero codewords.
 
@@ -362,48 +380,22 @@ class LinearCode:
         k = self.k_dim
         if k == 0:
             raise ValueError("the zero code has no minimum distance")
-        if self.field.order**k > budget:
-            raise BudgetExceeded(
-                f"{self.field.order}^{k} codewords exceed budget {budget}"
-            )
-        if self.is_binary:
-            best = self.n + 1
-            cw = 0
-            prev = 0
-            for t in range(1, 1 << k):
-                gray = t ^ (t >> 1)
-                idx = (gray ^ prev).bit_length() - 1
-                cw ^= self.rows[idx]
-                prev = gray
-                w = cw.bit_count()
-                if w < best:
-                    best = w
-                    if best == 1:
-                        break
-            return best
         f = self.field
-        q = f.order
-        word = [0] * self.n
-        msg = [0] * k
+        if f.order**k > budget:
+            raise BudgetExceeded(f"{f.order}^{k} codewords exceed budget {budget}")
+        mat = self._matrix()
+        if self.is_binary:
+            weights = (np.bitwise_count(b).sum(axis=1) for b in gray_span(mat))
+        else:
+            weights = (
+                np.count_nonzero(combine(c, mat, f), axis=1)
+                for c in odometer(np.arange(f.order), k, k * self.n)
+            )
         best = self.n + 1
-        for _ in range(q**k - 1):
-            i = 0
-            while True:
-                old = msg[i]
-                msg[i] = (old + 1) % q
-                delta = old ^ msg[i]
-                row = self.rows[i]
-                for j in range(self.n):
-                    if row[j]:
-                        word[j] ^= f.mul(delta, row[j])
-                if msg[i]:
-                    break
-                i += 1
-            w = sum(1 for e in word if e)
-            if w < best:
-                best = w
-                if best == 1:
-                    break
+        for w in weights:  # only the zero message gives weight 0
+            best = int(np.min(w, initial=best, where=w > 0))
+            if best == 1:
+                break
         return best
 
     def second_or_weight(self, budget: int = DEFAULT_BUDGET) -> int:
@@ -420,14 +412,11 @@ class LinearCode:
         pairs = m * (m - 1) // 2
         if pairs > budget:
             raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
-        words = self._bit_codewords()[1:]  # drop zero
+        words = np.concatenate(list(gray_span(self._matrix())))[1:]  # drop zero
         best = self.n + 1
-        for i in range(len(words)):
-            wi = words[i]
-            for j in range(i + 1, len(words)):
-                w = (wi | words[j]).bit_count()
-                if w < best:
-                    best = w
+        for i in range(m - 1):
+            w = np.bitwise_count(words[i] | words[i + 1 :]).sum(axis=1).min()
+            best = min(best, int(w))
         return best
 
     def _check_compatible(self, other: "LinearCode") -> None:

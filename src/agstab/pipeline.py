@@ -20,7 +20,7 @@ from .linear import DEFAULT_BUDGET
 from .symplectic import (
     QuantumCodeReport,
     SymplecticCode,
-    quantum_bound,
+    designed_quantum_bound,
     quantum_params,
     steane_compose,
 )
@@ -112,9 +112,7 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
             f"certified D' > D >= D^perp"
         )
 
-    designed = quantum_bound(
-        triple.designed_d, -(-3 * triple.designed_d_prime // 2)
-    )
+    designed = designed_quantum_bound(triple.designed_d, triple.designed_d_prime)
 
     with _stage("compose"):
         fcode = steane_compose(

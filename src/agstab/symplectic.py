@@ -12,6 +12,13 @@ binary chain D' > D >= D_perp; ``quantum_params`` extracts the quantum
 dimension and, within budget, the exact minimum weight over the large
 code minus its symplectic dual, by iterating cosets of the dual and
 skipping the subgroup itself.
+
+That coset search splits each 2n-bit vector into packed a-part and
+b-part words, so the GF(4) weight is one OR and popcount at every n.
+It holds the subgroup span whole (2^k_small rows of 2 ceil(n/64) words)
+and walks the transversal span with ``linear.gray_span`` in blocks whose
+XOR against the subgroup stays within ``linear._SPAN_BLOCK`` cells,
+or one representative per block when the subgroup alone is larger.
 """
 
 from __future__ import annotations
@@ -22,7 +29,16 @@ import numpy as np
 
 from .errors import BudgetExceeded, CertificationError
 from .fields import EPS, EPS_BAR
-from .linear import DEFAULT_BUDGET, LinearCode, binary_code, extend_basis
+from .linear import (
+    DEFAULT_BUDGET,
+    GF2,
+    LinearCode,
+    binary_code,
+    extend_basis,
+    gray_span,
+    to_matrix,
+    to_rows,
+)
 
 _SYMBOL_FROM_BITS = {(0, 0): 0, (0, 1): EPS, (1, 0): EPS_BAR, (1, 1): 1}
 _BITS_FROM_SYMBOL = {v: k for k, v in _SYMBOL_FROM_BITS.items()}
@@ -205,6 +221,11 @@ def quantum_bound(d: int, d2: int) -> int:
     return min(d, d2)
 
 
+def designed_quantum_bound(d: int, d_prime: int) -> int:
+    """min(d, ceil(3 d'/2)): the enlargement guarantee from designed distances."""
+    return quantum_bound(d, -(-3 * d_prime // 2))
+
+
 @dataclass(frozen=True)
 class QuantumCodeReport:
     """[[n, k_Q, d_Q]] with exactness flag and the construction trace."""
@@ -223,63 +244,43 @@ class QuantumCodeReport:
         return f"[[{self.n}, {self.k_q}, {rel}{self.d_q}]]"
 
 
+def _halves(rows, n: int) -> np.ndarray:
+    """Packed rows of 2n-bit vectors, the a-part words then the b-part words."""
+    mask = (1 << n) - 1
+    a = to_matrix(GF2, n, [r & mask for r in rows])
+    b = to_matrix(GF2, n, [r >> n for r in rows])
+    return np.hstack([a, b])
+
+
 def _min_weight_difference(
     big: LinearCode, small: LinearCode, n: int
 ) -> tuple[int, int]:
     """(weight, witness) minimizing GF(4) weight over big minus small.
 
-    Iterates cosets of the subgroup: Gray code over transversal
-    combinations, full subgroup scan per coset, subgroup itself skipped.
+    Iterates cosets of the subgroup: the transversal span in Gray order,
+    each representative against the whole subgroup span (materialized,
+    also in Gray order), the zero representative (the subgroup itself)
+    skipped.  The witness is the first minimum in that order.
     """
     trans = extend_basis(small, big)
-    t = len(trans)
-    if t == 0:
+    if not trans:
         raise ValueError("the two spaces coincide; the difference set is empty")
 
-    sub_words = [0]
-    cw = 0
-    prev = 0
-    for i in range(1, 1 << small.k_dim):
-        gray = i ^ (i >> 1)
-        cw ^= small.rows[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        sub_words.append(cw)
-
-    mask = (1 << n) - 1
-    use_numpy = 2 * n <= 63
-    if use_numpy:
-        sub_arr = np.array(sub_words, dtype=np.uint64)
-
+    # words on the first axis, so the XOR below runs along whole rows
+    sub = np.concatenate(list(gray_span(_halves(small.rows, n)))).T.copy()
+    half = len(sub) // 2
     best = n + 1
     witness = 0
-    rep = 0
-    prev = 0
-    reps = []
-    for i in range(1, 1 << t):
-        gray = i ^ (i >> 1)
-        rep ^= trans[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        reps.append(rep)
-
-    if use_numpy:
-        chunk = 4096
-        for lo in range(0, len(reps), chunk):
-            block = np.array(reps[lo : lo + chunk], dtype=np.uint64)
-            v = block[:, None] ^ sub_arr[None, :]
-            w = np.bitwise_count((v | (v >> np.uint64(n))) & np.uint64(mask))
-            idx = int(np.argmin(w))
-            wmin = int(w.flat[idx])
-            if wmin < best:
-                best = wmin
-                witness = int(v.flat[idx])
-    else:
-        for rep in reps:
-            for s in sub_words:
-                v = rep ^ s
-                w = ((v | (v >> n)) & mask).bit_count()
-                if w < best:
-                    best = w
-                    witness = v
+    for i, reps in enumerate(gray_span(_halves(trans, n), sub.size)):
+        v = reps.T.copy()[:, :, None] ^ sub[:, None, :]
+        w = np.bitwise_count(v[:half] | v[half:]).sum(axis=0)
+        if i == 0:
+            w[0] = n + 1  # the subgroup itself
+        r, s = np.unravel_index(np.argmin(w), w.shape)
+        if w[r, s] < best:
+            best = int(w[r, s])
+            a, b = to_rows(GF2, v[:, r, s].reshape(2, half))
+            witness = a | (b << n)
     return best, witness
 
 
@@ -343,25 +344,3 @@ def quantum_params(
     return QuantumCodeReport(
         n=n, k_q=k_q, d_q=bound, d_exact=False, d_witness=None, trace=tuple(trace)
     )
-
-
-def min_symplectic_weight(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum GF(4) weight over all nonzero vectors of the space."""
-    k = code.k_dim
-    if k == 0:
-        raise ValueError("the zero space has no minimum weight")
-    if 1 << k > budget:
-        raise BudgetExceeded(f"2^{k} vectors exceed budget {budget}")
-    n = code.n
-    mask = (1 << n) - 1
-    best = n + 1
-    cw = 0
-    prev = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        cw ^= code.space.rows[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        w = ((cw | (cw >> n)) & mask).bit_count()
-        if w < best:
-            best = w
-    return best

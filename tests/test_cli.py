@@ -82,6 +82,10 @@ def test_pipeline_cli(tmp_path, capsys):
     obj = artifacts.load_json(out)
     assert obj["params"] == "[[16, 8, 3]]"
     assert obj["provenance"]["config"]["m"] == 1
+    # the report's own key names, not PipelineConfig's field names
+    assert set(obj["provenance"]["config"]) == {
+        "m", "curve", "q", "a", "a_prime", "budget", "allow_extended",
+    }
     assert capsys.readouterr().out.strip().endswith("[[16, 8, 3]]")
 
 

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from agstab.errors import BudgetExceeded
@@ -8,8 +10,13 @@ from agstab.linear import (
     LinearCode,
     WeightVector,
     binary_code,
+    combine,
     full_code,
+    gray_span,
     make_code,
+    odometer,
+    to_matrix,
+    to_symbols,
     zero_code,
 )
 
@@ -37,7 +44,15 @@ def brute_force_dual(code: LinearCode) -> set[int]:
 
 
 def codeword_set(code: LinearCode) -> set[tuple[int, ...]]:
-    return set(code.iter_codewords())
+    """All q^k codewords as symbol tuples, through the enumeration primitives."""
+    f = code.field
+    mat = to_matrix(f, code.n, code.rows)
+    if code.is_binary:
+        words = to_symbols(f, np.concatenate(list(gray_span(mat))), code.n)
+    else:
+        coeffs = np.concatenate(list(odometer(np.arange(f.order), code.k_dim)))
+        words = combine(coeffs, mat, f)
+    return {tuple(w) for w in words.tolist()}
 
 
 def random_code(field, n, k, rng) -> LinearCode:
@@ -59,8 +74,24 @@ class TestDual:
     def test_dual_matches_brute_force(self):
         ham = make_code(GF2, 7, HAMMING_7_4)
         dual = ham.dual()
-        words = {sum(b << j for j, b in enumerate(w)) for w in dual.iter_codewords()}
+        words = {sum(b << j for j, b in enumerate(w)) for w in codeword_set(dual)}
         assert words == brute_force_dual(ham)
+
+    def test_quaternary_dual_matches_brute_force(self):
+        c = make_code(GF4, 4, [[1, 2, 0, 3], [0, 1, 1, 1]])
+
+        def dot(u, v):
+            acc = 0
+            for a, b in zip(u, v):
+                acc ^= GF4.mul(a, b)
+            return acc
+
+        orthogonal = {
+            v
+            for v in itertools.product(range(4), repeat=4)
+            if all(dot(v, g) == 0 for g in c.rows)
+        }
+        assert codeword_set(c.dual()) == orthogonal
 
     def test_full_and_zero(self):
         assert full_code(GF2, 5).dual() == zero_code(GF2, 5)

@@ -4,9 +4,12 @@ Matrices are drawn over GF(2^k) for k in {1, 2, 3, 4, 6, 8} with widths
 on both sides of the 64-bit word boundary, more rows than columns, zero
 rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
-against the one-row-at-a-time Python elimination it replaced.
+against the one-row-at-a-time Python elimination it replaced.  The two
+enumeration primitives are checked against plain Python loops in the
+orders they promise, whole and in blocks.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -16,13 +19,17 @@ from hypothesis import strategies as st
 from agstab.expansion import ExpansionMap, expand_code
 from agstab.fields import get_field, self_dual_basis
 from agstab.linear import (
+    _SPAN_BLOCK,
+    GF2,
     WeightVector,
     binary_code,
     code_from_matrix,
     extend_basis,
     from_symbols,
+    gray_span,
     make_code,
     nullspace,
+    odometer,
     reduce,
     rref,
     to_matrix,
@@ -210,3 +217,44 @@ def test_expand_code_matches_symbolwise_expansion(case):
         for alpha in emap.basis.elements
     ]
     assert expand_code(code, emap) == binary_code(field.k * n, want)
+
+
+def gray_loop(rows):
+    """The Gray-code walk as a plain loop: step t flips row (t & -t).bit_length() - 1."""
+    out = [0]
+    for t in range(1, 1 << len(rows)):
+        out.append(out[-1] ^ rows[(t & -t).bit_length() - 1])
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 12),
+    st.sampled_from((1, 31, 32, 33, 63, 64, 65)),
+    st.sampled_from((None, 1 << 10, 1 << 13, _SPAN_BLOCK, _SPAN_BLOCK + 1)),
+    st.integers(0, 2**32 - 1),
+)
+def test_gray_span_matches_the_gray_loop(k, n, row_cells, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(k)]
+    blocks = list(gray_span(to_matrix(GF2, n, rows), row_cells))
+    cells = to_matrix(GF2, n, rows).shape[1] if row_cells is None else row_cells
+    for block in blocks[:-1]:
+        assert len(block) == len(blocks[0])
+    assert len(blocks[0]) == 1 or len(blocks[0]) * cells <= _SPAN_BLOCK
+    assert to_rows(GF2, np.concatenate(blocks)) == gray_loop(rows)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=5, unique=True),
+    st.integers(0, 6),
+    st.sampled_from((None, 1, 7, _SPAN_BLOCK // 3, _SPAN_BLOCK)),
+)
+def test_odometer_matches_product_order(alphabet, r, row_cells):
+    want = [tuple(reversed(p)) for p in itertools.product(alphabet, repeat=r)]
+    blocks = list(odometer(np.array(alphabet, dtype=np.uint8), r, row_cells))
+    cells = row_cells or r or 1
+    for block in blocks:
+        assert len(block) == 1 or len(block) * cells <= _SPAN_BLOCK
+    assert [tuple(row) for row in np.concatenate(blocks).tolist()] == want

@@ -1,14 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR, conj4, get_field
-from agstab.linear import binary_code, make_code
+from agstab.linear import binary_code, gray_span, make_code
 from agstab.symplectic import (
+    _halves,
     gf4_weight,
     make_symplectic,
-    min_symplectic_weight,
     pack_gf4,
     quantum_bound,
     quantum_params,
@@ -121,7 +122,10 @@ class TestSteaneCompose:
 
     def test_enumerated_weight_meets_bound(self):
         f = steane_compose(EXT_HAMMING, EVEN)
-        assert min_symplectic_weight(f) >= f.distance_bound
+        span = np.concatenate(list(gray_span(_halves(f.space.bit_rows, f.n))))[1:]
+        weights = np.bitwise_count(span[:, 0] | span[:, 1])
+        assert len(span) == (1 << f.k_dim) - 1
+        assert weights.min() >= f.distance_bound
 
     def test_identical_codes_rejected(self):
         with pytest.raises(ValueError):
@@ -213,8 +217,8 @@ def test_witness_lies_outside_the_dual():
 
 
 def test_coset_enumeration_python_fallback_matches_numpy():
-    # widths beyond 63 bits take the plain-int path; compare both on the
-    # same structure, one shifted past the numpy cutoff
+    # n=40 puts each 2n-bit vector across two packed words; the search
+    # must agree with the n=4 instance of the same structure
     from agstab.symplectic import _min_weight_difference
 
     small_rows = [pack_gf4((EPS,) * 4)]
