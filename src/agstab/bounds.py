@@ -28,6 +28,7 @@ M_MIN = 3
 M_MAX = 20
 
 DELTA_2 = Fraction(1, 18)
+BREAKPOINT_M_MAX = 12  # the last line the breakpoint diagnostic checks
 
 
 def binary_entropy(x: float) -> float:
@@ -171,19 +172,18 @@ def ag_curve(m: int, grid: Sequence[Fraction]) -> BoundCurve:
     return BoundCurve(tuple(samples))
 
 
-def envelope(grid: Sequence[Fraction], m_range: tuple[int, int] = (M_MIN, M_MAX)) -> BoundCurve:
+def envelope(grid: Sequence[Fraction]) -> BoundCurve:
     """Pointwise best constructive line over m, restrictions enforced.
 
     Records the achieving m per sample.  Grid must stay within
     (0, 1/18], the overall validity window.
     """
-    lo, hi = m_range
     samples = []
     for d in grid:
         if not 0 < d <= DELTA_2:
             raise ValueError(f"envelope grid point {d} outside (0, 1/18]")
         best: tuple[Fraction, int] | None = None
-        for m in range(lo, hi + 1):
+        for m in range(M_MIN, M_MAX + 1):
             r = ag_line(m, d)
             if r is not None and (best is None or r > best[0]):
                 best = (r, m)
@@ -212,12 +212,12 @@ class BreakpointDiagnostic:
     notes: tuple[str, ...]
 
 
-def breakpoint_diagnostic(m_max: int = 12) -> BreakpointDiagnostic:
+def breakpoint_diagnostic() -> BreakpointDiagnostic:
     """Compare stated crossover points with each line's validity window."""
     entries = []
     inversions = []
     notes = []
-    for m in range(M_MIN, m_max + 1):
+    for m in range(M_MIN, BREAKPOINT_M_MAX + 1):
         stated = line_crossover(m)
         previous = line_crossover(m - 1)
         restr = restriction_limit(m)

@@ -38,6 +38,7 @@ from .linear import (
 )
 
 _HERMITIAN_Q = (2, 4, 8)
+TWIST_SEARCH_LIMIT = 1 << 16  # combinations tried before the greedy repair
 
 LINE = "line"
 HERMITIAN = "hermitian"
@@ -260,12 +261,7 @@ def _all_nonzero_combination(
     return w, attempts
 
 
-def solve_twist_vector(
-    curve: Curve,
-    a: int,
-    allow_extended: bool = False,
-    search_limit: int = 1 << 16,
-) -> TwistSolution:
+def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> TwistSolution:
     """Find w (all entries nonzero) with the degree-a code w-self-orthogonal.
 
     Coordinates forced to zero by the constraint system are dropped
@@ -299,7 +295,7 @@ def solve_twist_vector(
         null = to_symbols(field, null, len(kept))
 
     basis = [tuple(r) for r in null.tolist()]
-    w, attempts = _all_nonzero_combination(basis, field, search_limit)
+    w, attempts = _all_nonzero_combination(basis, field, TWIST_SEARCH_LIMIT)
     weights = WeightVector(field, tuple(w))
 
     # Defining property, checked rather than assumed.

@@ -18,14 +18,16 @@ import numpy as np
 from .errors import CertificationError
 from .fields import Field, SelfDualBasis
 from .linear import (
+    GF2,
     LinearCode,
-    binary_code,
     code_from_matrix,
     combine,
     from_symbols,
     nullspace,
     reduce,
     rref,
+    to_matrix,
+    to_symbols,
 )
 from .curves import DualChainTriple
 
@@ -75,14 +77,13 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
     x = np.arange(f.order)
     product = f.mul_table[f.mul_table[x[:, None, None], alpha[None, :, None]], alpha]
     table = np.array(f.trace_table, dtype=np.uint8)[product]
-    gens = np.array(code.generators, dtype=np.uint8).reshape(code.k_dim, code.n)
-    rows = []
+    gens = to_symbols(f, code.matrix, code.n)
+    blocks = [to_matrix(k * code.n, ())]  # the zero code's shape
     for lo in range(0, code.k_dim, _EXPAND_BLOCK):
         bits = table[gens[lo : lo + _EXPAND_BLOCK]]  # [g, j, a, i]
         bits = bits.transpose(0, 2, 1, 3).reshape(-1, k * code.n)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    out = binary_code(k * code.n, rows)
+        blocks.append(from_symbols(GF2, bits))
+    out = code_from_matrix(GF2, k * code.n, np.concatenate(blocks))
     if out.k_dim != k * code.k_dim:
         raise CertificationError(
             f"expansion rank {out.k_dim} != k*dim = {k * code.k_dim}"
@@ -110,16 +111,14 @@ def expand_chain(triple: DualChainTriple, emap: ExpansionMap) -> ExpandedPair:
     return ExpandedPair(d=d, d_prime=d_prime, basis=emap.basis, source=triple)
 
 
-def random_dual_containing_code(
-    field: Field, n: int, rng: random.Random, max_seed_dim: int | None = None
-) -> LinearCode:
+def random_dual_containing_code(field: Field, n: int, rng: random.Random) -> LinearCode:
     """Seeded random code C with C >= C_perp.
 
     Grows a self-orthogonal seed S one vector at a time (candidates are
     drawn from the solution space of "orthogonal to S and to itself",
     the latter being linear in characteristic 2), then returns dual(S).
     """
-    target = rng.randint(0, n // 2) if max_seed_dim is None else max_seed_dim
+    target = rng.randint(0, n // 2)
     # sum of coordinates = 0 makes v.v = 0
     ones = from_symbols(field, np.ones((1, n), dtype=np.uint8))
     seed = ones[:0]

@@ -1,18 +1,18 @@
-"""Linear codes over GF(2^k) held as canonical generator matrices.
+"""Linear codes over GF(2^k), each stored as its canonical kernel matrix.
 
-At the boundary a code's rows are plain Python values: bit-packed ints
-for binary codes (bit j = coordinate j), symbol tuples otherwise, so
-artifacts and the symplectic layer never see numpy.  Canonical form is
-reduced row echelon with pivot columns leftmost first, so two equal
-codes compare equal by their stored generators.
-
-Elimination and enumeration run in numpy on a *kernel matrix* built
-from those rows:
+A ``LinearCode`` keeps one form: its reduced-row-echelon generator
+matrix, pivots leftmost first, as a read-only numpy *kernel matrix*:
 
 - GF(2): rows packed into little-endian uint64 words, coordinate j at
   bit j % 64 of word j // 64; a row operation is a word-wise XOR.
 - GF(2^k), k > 1: a uint8 symbol matrix; a row operation gathers a
   scaled row from the field's multiplication table and XORs it in.
+
+The form is unique, so codes compare and hash by field, n, pivots and
+matrix.  Only ``code_from_matrix`` builds one.  ``bit_rows`` (ints, bit
+j = coordinate j) and ``generators`` (symbol tuples) are derived views
+for artifacts and the symplectic layer's (a|b) surgery on Python ints;
+``to_matrix``/``to_rows`` are that GF(2) int boundary.
 
 ``rref`` is the one elimination loop for both; ``reduce`` and
 ``nullspace`` work on its output.  Codewords are enumerated by two
@@ -60,23 +60,19 @@ def _n_words(n: int) -> int:
     return (n + 63) // 64
 
 
-def to_matrix(field: Field, n: int, rows: Iterable) -> np.ndarray:
-    """Kernel matrix of boundary rows (bit-packed ints for GF(2), symbol tuples otherwise)."""
+def to_matrix(n: int, rows: Iterable[int]) -> np.ndarray:
+    """Packed GF(2) kernel matrix of bit-packed int rows of length n."""
     rows = list(rows)
-    if field.k == 1:
-        width = 8 * _n_words(n)
-        buf = bytearray(len(rows) * width)
-        for i, r in enumerate(rows):
-            buf[i * width : (i + 1) * width] = r.to_bytes(width, "little")
-        return np.frombuffer(buf, dtype=_WORD).reshape(len(rows), _n_words(n))
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    width = 8 * _n_words(n)
+    buf = bytearray(len(rows) * width)
+    for i, r in enumerate(rows):
+        buf[i * width : (i + 1) * width] = r.to_bytes(width, "little")
+    return np.frombuffer(buf, dtype=_WORD).reshape(len(rows), _n_words(n))
 
 
-def to_rows(field: Field, mat: np.ndarray) -> list:
-    """Boundary rows of a kernel matrix; inverse of ``to_matrix``."""
-    if field.k == 1:
-        return [int.from_bytes(row.tobytes(), "little") for row in mat]
-    return [tuple(row) for row in mat.tolist()]
+def to_rows(mat: np.ndarray) -> list[int]:
+    """Bit-packed int rows of a packed GF(2) kernel matrix; inverse of ``to_matrix``."""
+    return [int.from_bytes(row.tobytes(), "little") for row in mat]
 
 
 def from_symbols(field: Field, symbols: np.ndarray) -> np.ndarray:
@@ -294,22 +290,32 @@ class WeightVector:
 # the code type
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code as its unique reduced-row-echelon generator matrix.
+    """A linear code as its unique reduced-row-echelon kernel matrix.
 
-    ``rows`` holds bit-packed ints when the field is GF(2) and symbol
-    tuples otherwise; always produced by ``make_code``/``binary_code``.
+    ``matrix`` is read-only and built only by ``code_from_matrix``; row
+    i has its leading 1 at column ``pivots[i]``.
     """
 
     field: Field
     n: int
-    rows: tuple
+    matrix: np.ndarray
     pivots: tuple[int, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return (self.field, self.n, self.pivots) == (
+            other.field, other.n, other.pivots
+        ) and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.n, self.pivots, self.matrix.tobytes()))
 
     @property
     def k_dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def is_binary(self) -> bool:
@@ -317,59 +323,44 @@ class LinearCode:
 
     @property
     def bit_rows(self) -> tuple[int, ...]:
+        """Rows as bit-packed ints, bit j = coordinate j."""
         if not self.is_binary:
             raise TypeError("bit rows exist only for binary codes")
-        return self.rows
+        return tuple(to_rows(self.matrix))
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Rows as symbol tuples regardless of internal representation."""
-        if self.is_binary:
-            return tuple(
-                tuple((r >> j) & 1 for j in range(self.n)) for r in self.rows
-            )
-        return self.rows
+        """Rows as symbol tuples over any field."""
+        symbols = to_symbols(self.field, self.matrix, self.n)
+        return tuple(tuple(row.tolist()) for row in symbols)
 
     def __repr__(self) -> str:
         return f"[{self.n},{self.k_dim}] over {self.field}"
-
-    def _matrix(self) -> np.ndarray:
-        return to_matrix(self.field, self.n, self.rows)
 
     # -- operations -----------------------------------------------------
 
     def contains(self, other: "LinearCode") -> bool:
         """True iff every generator of ``other`` lies in this row space."""
         self._check_compatible(other)
-        rem = reduce(other._matrix(), self._matrix(), self.pivots, self.field)
-        return not rem.any()
+        return not reduce(other.matrix, self.matrix, self.pivots, self.field).any()
 
     def dual(self) -> "LinearCode":
         """Euclidean dual; dim n - k, involutive on canonical forms."""
         f = self.field
-        null = nullspace(self._matrix(), self.pivots, f, self.n)
-        return code_from_matrix(f, self.n, null)
+        return code_from_matrix(f, self.n, nullspace(self.matrix, self.pivots, f, self.n))
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
-        """Dual under the w-weighted form sum(w_i x_i y_i)."""
-        if w.field != self.field or len(w) != self.n:
-            raise ValueError("weight vector does not match the code")
-        if self.is_binary:
-            return self.dual()  # GF(2)* = {1}
-        f = self.field
-        scaled = f.mul_table[np.array(w.entries), self._matrix()]
-        rr, pv = rref(scaled, f, self.n)
-        return code_from_matrix(f, self.n, nullspace(rr, pv, f, self.n))
+        """Dual under the w-weighted form sum(w_i x_i y_i), that is (w * C)^perp."""
+        return self.scale(w).dual()
 
     def scale(self, v: WeightVector) -> "LinearCode":
         """Coordinatewise multiplication by v; same dimension."""
         if v.field != self.field or len(v) != self.n:
-            raise ValueError("scaling vector does not match the code")
+            raise ValueError("weight vector does not match the code")
         if self.is_binary:
-            return self
+            return self  # GF(2)* = {1}
         f = self.field
-        scaled = f.mul_table[np.array(v.entries), self._matrix()]
-        return make_code(f, self.n, to_rows(f, scaled))
+        return code_from_matrix(f, self.n, f.mul_table[np.array(v.entries), self.matrix])
 
     def min_distance_exact(self, budget: int = DEFAULT_BUDGET) -> int:
         """Exact minimum Hamming weight over nonzero codewords.
@@ -383,7 +374,7 @@ class LinearCode:
         f = self.field
         if f.order**k > budget:
             raise BudgetExceeded(f"{f.order}^{k} codewords exceed budget {budget}")
-        mat = self._matrix()
+        mat = self.matrix
         if self.is_binary:
             weights = (np.bitwise_count(b).sum(axis=1) for b in gray_span(mat))
         else:
@@ -412,7 +403,7 @@ class LinearCode:
         pairs = m * (m - 1) // 2
         if pairs > budget:
             raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
-        words = np.concatenate(list(gray_span(self._matrix())))[1:]  # drop zero
+        words = np.concatenate(list(gray_span(self.matrix)))[1:]  # drop zero
         best = self.n + 1
         for i in range(m - 1):
             w = np.bitwise_count(words[i] | words[i + 1 :]).sum(axis=1).min()
@@ -429,7 +420,10 @@ class LinearCode:
 def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
     """The code spanned by the rows of a kernel matrix, which is reduced in place."""
     rr, pv = rref(mat, field, n)
-    return LinearCode(field, n, tuple(to_rows(field, rr)), tuple(pv))
+    if len(rr) < len(mat):
+        rr = rr.copy()  # let the dependent rows go
+    rr.flags.writeable = False
+    return LinearCode(field, n, rr, tuple(pv))
 
 
 def make_code(field: Field, n: int, rows: Iterable[Sequence[int]]) -> LinearCode:
@@ -454,7 +448,7 @@ def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
     for r in bit_rows:
         if r < 0 or r >> n:
             raise ValueError(f"row {r:#x} does not fit in {n} bits")
-    return code_from_matrix(GF2, n, to_matrix(GF2, n, bit_rows))
+    return code_from_matrix(GF2, n, to_matrix(n, bit_rows))
 
 
 def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
@@ -467,7 +461,7 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
     """
     if not (sub.is_binary and sup.is_binary):
         raise TypeError("basis extension is implemented for binary codes")
-    rem = reduce(sup._matrix(), sub._matrix(), sub.pivots, GF2)
+    rem = reduce(sup.matrix, sub.matrix, sub.pivots, GF2)
     kept = []
     for i, row in enumerate(rem):
         nonzero = np.flatnonzero(row)
@@ -479,13 +473,12 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
         later = i + 1 + np.flatnonzero((rem[i + 1 :, w] >> bit) & _ONE)
         rem[later, w:] ^= row[w:]
         kept.append(i)
-    return to_rows(GF2, rem[kept])
+    return to_rows(rem[kept])
 
 
 def zero_code(field: Field, n: int) -> LinearCode:
-    return LinearCode(field, n, (), ())
+    return code_from_matrix(field, n, from_symbols(field, np.zeros((0, n), dtype=np.uint8)))
 
 
 def full_code(field: Field, n: int) -> LinearCode:
-    rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return make_code(field, n, rows)
+    return code_from_matrix(field, n, from_symbols(field, np.eye(n, dtype=np.uint8)))

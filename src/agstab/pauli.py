@@ -21,10 +21,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fields import EPS, EPS_BAR
-from .linear import GF2, rref, to_matrix
+from .linear import binary_code
 from .symplectic import pack_gf4, symplectic_form
 
 HARD_MAX_N = 8  # 2^8 = 256 keeps every intermediate product inside int64
+MAX_VIOLATIONS = 4  # undetectable errors listed before a check stops
 
 _PAULI = {
     0: ((np.array([[1, 0], [0, 1]]), np.zeros((2, 2), dtype=np.int64))),
@@ -181,13 +182,16 @@ class StabilizerSpec:
         if not self.basis:
             return
         n = len(self.basis[0])
+        if any(len(f) != n for f in self.basis):
+            raise ValueError("basis vectors have unequal lengths")
+        if any(s not in _PAULI for f in self.basis for s in f):
+            raise ValueError("basis symbols must be GF(4) elements 0..3")
         packed = [pack_gf4(f) for f in self.basis]
         for i, x in enumerate(packed):
             for y in packed[i + 1 :]:
                 if symplectic_form(x, y, n):
                     raise ValueError("basis is not isotropic: operators would not commute")
-        _, pivots = rref(to_matrix(GF2, 2 * n, packed), GF2, 2 * n)
-        if len(pivots) != len(self.basis):
+        if binary_code(2 * n, packed).k_dim != len(self.basis):
             raise ValueError("basis vectors are not independent")
 
     @property
@@ -279,9 +283,7 @@ _RATIONALE = (
 )
 
 
-def detectability_check(
-    p: ExactMatrix, dmax: int, max_violations: int = 4
-) -> DetectabilityReport:
+def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
     """Verify P E P = lambda_E P for every Pauli error of weight < dmax."""
     n = p.dim.bit_length() - 1
     if 1 << n != p.dim:
@@ -296,7 +298,7 @@ def detectability_check(
             checked += 1
             if not ok:
                 violations.append(word)
-                if len(violations) >= max_violations:
+                if len(violations) >= MAX_VIOLATIONS:
                     return DetectabilityReport(
                         n=n, dmax=dmax, checked=checked, passed=False,
                         violations=tuple(violations), rationale=_RATIONALE,

@@ -36,6 +36,7 @@ from .linear import (
     binary_code,
     extend_basis,
     gray_span,
+    nullspace,
     to_matrix,
     to_rows,
 )
@@ -83,18 +84,13 @@ def _swap_halves(v: int, n: int) -> int:
     return ((v & mask) << n) | (v >> n)
 
 
-def _omega_dual_space(space: LinearCode, n: int) -> LinearCode:
-    """Kernel of the form against all generators of ``space``."""
-    swapped = [_swap_halves(r, n) for r in space.bit_rows]
-    return binary_code(2 * n, swapped).dual()
-
-
 @dataclass(frozen=True)
 class SymplecticCode:
-    """An F2-subspace of GF(4)^n with its isotropy/largeness certificates."""
+    """An F2-subspace F of GF(4)^n, its form-dual F^omega, and both certificates."""
 
     n: int
     space: LinearCode
+    dual_space: LinearCode
     is_isotropic: bool
     is_large: bool
     distance_bound: int | None = None
@@ -102,9 +98,6 @@ class SymplecticCode:
     @property
     def k_dim(self) -> int:
         return self.space.k_dim
-
-    def dual_space(self) -> LinearCode:
-        return _omega_dual_space(self.space, self.n)
 
     def __repr__(self) -> str:
         tags = []
@@ -115,28 +108,34 @@ class SymplecticCode:
         return f"symplectic(n={self.n}, k={self.k_dim}, {'|'.join(tags) or 'neither'})"
 
 
+def _certified(
+    n: int, space: LinearCode, dual: LinearCode, bound: int | None = None
+) -> SymplecticCode:
+    """Both flags decided by containment between F and F^omega."""
+    return SymplecticCode(n, space, dual, dual.contains(space), space.contains(dual), bound)
+
+
 def make_symplectic(
     n: int, vectors, distance_bound: int | None = None
 ) -> SymplecticCode:
-    """Canonicalize packed 2n-bit generators and compute both flags exactly."""
+    """Canonicalize packed 2n-bit generators and compute both flags exactly.
+
+    The form pairs x with the half-swap of y, so F^omega is the
+    half-swap of the Euclidean dual, read off the nullspace of F.
+    """
     vectors = list(vectors)
     for v in vectors:
         if v < 0 or v >> (2 * n):
             raise ValueError(f"vector {v:#x} does not fit in 2n = {2 * n} bits")
     space = binary_code(2 * n, vectors)
-    dual = _omega_dual_space(space, n)
-    return SymplecticCode(
-        n=n,
-        space=space,
-        is_isotropic=dual.contains(space),
-        is_large=space.contains(dual),
-        distance_bound=distance_bound,
-    )
+    null = nullspace(space.matrix, space.pivots, GF2, 2 * n)
+    dual = binary_code(2 * n, [_swap_halves(r, n) for r in to_rows(null)])
+    return _certified(n, space, dual, distance_bound)
 
 
 def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     """The form-dual, with flags recomputed; dim F + dim F^dual = 2n."""
-    return make_symplectic(code.n, _omega_dual_space(code.space, code.n).bit_rows)
+    return _certified(code.n, code.dual_space, code.space)
 
 
 def _mixing_matrix_rows(r: int) -> list[list[int]]:
@@ -194,8 +193,8 @@ def steane_compose(
                 v ^= ext[j]
         mixed.append(v)
 
-    gens = [g for g in d.rows]
-    gens += [g << n for g in d.rows]
+    gens = list(d.bit_rows)
+    gens += [g << n for g in gens]
     gens += [e | (m << n) for e, m in zip(ext, mixed)]
 
     bound = designed_bound
@@ -247,8 +246,8 @@ class QuantumCodeReport:
 def _halves(rows, n: int) -> np.ndarray:
     """Packed rows of 2n-bit vectors, the a-part words then the b-part words."""
     mask = (1 << n) - 1
-    a = to_matrix(GF2, n, [r & mask for r in rows])
-    b = to_matrix(GF2, n, [r >> n for r in rows])
+    a = to_matrix(n, [r & mask for r in rows])
+    b = to_matrix(n, [r >> n for r in rows])
     return np.hstack([a, b])
 
 
@@ -267,7 +266,7 @@ def _min_weight_difference(
         raise ValueError("the two spaces coincide; the difference set is empty")
 
     # words on the first axis, so the XOR below runs along whole rows
-    sub = np.concatenate(list(gray_span(_halves(small.rows, n)))).T.copy()
+    sub = np.concatenate(list(gray_span(_halves(small.bit_rows, n)))).T.copy()
     half = len(sub) // 2
     best = n + 1
     witness = 0
@@ -279,7 +278,7 @@ def _min_weight_difference(
         r, s = np.unravel_index(np.argmin(w), w.shape)
         if w[r, s] < best:
             best = int(w[r, s])
-            a, b = to_rows(GF2, v[:, r, s].reshape(2, half))
+            a, b = to_rows(v[:, r, s].reshape(2, half))
             witness = a | (b << n)
     return best, witness
 
@@ -307,14 +306,14 @@ def quantum_params(
             f"stabilizer side is the form-dual (dim {2 * n - code.k_dim}); "
             f"k_Q = k_F - n = {code.k_dim} - {n} = {k_q}"
         )
-        big, small = code.space, code.dual_space()
+        big, small = code.space, code.dual_space
     elif code.is_isotropic:
         k_q = n - code.k_dim
         big_bits = 2 * n - code.k_dim
         trace.append(
             f"code is isotropic; roles swap: k_Q = n - k_F = {n} - {code.k_dim} = {k_q}"
         )
-        big, small = code.dual_space(), code.space
+        big, small = code.dual_space, code.space
     else:
         raise ValueError("code is neither isotropic nor dual-containing")
 

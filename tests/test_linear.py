@@ -15,7 +15,6 @@ from agstab.linear import (
     gray_span,
     make_code,
     odometer,
-    to_matrix,
     to_symbols,
     zero_code,
 )
@@ -46,7 +45,7 @@ def brute_force_dual(code: LinearCode) -> set[int]:
 def codeword_set(code: LinearCode) -> set[tuple[int, ...]]:
     """All q^k codewords as symbol tuples, through the enumeration primitives."""
     f = code.field
-    mat = to_matrix(f, code.n, code.rows)
+    mat = code.matrix
     if code.is_binary:
         words = to_symbols(f, np.concatenate(list(gray_span(mat))), code.n)
     else:
@@ -89,7 +88,7 @@ class TestDual:
         orthogonal = {
             v
             for v in itertools.product(range(4), repeat=4)
-            if all(dot(v, g) == 0 for g in c.rows)
+            if all(dot(v, g) == 0 for g in c.generators)
         }
         assert codeword_set(c.dual()) == orthogonal
 
@@ -268,7 +267,7 @@ class TestSecondOrWeight:
 
 def test_generators_are_canonical_and_binary_packed():
     c = binary_code(8, EVEN_8_7)
-    assert all(isinstance(r, int) for r in c.rows)
+    assert all(isinstance(r, int) for r in c.bit_rows)
     assert c.generators[0][0] == 1  # first pivot at the leftmost column
     c4 = make_code(GF4, 3, [[2, 1, 0], [0, 2, 1]])
-    assert all(row[p] == 1 for row, p in zip(c4.rows, c4.pivots))  # normalized pivots
+    assert all(row[p] == 1 for row, p in zip(c4.generators, c4.pivots))  # normalized pivots

@@ -4,7 +4,9 @@ Matrices are drawn over GF(2^k) for k in {1, 2, 3, 4, 6, 8} with widths
 on both sides of the 64-bit word boundary, more rows than columns, zero
 rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
-against the one-row-at-a-time Python elimination it replaced.  The two
+against the one-row-at-a-time Python elimination it replaced.  A code's
+one stored form is checked to compare and hash canonically, to be
+read-only, and to round-trip through its int and tuple views.  The two
 enumeration primitives are checked against plain Python loops in the
 orders they promise, whole and in blocks.
 """
@@ -13,6 +15,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,6 @@ from agstab.expansion import ExpansionMap, expand_code
 from agstab.fields import get_field, self_dual_basis
 from agstab.linear import (
     _SPAN_BLOCK,
-    GF2,
     WeightVector,
     binary_code,
     code_from_matrix,
@@ -163,16 +165,34 @@ def test_code_duals_are_involutive(case, seed):
 def test_boundary_rows_round_trip(case):
     field, n, symbols = case
     code = code_from_matrix(field, n, from_symbols(field, symbols))
-    assert to_rows(field, to_matrix(field, n, code.rows)) == list(code.rows)
+    assert np.array_equal(from_symbols(field, to_symbols(field, code.matrix, n)), code.matrix)
     if field.k == 1:
-        assert binary_code(n, code.rows) == code
+        assert to_rows(to_matrix(n, code.bit_rows)) == list(code.bit_rows)
+        assert binary_code(n, code.bit_rows) == code
     assert make_code(field, n, code.generators) == code
+
+
+@settings(deadline=None)
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_a_code_has_one_stored_form(case, seed):
+    field, n, symbols = case
+    code = make_code(field, n, symbols.tolist())
+    rng = random.Random(seed)
+    order = list(range(len(symbols)))
+    rng.shuffle(order)
+    order += order[: rng.randint(0, len(order))]  # duplicated rows
+    other = make_code(field, n, symbols[order].tolist())
+    assert other == code and hash(other) == hash(code)
+    assert not code.matrix.flags.writeable
+    if code.k_dim:
+        with pytest.raises(ValueError, match="read-only"):
+            rref(code.matrix, field, n)
 
 
 def reference_extend_basis(sub, sup):
     """Remainders of sup's rows modulo sub and the rows kept so far, one at a time."""
-    rows, pivots, ext = list(sub.rows), list(sub.pivots), []
-    for vec in sup.rows:
+    rows, pivots, ext = list(sub.bit_rows), list(sub.pivots), []
+    for vec in sup.bit_rows:
         for row, p in zip(rows, pivots):
             if vec >> p & 1:
                 vec ^= row
@@ -192,7 +212,7 @@ def test_extend_basis_matches_the_sequential_procedure(case, seed):
     combos = []
     for _ in range(rng.randint(0, sup.k_dim)):
         v = 0
-        for row in sup.rows:
+        for row in sup.bit_rows:
             if rng.random() < 0.5:
                 v ^= row
         combos.append(v)
@@ -200,7 +220,7 @@ def test_extend_basis_matches_the_sequential_procedure(case, seed):
     ext = extend_basis(sub, sup)
     assert ext == reference_extend_basis(sub, sup)
     assert len(ext) == sup.k_dim - sub.k_dim
-    assert binary_code(n, list(sub.rows) + ext) == sup
+    assert binary_code(n, list(sub.bit_rows) + ext) == sup
 
 
 @settings(deadline=None)
@@ -237,12 +257,12 @@ def gray_loop(rows):
 def test_gray_span_matches_the_gray_loop(k, n, row_cells, seed):
     rng = random.Random(seed)
     rows = [rng.getrandbits(n) for _ in range(k)]
-    blocks = list(gray_span(to_matrix(GF2, n, rows), row_cells))
-    cells = to_matrix(GF2, n, rows).shape[1] if row_cells is None else row_cells
+    blocks = list(gray_span(to_matrix(n, rows), row_cells))
+    cells = to_matrix(n, rows).shape[1] if row_cells is None else row_cells
     for block in blocks[:-1]:
         assert len(block) == len(blocks[0])
     assert len(blocks[0]) == 1 or len(blocks[0]) * cells <= _SPAN_BLOCK
-    assert to_rows(GF2, np.concatenate(blocks)) == gray_loop(rows)
+    assert to_rows(np.concatenate(blocks)) == gray_loop(rows)
 
 
 @settings(deadline=None)

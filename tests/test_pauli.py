@@ -102,6 +102,14 @@ class TestProjector:
         with pytest.raises(ValueError):
             StabilizerSpec.plus([f1, f2, fsum])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            StabilizerSpec(((2, 0, 0), (2, 0)), (1, 1))
+
+    def test_symbol_outside_gf4_rejected(self):
+        with pytest.raises(ValueError, match="GF\\(4\\)"):
+            StabilizerSpec(((7, 0),), (1,))
+
 
 class TestDetectability:
     def setup_method(self):
