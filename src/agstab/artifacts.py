@@ -19,9 +19,14 @@ from typing import Any
 
 from .curves import DualChainTriple
 from .expansion import ExpandedPair
-from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_row, row_to_hex
-from .linear import LinearCode, WeightVector, make_code
+from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_row, symbols_to_hex
+from .linear import LinearCode, WeightVector, make_code, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
+
+
+# Kernel-matrix rows that code_to_obj unpacks at a time, so that its
+# scratch is a few arrays of _HEX_BLOCK * n bytes beside the output.
+_HEX_BLOCK = 256
 
 
 def code_to_obj(code: LinearCode) -> dict[str, Any]:
@@ -29,7 +34,11 @@ def code_to_obj(code: LinearCode) -> dict[str, Any]:
     return {
         "field_k": f.k,
         "n": code.n,
-        "generators": [row_to_hex(f, row) for row in code.generators],
+        "generators": [
+            text
+            for i in range(0, code.k_dim, _HEX_BLOCK)
+            for text in symbols_to_hex(f, to_symbols(f, code.matrix[i : i + _HEX_BLOCK], code.n))
+        ],
     }
 
 

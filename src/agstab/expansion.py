@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,19 +46,6 @@ class ExpansionMap:
         if self.basis.field != self.field:
             raise ValueError("basis belongs to a different field")
         # SelfDualBasis already validated its Gram matrix.
-
-    def expand_word(self, symbols: Sequence[int]) -> int:
-        """Bit-packed binary image of a symbol vector (length k*n)."""
-        f = self.field
-        k = f.k
-        out = 0
-        for j, x in enumerate(symbols):
-            if x == 0:
-                continue
-            for i, alpha in enumerate(self.basis.elements):
-                if f.trace(f.mul(x, alpha)):
-                    out |= 1 << (j * k + i)
-        return out
 
 
 def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:

@@ -266,6 +266,20 @@ def row_to_hex(field: Field, row: tuple[int, ...]) -> str:
     return "".join(element_to_hex(field, x) for x in row)
 
 
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def symbols_to_hex(field: Field, symbols: np.ndarray) -> list[str]:
+    """``row_to_hex`` of every row of a uint8 matrix of field elements."""
+    m, n = symbols.shape
+    width = element_hex_width(field)
+    if width == 2:
+        digits = np.stack((_HEX_DIGITS[symbols >> 4], _HEX_DIGITS[symbols & 15]), axis=-1)
+    else:
+        digits = _HEX_DIGITS[symbols]
+    return [row.tobytes().decode("ascii") for row in digits.reshape(m, width * n)]
+
+
 def hex_to_row(field: Field, text: str) -> tuple[int, ...]:
     w = element_hex_width(field)
     if len(text) % w:

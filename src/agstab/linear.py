@@ -277,10 +277,6 @@ class WeightVector:
         f = self.field
         return WeightVector(f, tuple(f.sqrt(e) for e in self.entries))
 
-    def squared(self) -> "WeightVector":
-        f = self.field
-        return WeightVector(f, tuple(f.mul(e, e) for e in self.entries))
-
     def inverse(self) -> "WeightVector":
         f = self.field
         return WeightVector(f, tuple(f.inv(e) for e in self.entries))

@@ -6,6 +6,23 @@ projector identities, traces, and detectability are integer equalities,
 never float comparisons.  Dense matrices are capped at 2^8; this is a
 verifier for small instances, not a simulator.
 
+A Pauli operator is a monomial matrix (one entry per row, a phase in
+{+-1, +-i}), so products with it are row or column permutations with
+phases, never dense products.  Detectability P E P = lambda P is
+decided on a basis of range(P): with B = P[:, J] for r = tr(P) columns
+J, and P an orthogonal projector whose range is span(B),
+
+    P E P = lambda P   iff   B^dagger (E B) = lambda B^dagger B,
+
+since P = B (B^dagger B)^-1 B^dagger.  Per error, E B is a row
+permutation with phases, O(2^n * r), and B^dagger (E B) costs
+O(2^n * r^2), against 2^(3n) for the dense P (E P).  The premise is
+certified once per matrix, exactly: P is Hermitian, P B = B, B^dagger B
+is nonsingular and tr(P) = sum |P_ij|^2 = r.  The first three give r
+eigenvalues 1 with eigenvectors spanning span(B); the trace identity
+then forces every other eigenvalue to 0.  A matrix that fails raises
+ValueError.
+
 Qubit symbols follow the GF(4) convention of the rest of the package:
 0 -> identity, eps -> X, eps-bar -> Z, 1 -> the third Pauli matrix
 [[0,-i],[i,0]].
@@ -36,22 +53,30 @@ _PAULI = {
 
 
 class ExactMatrix:
-    """(re + i*im) / 2^den with int64 numerators; normalized on creation."""
+    """(re + i*im) / 2^den with int64 numerators; normalized on creation.
 
-    __slots__ = ("re", "im", "den")
+    Immutable, so ``check_error`` caches the certified range basis of a
+    projector in the private ``_range`` slot.
+    """
+
+    __slots__ = ("re", "im", "den", "_range")
 
     def __init__(self, re: np.ndarray, im: np.ndarray, den: int = 0):
         re = np.asarray(re, dtype=np.int64)
         im = np.asarray(im, dtype=np.int64)
-        while den > 0 and not ((re & 1).any() or (im & 1).any()):
-            re = re >> 1
-            im = im >> 1
-            den -= 1
+        # cancel the largest power of two that divides every numerator
+        bits = int(np.bitwise_or.reduce(re, axis=None) | np.bitwise_or.reduce(im, axis=None))
+        shift = min(den, (bits & -bits).bit_length() - 1) if bits else den
+        if shift > 0:
+            re = re >> shift
+            im = im >> shift
+            den -= shift
         re.setflags(write=False)
         im.setflags(write=False)
         self.re = re
         self.im = im
         self.den = den
+        self._range = None
 
     @property
     def dim(self) -> int:
@@ -141,28 +166,60 @@ def _check_n(n: int, max_n: int) -> None:
         raise ValueError(f"n={n} exceeds the dense-matrix cap {cap}")
 
 
-def _sigma_monomial(word: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perm, phase_re, phase_im): row r has its only entry at column perm[r]."""
-    perm = np.zeros(1, dtype=np.int64)
-    ph_re = np.ones(1, dtype=np.int64)
-    ph_im = np.zeros(1, dtype=np.int64)
-    for s in word:
-        re, im = _PAULI[s]
-        qp = np.array([int(np.argmax(np.abs(re[r]) + np.abs(im[r]))) for r in (0, 1)])
-        qre = np.array([re[r, qp[r]] for r in (0, 1)], dtype=np.int64)
-        qim = np.array([im[r, qp[r]] for r in (0, 1)], dtype=np.int64)
-        perm = (perm[:, None] * 2 + qp[None, :]).reshape(-1)
-        new_re = (ph_re[:, None] * qre[None, :] - ph_im[:, None] * qim[None, :]).reshape(-1)
-        new_im = (ph_re[:, None] * qim[None, :] + ph_im[:, None] * qre[None, :]).reshape(-1)
-        ph_re, ph_im = new_re, new_im
-    return perm, ph_re, ph_im
+_Monomial = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _apply_monomial_left(word: Sequence[int], m: ExactMatrix) -> ExactMatrix:
-    """sigma(word) @ m without a dense product (row permutation + phases)."""
-    perm, ph_re, ph_im = _sigma_monomial(word)
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0 .. i^3 as (re, im)
+_I_POWER_RE, _I_POWER_IM = np.array(_I_POWERS, dtype=np.int64).T
+
+
+def _monomial_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per symbol s and row bit b: the column of the one nonzero entry of
+    the 2 x 2 Pauli matrix, and that entry as a power of i."""
+    col = np.zeros((4, 2), dtype=np.int64)
+    power = np.zeros((4, 2), dtype=np.int64)
+    for s, (re, im) in _PAULI.items():
+        for b in (0, 1):
+            c = int(np.argmax(np.abs(re[b]) + np.abs(im[b])))
+            col[s, b] = c
+            power[s, b] = _I_POWERS.index((int(re[b, c]), int(im[b, c])))
+    return col, power
+
+
+_COL, _I_POWER = _monomial_tables()
+
+
+def _sigma_monomial(word: Sequence[int]) -> _Monomial:
+    """(perm, phase_re, phase_im): row r has its only entry at column perm[r].
+
+    Qubit 0 is the most significant bit of a row index, as in ``sigma``.
+    """
+    if any(s not in _PAULI for s in word):
+        raise ValueError(f"not a GF(4) word: {tuple(word)}")
+    n = len(word)
+    syms = np.array(word, dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (np.arange(1 << n)[:, None] >> shifts) & 1
+    perm = _COL[syms, bits] @ (1 << shifts)
+    power = _I_POWER[syms, bits].sum(axis=1) & 3
+    return perm, _I_POWER_RE[power], _I_POWER_IM[power]
+
+
+def _apply_monomial_left(mono: _Monomial, m: ExactMatrix) -> ExactMatrix:
+    """sigma @ m without a dense product: row r is phase[r] * row perm[r] of m."""
+    perm, ph_re, ph_im = mono
     re = ph_re[:, None] * m.re[perm] - ph_im[:, None] * m.im[perm]
     im = ph_re[:, None] * m.im[perm] + ph_im[:, None] * m.re[perm]
+    return ExactMatrix(re, im, m.den)
+
+
+def _apply_monomial_right(m: ExactMatrix, mono: _Monomial) -> ExactMatrix:
+    """m @ sigma without a dense product: column perm[r] is phase[r] * column r of m."""
+    perm, ph_re, ph_im = mono
+    re = np.empty_like(m.re)
+    im = np.empty_like(m.im)
+    re[:, perm] = m.re * ph_re - m.im * ph_im
+    im[:, perm] = m.re * ph_im + m.im * ph_re
     return ExactMatrix(re, im, m.den)
 
 
@@ -209,18 +266,22 @@ class StabilizerSpec:
 
 
 def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int = 6) -> ExactMatrix:
-    """P = prod_i (I + mu_i sigma(f_i)) / 2, an exact orthogonal projector."""
+    """P = prod_i (I + mu_i sigma(f_i)) / 2, an exact orthogonal projector.
+
+    Each factor multiplies P from the right as a column permutation with
+    phases, at O(4^n) per generator.
+    """
     if n is None:
         if not spec.basis:
             raise ValueError("empty spec needs an explicit n")
         n = spec.n
+    elif spec.basis and n != spec.n:
+        raise ValueError(f"n={n} but the basis vectors have length {spec.n}")
     _check_n(n, max_n)
     p = ExactMatrix.identity(1 << n)
     for f, m in zip(spec.basis, spec.mu):
-        s = sigma(f, max_n=max_n)
-        if m == -1:
-            s = -s
-        p = (p + (p @ s)).half()
+        perm, ph_re, ph_im = _sigma_monomial(f)
+        p = (p + _apply_monomial_right(p, (perm, m * ph_re, m * ph_im))).half()
     return p
 
 
@@ -249,11 +310,114 @@ def proportionality(m: ExactMatrix, p: ExactMatrix) -> tuple[bool, Fraction, Fra
     return ok, lam_re, lam_im
 
 
+@dataclass(frozen=True)
+class _RangeBasis:
+    """Certified B = P[:, J] spanning range(P), with B^dagger and B^dagger B."""
+
+    n: int
+    rank: int
+    b: ExactMatrix
+    b_adj: ExactMatrix
+    gram: ExactMatrix
+
+
+def _range_basis(p: ExactMatrix) -> _RangeBasis:
+    if p._range is None:
+        p._range = _certify_projector(p)
+    return p._range
+
+
+def _certify_projector(p: ExactMatrix) -> _RangeBasis:
+    """Prove exactly that P is an orthogonal projector with range span(P[:, J])."""
+    n = p.dim.bit_length() - 1
+    if p.re.shape != (1 << n, 1 << n):
+        raise ValueError(f"shape {p.re.shape} is not square of power-of-two size")
+    re, im, den = p.re, p.im, p.den
+    if not (np.array_equal(re, re.T) and np.array_equal(im, -im.T)):
+        raise ValueError("matrix is not Hermitian, so not an orthogonal projector")
+    # |P_ij| <= 1 holds for any projector.  With it, every int64 value
+    # below, up to proportionality's cross products, is at most
+    # 4^(n+1) * 8^den, which the den cap keeps below 2^63.
+    if max(int(np.abs(re).max()), int(np.abs(im).max())) > 1 << den:
+        raise ValueError("an entry exceeds 1 in modulus, so not an orthogonal projector")
+    if 2 * (n + 1) + 3 * den > 62:
+        raise ValueError(f"denominator 2^{den} too fine for exact int64 arithmetic at n={n}")
+    rank, rem = divmod(int(np.trace(re)), 1 << den)
+    if rem or rank <= 0:
+        raise ValueError(f"trace {p.trace()[0]} is not a positive integer")
+    if int((re * re).sum() + (im * im).sum()) != rank << (2 * den):
+        raise ValueError("tr(P) != sum |P_ij|^2, so not an orthogonal projector")
+    cols = _range_columns(p, rank)
+    b = ExactMatrix(re[:, cols], im[:, cols], den)
+    if p @ b != b:
+        raise ValueError("P B != B for the chosen columns, so not an orthogonal projector")
+    # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger and P B = B
+    gram = ExactMatrix(re[np.ix_(cols, cols)], im[np.ix_(cols, cols)], den)
+    if not _nonsingular(gram):
+        raise ValueError("B^dagger B is singular: the chosen columns do not span range(P)")
+    return _RangeBasis(n=n, rank=rank, b=b, b_adj=b.conj_transpose(), gram=gram)
+
+
+def _range_columns(p: ExactMatrix, rank: int) -> np.ndarray:
+    """rank column indices of P by a float pivoted-Cholesky scan (certified later)."""
+    a = (p.re + 1j * p.im) / float(1 << p.den)
+    resid = a.diagonal().real.copy()
+    l = np.zeros((p.dim, rank), dtype=complex)
+    cols = []
+    for t in range(rank):
+        j = int(np.argmax(resid))
+        # for a projector the residual is one of rank - t >= 1, whose
+        # largest diagonal entry is at least 1 / dim
+        if resid[j] < 0.5 / p.dim:
+            raise ValueError(f"P has fewer than tr(P) = {rank} independent columns")
+        cols.append(j)
+        l[:, t] = (a[:, j] - l[:, :t] @ l[j, :t].conj()) / np.sqrt(resid[j])
+        resid -= np.abs(l[:, t]) ** 2
+    return np.array(cols)
+
+
+def _nonsingular(m: ExactMatrix) -> bool:
+    """Exact: is m invertible?  Bareiss elimination on its real 2r x 2r form."""
+    a = np.block([[m.re, -m.im], [m.im, m.re]]).astype(object)
+    prev = 1
+    for k in range(len(a)):
+        nz = np.flatnonzero(a[k:, k])
+        if not nz.size:
+            return False
+        a[[k, k + nz[0]]] = a[[k + nz[0], k]]
+        a[k + 1 :, k + 1 :] = (
+            a[k + 1 :, k + 1 :] * a[k, k] - np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        ) // prev
+        prev = a[k, k]
+    return True
+
+
 def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fraction]:
-    """Is sigma(word) detectable: P E P == lambda P exactly?"""
-    ep = _apply_monomial_left(word, p)
-    m = p @ ep
-    return proportionality(m, p)
+    """Is sigma(word) detectable: P E P == lambda P exactly?
+
+    Decided as B^dagger (E B) == lambda B^dagger B on the certified range
+    basis B of P (see the module docstring): E B is a row permutation
+    with phases, O(2^n * r) for r = tr(P), and B^dagger (E B) costs
+    O(2^n * r^2).  The certificate is made on the first call for P and
+    cached on it; a P that fails it raises ValueError.  lambda is
+    tr(E P) / tr(P), which equals tr(P E P) / tr(P) whether or not the
+    word is detectable.
+    """
+    basis = _range_basis(p)
+    if len(word) != basis.n:
+        raise ValueError(f"word of length {len(word)} on {basis.n} qubits")
+    mono = _sigma_monomial(word)
+    ok, _, _ = proportionality(basis.b_adj @ _apply_monomial_left(mono, basis.b), basis.gram)
+    perm, ph_re, ph_im = mono
+    # (E P)[r, r] = phase[r] * P[perm[r], r]
+    diag = np.arange(p.dim)
+    d_re, d_im = p.re[perm, diag], p.im[perm, diag]
+    tr_p = basis.rank << p.den
+    return (
+        ok,
+        Fraction(int(ph_re @ d_re - ph_im @ d_im), tr_p),
+        Fraction(int(ph_re @ d_im + ph_im @ d_re), tr_p),
+    )
 
 
 def weight_words(n: int, weight: int) -> Iterator[tuple[int, ...]]:

@@ -176,7 +176,6 @@ def test_c7_pauli_verification_four_qubits():
         assert not ok
 
 
-@pytest.mark.slow
 def test_c7_pauli_verification_eight_qubits_slow():
     with criterion("C7-slow", 300.0, "[[8,3,3]] detectability at dmax = 3"):
         f = steane_compose(EXT_HAMMING, EVEN_8_7)

@@ -6,7 +6,8 @@ rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
 against the one-row-at-a-time Python elimination it replaced.  A code's
 one stored form is checked to compare and hash canonically, to be
-read-only, and to round-trip through its int and tuple views.  The two
+read-only, to round-trip through its int and tuple views, and to
+serialize to the per-symbol hex rows of ``row_to_hex``.  The two
 enumeration primitives are checked against plain Python loops in the
 orders they promise, whole and in blocks.
 """
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agstab.artifacts import _HEX_BLOCK, code_to_obj
 from agstab.expansion import ExpansionMap, expand_code
-from agstab.fields import get_field, self_dual_basis
+from agstab.fields import get_field, row_to_hex, self_dual_basis, symbols_to_hex
 from agstab.linear import (
     _SPAN_BLOCK,
     WeightVector,
@@ -173,6 +175,24 @@ def test_boundary_rows_round_trip(case):
 
 
 @settings(deadline=None)
+@given(matrices())
+def test_hex_rows_match_row_to_hex(case):
+    field, n, symbols = case
+    assert symbols_to_hex(field, symbols) == [row_to_hex(field, tuple(r)) for r in symbols.tolist()]
+    code = code_from_matrix(field, n, from_symbols(field, symbols))
+    assert code_to_obj(code)["generators"] == [row_to_hex(field, row) for row in code.generators]
+
+
+def test_code_to_obj_spans_several_row_blocks():
+    field = get_field(1)
+    rng = np.random.default_rng(1)
+    n = 2 * _HEX_BLOCK + 70
+    code = make_code(field, n, rng.integers(0, field.order, (2 * _HEX_BLOCK + 3, n)).tolist())
+    assert code.k_dim > 2 * _HEX_BLOCK
+    assert code_to_obj(code)["generators"] == [row_to_hex(field, row) for row in code.generators]
+
+
+@settings(deadline=None)
 @given(matrices(), st.integers(0, 2**32 - 1))
 def test_a_code_has_one_stored_form(case, seed):
     field, n, symbols = case
@@ -223,6 +243,17 @@ def test_extend_basis_matches_the_sequential_procedure(case, seed):
     assert binary_code(n, list(sub.bit_rows) + ext) == sup
 
 
+def expand_word(m, symbols):
+    """Bit-packed binary image of a symbol vector: bit j*k + i is Tr(x_j * alpha_i)."""
+    f = m.field
+    out = 0
+    for j, x in enumerate(symbols):
+        for i, alpha in enumerate(m.basis.elements):
+            if x and f.trace(f.mul(x, alpha)):
+                out |= 1 << (j * f.k + i)
+    return out
+
+
 @settings(deadline=None)
 @given(matrices())
 def test_expand_code_matches_symbolwise_expansion(case):
@@ -232,7 +263,7 @@ def test_expand_code_matches_symbolwise_expansion(case):
     code = code_from_matrix(field, n, from_symbols(field, symbols))
     emap = ExpansionMap(field=field, basis=self_dual_basis(field))
     want = [
-        emap.expand_word([field.mul(alpha, e) for e in gen])
+        expand_word(emap, [field.mul(alpha, e) for e in gen])
         for gen in code.generators
         for alpha in emap.basis.elements
     ]

@@ -1,17 +1,26 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
+from agstab import pauli
 from agstab.fields import EPS, EPS_BAR
 from agstab.linear import binary_code
 from agstab.pauli import (
     ExactMatrix,
     StabilizerSpec,
+    _apply_monomial_left,
+    _apply_monomial_right,
+    _nonsingular,
+    _sigma_monomial,
     all_mu_traces,
     check_error,
     detectability_check,
     find_violation,
+    proportionality,
     sigma,
     stabilizer_projector,
     weight_words,
@@ -22,12 +31,24 @@ from agstab.symplectic import (
     quantum_params,
     steane_compose,
     symplectic_dual,
+    symplectic_form,
     unpack_gf4,
 )
 
 B422 = [(EPS,) * 4, (EPS_BAR,) * 4]
 # two extra isotropic vectors extending the four-qubit stabilizer to rank 4
 B422_EXTENDED = B422 + [(EPS, EPS, 0, 0), (EPS_BAR, EPS_BAR, 0, 0)]
+
+# Stabilizer generators of the desk [[8,3,3]] code, as in perfbench/workloads.py
+STAB_8 = (
+    (3, 2, 0, 1, 0, 1, 3, 2),
+    (0, 3, 0, 3, 2, 1, 2, 1),
+    (0, 2, 1, 3, 0, 2, 1, 3),
+    (0, 0, 2, 2, 1, 1, 3, 3),
+    (2, 2, 2, 2, 2, 2, 2, 2),
+)
+SIGNS_8 = [(1, 1, 1, 1, 1), (1, -1, 1, -1, -1)]
+WORDS_8 = [w for weight in range(4) for w in weight_words(8, weight)]
 
 
 def gf4_add(a, b):
@@ -76,6 +97,10 @@ class TestProjector:
         assert p.trace() == (Fraction(1), Fraction(0))
         assert p @ p == p
         assert p.conj_transpose() == p
+
+    def test_explicit_n_must_match_the_basis(self):
+        with pytest.raises(ValueError, match="length"):
+            stabilizer_projector(StabilizerSpec.plus(B422), n=5)
 
     def test_empty_spec_is_identity(self):
         spec = StabilizerSpec((), ())
@@ -174,3 +199,179 @@ def test_steane_8_3_3_detectability_dmax_3():
     # minimality: the enumerated weight-3 witness is an operator-level violation
     ok, _, _ = check_error(proj, rep.d_witness)
     assert not ok
+
+
+def exact_matmul(a, b):
+    """a @ b through one complex128 product, exact because every partial
+    sum is an integer below 2^53."""
+    big = max(np.abs(a.re).max(), np.abs(a.im).max()) * max(np.abs(b.re).max(), np.abs(b.im).max())
+    assert 2 * a.dim * int(big) < 2**53
+    c = (a.re + 1j * a.im) @ (b.re + 1j * b.im)
+    return ExactMatrix(c.real.astype(np.int64), c.imag.astype(np.int64), a.den + b.den)
+
+
+def dense_projector(spec, n):
+    """prod (I + mu sigma(f)) / 2 as dense products."""
+    p = ExactMatrix.identity(1 << n)
+    for f, mu in zip(spec.basis, spec.mu):
+        s = sigma(f, max_n=n)
+        p = exact_matmul(p, (ExactMatrix.identity(1 << n) + (s if mu == 1 else -s)).half())
+    return p
+
+
+def complex_numerators(m):
+    return (m.re + 1j * m.im).astype(np.complex64)
+
+
+PAULI_1 = {s: complex_numerators(sigma((s,))) for s in range(4)}
+
+
+def dense_sigma(word):
+    """sigma(word) as a complex matrix: a Kronecker product of 2 x 2 matrices."""
+    return reduce(np.kron, (PAULI_1[s] for s in word), np.ones((1, 1), dtype=np.complex64))
+
+
+def dense_check(p, pc, e):
+    """The definition: proportionality(P @ (E P), P) for a dense complex E,
+    with pc the complex numerators of P.
+
+    E P is read off E's one nonzero entry per row; P @ (E P) is a dense
+    product.  The numerators of P and E have modulus at most 2^den and 1,
+    so every partial sum is an integer below 2 * dim * 4^den < 2^24 and
+    complex64 computes it exactly.
+    """
+    assert 2 * p.dim * 4**p.den < 2**24
+    rows, cols = np.nonzero(e)
+    assert np.array_equal(rows, np.arange(p.dim))
+    pep = pc @ (e[rows, cols][:, None] * pc[cols])
+    return proportionality(
+        ExactMatrix(pep.real.astype(np.int64), pep.imag.astype(np.int64), 2 * p.den), p
+    )
+
+
+def symplectic_detectable(word, stab):
+    """Detectable iff the word anticommutes with a stabilizer or lies in their span."""
+    x = pack_gf4(word)
+    n = len(word)
+    if any(symplectic_form(x, pack_gf4(f), n) for f in STAB_8):
+        return True
+    return stab.contains(binary_code(2 * n, [x]))
+
+
+@pytest.fixture(scope="module")
+def projs_8():
+    return [stabilizer_projector(StabilizerSpec(STAB_8, mu), max_n=8) for mu in SIGNS_8]
+
+
+class TestRangeBasisOracle:
+    def test_verdicts_match_the_symplectic_criterion(self, projs_8):
+        stab = binary_code(16, [pack_gf4(f) for f in STAB_8])
+        assert len(WORDS_8) == 1789
+        for p in projs_8:
+            undetectable = 0
+            for w in WORDS_8:
+                ok, _, _ = check_error(p, w)
+                assert ok == symplectic_detectable(w, stab), w
+                undetectable += not ok
+            assert undetectable > 0  # the weight-3 logical operators
+
+    def test_values_match_the_dense_product(self, projs_8):
+        low = [w for w in WORDS_8 if sum(1 for s in w if s) <= 2]
+        high = [w for w in WORDS_8 if sum(1 for s in w if s) == 3]
+        dense = [(p, complex_numerators(p)) for p in projs_8]
+        for w in low + random.Random(8).sample(high, 24):
+            e = dense_sigma(w)
+            for p, pc in dense:
+                assert check_error(p, w) == dense_check(p, pc, e), w
+
+    def test_dense_sigma_is_sigma(self):
+        for w in WORDS_8[::97]:
+            assert np.array_equal(dense_sigma(w), complex_numerators(sigma(w, max_n=8)))
+
+    def test_projector_matches_the_dense_product(self, projs_8):
+        for mu, p in zip(SIGNS_8, projs_8):
+            assert p == dense_projector(StabilizerSpec(STAB_8, mu), 8)
+
+    def test_every_sign_pattern_of_the_rank4_spec(self):
+        for mu in product((1, -1), repeat=len(B422_EXTENDED)):
+            spec = StabilizerSpec(tuple(B422_EXTENDED), mu)
+            assert stabilizer_projector(spec) == dense_projector(spec, 4)
+
+
+def test_monomial_products_match_dense_products():
+    rng = np.random.default_rng(4)
+    m = ExactMatrix(rng.integers(-9, 10, (8, 8)), rng.integers(-9, 10, (8, 8)), 1)
+    for w in product(range(4), repeat=3):
+        mono = _sigma_monomial(w)
+        assert _apply_monomial_left(mono, m) == sigma(w) @ m
+        assert _apply_monomial_right(m, mono) == m @ sigma(w)
+
+
+def diagonal(nums, den):
+    return ExactMatrix(np.diag(nums), np.zeros((len(nums), len(nums)), dtype=np.int64), den)
+
+
+class TestProjectorCertificate:
+    def test_non_hermitian_rejected(self):
+        m = ExactMatrix(np.array([[1, 1], [0, 0]]), np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_error(m, (EPS,))
+
+    def test_doubled_projector_rejected(self):
+        p = stabilizer_projector(StabilizerSpec.plus(B422))
+        with pytest.raises(ValueError, match="sum"):
+            check_error(p + p, (0, 0, 0, 0))
+
+    def test_hermitian_non_projector_with_integer_trace_rejected(self):
+        # eigenvalues 1/2, 1/2, 1/2, -1/2: tr = sum |P_ij|^2 = 1, yet P B != B
+        with pytest.raises(ValueError, match="P B != B"):
+            check_error(diagonal([1, 1, 1, -1], 1), (0, 0))
+
+    def test_trace_identity_is_required(self):
+        # P e_0 = e_0 and tr = 1, but sum |P_ij|^2 = 3/2
+        with pytest.raises(ValueError, match="sum"):
+            check_error(diagonal([2, 1, -1, 0], 1), (0, 0))
+
+    def test_non_integer_trace_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            check_error(diagonal([1, 0], 1), (0,))
+        with pytest.raises(ValueError, match="positive integer"):
+            check_error(diagonal([0, 0], 0), (0,))
+
+    def test_entries_outside_int64_reach_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            check_error(diagonal([4, 0], 1), (0,))
+        with pytest.raises(ValueError, match="too fine"):
+            check_error(diagonal([(1 << 20) - 1, 0], 20), (0,))
+
+    def test_exact_nonsingularity(self):
+        def m(re, im):
+            return ExactMatrix(np.array(re), np.array(im))
+
+        assert not _nonsingular(m([[1, 0], [0, -1]], [[0, 1], [1, 0]]))  # det 0 over C
+        assert _nonsingular(m([[1, 0], [0, 2]], [[0, 1], [-1, 0]]))  # det 1
+        assert not _nonsingular(m([[1, 2], [2, 4]], [[0, 0], [0, 0]]))
+        assert _nonsingular(m([[0, 1], [1, 0]], [[0, 0], [0, 0]]))  # needs a row swap
+
+    def test_columns_that_miss_the_range_rejected(self, monkeypatch):
+        # a column scan that repeats a column: P B = B holds, B^dagger B is singular
+        p = stabilizer_projector(StabilizerSpec.plus(B422))
+        monkeypatch.setattr(pauli, "_range_columns", lambda p, rank: np.zeros(rank, dtype=np.int64))
+        with pytest.raises(ValueError, match="singular"):
+            check_error(p, (0, 0, 0, 0))
+
+    def test_certificate_cached_on_the_matrix(self):
+        p = stabilizer_projector(StabilizerSpec.plus(B422))
+        assert p._range is None
+        check_error(p, (0, 0, 0, 0))
+        cert = p._range
+        assert cert is not None and cert.rank == 4
+        check_error(p, (EPS, 0, 0, 0))
+        assert p._range is cert
+
+    def test_word_must_fit_the_projector(self):
+        p = stabilizer_projector(StabilizerSpec.plus(B422))
+        with pytest.raises(ValueError, match="length"):
+            check_error(p, (0, 0, 0))
+        with pytest.raises(ValueError, match="GF\\(4\\)"):
+            check_error(p, (7, 0, 0, 0))
