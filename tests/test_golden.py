@@ -40,6 +40,16 @@ RUNS = {
             "fcode": "d373e094155c43f27fef2d97cedf370805c5460671ea8c4bd6320d96685b49a9",
         },
     ),
+    # [[3072, 282, >=215]]; pinned before the blocked elimination kernels.
+    # The only run whose compose step eliminates 6144-bit rows.
+    "hermitian-m3": (
+        dict(m=3, curve_kind="hermitian", q=8, a=269, a_prime=250),
+        {
+            "report": "2572b968213baff17f06e350c01e95bdf128042a60f5e201730f0c7cd2783388",
+            "pair": "d27889be2a3a8448ebe15f2aaa5434fc36bcf1add599e05078e841949e3ea2e7",
+            "fcode": "5fb15edb425ade67d725900d7e40c16e2744f7f5f54d14e48c0a57ee13516dd5",
+        },
+    ),
 }
 
 # Generators of the binary D' of the q=8 Hermitian chain (a=269,
