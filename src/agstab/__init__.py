@@ -59,9 +59,7 @@ from .linear import (
     LinearCode,
     WeightVector,
     binary_code,
-    full_code,
     make_code,
-    zero_code,
 )
 from .pauli import (
     DetectabilityReport,

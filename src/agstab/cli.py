@@ -29,6 +29,7 @@ from .pauli import (
     StabilizerSpec,
     all_mu_traces,
     detectability_check,
+    range_basis,
     stabilizer_projector,
 )
 from .pipeline import PipelineConfig, pipeline_build
@@ -181,10 +182,12 @@ def _cmd_pauli_check(args: argparse.Namespace) -> int:
     tr_re, tr_im = proj.trace()
     if (tr_re, tr_im) != (1 << (n - k), 0):
         failures.append(f"trace {tr_re}+{tr_im}i != 2^(n-k) = {1 << (n - k)}")
-    if proj @ proj != proj:
-        failures.append("P^2 != P")
-    if proj.conj_transpose() != proj:
-        failures.append("P is not hermitian")
+    try:
+        range_basis(proj)
+        certified = True
+    except ValueError as exc:
+        failures.append(f"P is not an orthogonal projector: {exc}")
+        certified = False
     if args.all_mu:
         if k > 8:
             failures.append("--all-mu limited to k <= 8")
@@ -199,7 +202,7 @@ def _cmd_pauli_check(args: argparse.Namespace) -> int:
         if report is not None and report.d_q is not None:
             dmax = report.d_q
     det = None
-    if dmax is not None and dmax >= 1:
+    if certified and dmax is not None and dmax >= 1:
         det = detectability_check(proj, dmax)
         if not det.passed:
             failures.append(

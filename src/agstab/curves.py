@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .fields import Field, get_field, ordered_elements
 from .linear import (
     LinearCode,
     WeightVector,
+    code_from_matrix,
     combine,
     from_symbols,
-    make_code,
     nullspace,
     odometer,
     rref,
@@ -147,11 +148,24 @@ def rr_basis(curve: Curve, a: int) -> RRBasis:
     return RRBasis(curve=curve, a=a, monomials=tuple(monos))
 
 
-def _eval_monomial(curve: Curve, mono: tuple[int, int], point: tuple[int, int]) -> int:
-    f = curve.field
-    i, j = mono
-    x, y = point
-    return f.mul(f.pow(x, i), f.pow(y, j))
+def _monomial_values(
+    field: Field, monomials: Sequence[tuple[int, int]], points: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """uint8 matrix of x^i y^j, one row per monomial (i, j) and one column per point (x, y).
+
+    Powers go through the field's exp/log tables, with 0^0 = 1.
+    """
+    exp = np.array(field.exp, dtype=np.uint8)
+    log = np.array(field.log, dtype=np.int64)
+    exponents = np.array(monomials, dtype=np.int64).reshape(-1, 2)
+    coords = np.array(points, dtype=np.int64).reshape(-1, 2)
+    out = np.ones((len(exponents), len(coords)), dtype=np.uint8)
+    for axis in range(2):
+        e = exponents[:, axis, None]
+        v = coords[None, :, axis]
+        power = np.where(v == 0, e == 0, exp[log[v] * e % (field.order - 1)])
+        out = field.mul_table[out, power]
+    return out
 
 
 def evaluation_code(
@@ -169,10 +183,9 @@ def evaluation_code(
             stacklevel=2,
         )
     basis = rr_basis(curve, a)
-    rows = [
-        [_eval_monomial(curve, m, p) for p in pts] for m in basis.monomials
-    ]
-    code = make_code(curve.field, n, rows)
+    field = curve.field
+    values = _monomial_values(field, basis.monomials, pts)
+    code = code_from_matrix(field, n, from_symbols(field, values))
     if a >= 2 * curve.genus - 1 and code.k_dim != len(basis):
         raise CertificationError(
             f"evaluation rank {code.k_dim} != basis size {len(basis)}"
@@ -191,20 +204,13 @@ class TwistSolution:
     attempts: int
 
 
-def _product_rows(curve: Curve, a: int) -> list[tuple[int, ...]]:
-    """Evaluations of all pairwise products of the degree-a basis, deduplicated."""
+def _product_rows(curve: Curve, a: int) -> np.ndarray:
+    """Evaluations of the pairwise products of the degree-a basis, one row per product monomial."""
     monos = rr_basis(curve, a).monomials
     prods = sorted(
         {(m1[0] + m2[0], m1[1] + m2[1]) for m1 in monos for m2 in monos}
     )
-    seen: set[tuple[int, ...]] = set()
-    rows = []
-    for m in prods:
-        row = tuple(_eval_monomial(curve, m, p) for p in curve.points)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return rows
+    return _monomial_values(curve.field, prods, curve.points)
 
 
 def _all_nonzero_combination(
@@ -278,8 +284,7 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
         )
 
     field = curve.field
-    rows = _product_rows(curve, a)
-    constraints = from_symbols(field, np.array(rows, dtype=np.uint8))
+    constraints = from_symbols(field, _product_rows(curve, a))
     rr, pv = rref(constraints, field, n_full)
     null = to_symbols(field, nullspace(rr, pv, field, n_full), n_full)
     if not len(null):

@@ -14,8 +14,14 @@ j = coordinate j) and ``generators`` (symbol tuples) are derived views
 for artifacts and the symplectic layer's (a|b) surgery on Python ints;
 ``to_matrix``/``to_rows`` are that GF(2) int boundary.
 
-``rref`` is the one elimination loop for both; ``reduce`` and
-``nullspace`` work on its output.  Codewords are enumerated by two
+``rref`` is the one elimination kernel for both, and ``reduce`` and
+``nullspace`` work on its output.  Both ``rref`` and ``reduce`` update
+rows by table gathers: over GF(2), the Method of Four Russians (Albrecht,
+Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
+``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums;
+over GF(2^k), each pivot row's q multiples are tabled once and gathered
+per row.  Their scratch beyond the output is two arrays at most the
+size of the trailing matrix plus one such table.  Codewords are enumerated by two
 primitives, both yielding blocks of rows:
 
 - ``gray_span``: the 2^k XOR combinations of packed rows in Gray-code
@@ -47,6 +53,10 @@ _WORD = np.dtype("<u8")
 # Free columns per block when building a nullspace basis; bounds the
 # unpacked scratch of the binary case at 64 rows of n bytes.
 _NULL_BLOCK = 64
+# Columns per Four-Russians block in ``rref`` and pivots per group in
+# ``reduce``; a block's XOR table has 2^_BLOCK_COLS rows.  It divides 64,
+# so a block never straddles a word.
+_BLOCK_COLS = 8
 # Cells per enumeration block: 2^16 words are 512 KB, and a consumer's
 # temporaries (XOR, popcount) stay within a few times that.
 _SPAN_BLOCK = 1 << 16
@@ -106,28 +116,109 @@ def _columns(mat: np.ndarray, cols: np.ndarray, field: Field) -> np.ndarray:
 # the elimination kernel
 # ----------------------------------------------------------------------
 
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """The 2^j XOR combinations of j packed rows; entry x is the sum of rows i with bit i of x set."""
+    j, width = rows.shape
+    table = np.zeros((1 << j, width), dtype=rows.dtype)
+    for i in range(j):
+        table[1 << i : 2 << i] = table[: 1 << i] ^ rows[i]
+    return table
+
+
 def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a kernel matrix; returns (rows, pivots).
 
-    Gauss-Jordan elimination, one pivot column at a time from the left.
-    Row r of the result is zero left of its pivot, so each row operation
-    touches only the columns (or words) from the pivot onward.  ``mat``
-    is reduced in place, which saves a copy of the largest matrices the
+    Gauss-Jordan elimination from the left, where each row update is one
+    table gather:
+
+    - GF(2): columns go in blocks of ``_BLOCK_COLS`` inside one word
+      (Four Russians).  The block's pivots come from the distinct block
+      values of the rows not yet used as pivots; the chosen pivot rows
+      are brought into Gauss-Jordan form among themselves through the
+      table of their 2^j XOR combinations, and one gather of that table
+      clears the block from every row that has a bit in it, above and
+      below.
+    - GF(2^k): per pivot row, the table of its q multiples (from the
+      pivot onward) is built once, and each row is cleared by a gather
+      of the multiple its pivot-column entry names.
+
+    Row r of the result is zero left of its pivot, so each update
+    touches only the words (or columns) from the pivot onward.  Beyond
+    ``mat``, the scratch of one update is the gathered table rows and
+    the copy of the rows they update, each at most the size of the
+    trailing matrix, plus a table of at most 2^8 rows.  ``mat`` is
+    reduced in place, which saves a copy of the largest matrices the
     pipeline eliminates; the returned rows are a view of it.
     """
+    if field.k > 1:
+        return _rref_symbols(mat, field, n)
     m = len(mat)
-    packed = field.k == 1
+    pivots: list[int] = []
+    r = 0
+    for c0 in range(0, n, _BLOCK_COLS):
+        if r == m:
+            break
+        w, shift = c0 >> 6, np.uint64(c0 & 63)
+        width = min(_BLOCK_COLS, n - c0)
+        mask = np.uint64((1 << width) - 1)
+        # Rows r and below are zero left of the block.  Their distinct
+        # block values (ints below 2^width), smallest first, pick the
+        # pivot rows: each value outside the span of those picked so far.
+        values, first = np.unique((mat[r:, w] >> shift) & mask, return_index=True)
+        span, vals, rows = {0}, [], []
+        for v, i in zip(values.tolist(), first.tolist()):
+            if v not in span:
+                span |= {u ^ v for u in span}
+                vals.append(v)
+                rows.append(r + i)
+                if len(rows) == width:
+                    break
+        if not rows:
+            continue
+        # Gauss-Jordan on the picked values: combs[t] is the combination
+        # of pivot rows (bit i: rows[i]) whose block value has a single 1
+        # among the pivot bits, at lows[t].
+        j = len(rows)
+        combs = [1 << t for t in range(j)]
+        lows = []
+        for t in range(j):
+            p = min(range(t, j), key=lambda i: vals[i] & -vals[i])
+            vals[t], vals[p] = vals[p], vals[t]
+            combs[t], combs[p] = combs[p], combs[t]
+            low = vals[t] & -vals[t]
+            for i in range(j):
+                if i != t and vals[i] & low:
+                    vals[i] ^= vals[t]
+                    combs[i] ^= combs[t]
+            lows.append(low)
+        # A block value selects the sum of the reduced rows at its pivot
+        # bits, which is the pivot-row combination lut[value].
+        at_pivot = np.arange(1 << width)[:, None] & np.array(lows) != 0
+        lut = np.bitwise_xor.reduce(at_pivot * np.array(combs), axis=1)
+        table = _xor_table(mat[rows, w:])
+        idx = lut[(mat[:, w] >> shift) & mask]
+        hit = np.flatnonzero(idx)
+        mat[hit, w:] ^= np.take(table, idx[hit], axis=0)
+        # The pivot rows are now zero: rows r.. take the reduced rows, and
+        # the rows they held move into the freed slots.
+        freed = [i for i in rows if i >= r + j]
+        mat[freed, w:] = mat[[i for i in range(r, r + j) if i not in rows], w:]
+        mat[r : r + j, w:] = table[combs]
+        pivots.extend(c0 + low.bit_length() - 1 for low in lows)
+        r += j
+    return mat[:r], pivots
+
+
+def _rref_symbols(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
+    """``rref`` over GF(2^k), k > 1: one pivot column at a time."""
+    m = len(mat)
     mul, inv = field.mul_table, field.inv_table
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        if packed:
-            w = c >> 6
-            col = (mat[:, w] >> np.uint64(c & 63)) & _ONE
-        else:
-            col = mat[:, c].copy()
+        col = mat[:, c].copy()
         below = np.flatnonzero(col[r:])
         if not below.size:
             continue
@@ -135,14 +226,11 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
         if p != r:
             mat[[r, p]] = mat[[p, r]]
             col[[r, p]] = col[[p, r]]
-        if not packed and col[r] != 1:
+        if col[r] != 1:
             mat[r, c:] = mul[inv[col[r]], mat[r, c:]]
         col[r] = 0
         hit = np.flatnonzero(col)
-        if packed:
-            mat[hit, w:] ^= mat[r, w:]
-        else:
-            mat[hit, c:] ^= mul[col[hit, None], mat[r, c:]]
+        mat[hit, c:] ^= mul[:, mat[r, c:]][col[hit]]
         pivots.append(c)
         r += 1
     return mat[:r], pivots
@@ -155,19 +243,35 @@ def reduce(
 
     ``basis`` must be in RREF with the given pivots.  Each remainder is
     the unique member of its coset that vanishes on every pivot column,
-    so the result does not depend on the order of elimination.
+    so the result does not depend on the order of elimination.  Basis
+    row i enters with the vector's entry at pivot i, which no other
+    basis row changes:
+
+    - GF(2): basis rows go in groups of ``_BLOCK_COLS``; the bits at a
+      group's pivots index the table of the group's XOR combinations,
+      and one gather of it updates every vector.
+    - GF(2^k): one gather of the basis row's multiples per pivot.
+
+    Beyond the result, the scratch of one update is the gathered table
+    rows and the copy of the vectors they update, each at most the size
+    of ``vecs``, plus a table of at most 2^8 rows.
     """
     out = vecs.copy()
-    packed = field.k == 1
-    for row, p in zip(basis, pivots):
-        if packed:
-            w = p >> 6
-            hit = np.flatnonzero((out[:, w] >> np.uint64(p & 63)) & _ONE)
-            out[hit, w:] ^= row[w:]
-        else:
+    if field.k > 1:
+        mul = field.mul_table
+        for row, p in zip(basis, pivots):
             f = out[:, p]
             hit = np.flatnonzero(f)
-            out[hit, p:] ^= field.mul_table[f[hit, None], row[p:]]
+            out[hit, p:] ^= mul[:, row[p:]][f[hit]]
+        return out
+    piv = np.asarray(pivots, dtype=np.uint64)
+    for lo in range(0, len(piv), _BLOCK_COLS):
+        group = piv[lo : lo + _BLOCK_COLS]
+        w = int(group[0]) >> 6
+        bits = (out[:, group >> 6] >> (group & 63)) & _ONE
+        idx = (bits << np.arange(len(group), dtype=np.uint64)).sum(axis=1)
+        hit = np.flatnonzero(idx)
+        out[hit, w:] ^= np.take(_xor_table(basis[lo : lo + len(group), w:]), idx[hit], axis=0)
     return out
 
 
@@ -471,10 +575,3 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
         kept.append(i)
     return to_rows(rem[kept])
 
-
-def zero_code(field: Field, n: int) -> LinearCode:
-    return code_from_matrix(field, n, from_symbols(field, np.zeros((0, n), dtype=np.uint8)))
-
-
-def full_code(field: Field, n: int) -> LinearCode:
-    return code_from_matrix(field, n, from_symbols(field, np.eye(n, dtype=np.uint8)))

@@ -321,7 +321,11 @@ class _RangeBasis:
     gram: ExactMatrix
 
 
-def _range_basis(p: ExactMatrix) -> _RangeBasis:
+def range_basis(p: ExactMatrix) -> _RangeBasis:
+    """The certified range basis of P, made on the first call and cached on P.
+
+    Raises ValueError when P is not an orthogonal projector.
+    """
     if p._range is None:
         p._range = _certify_projector(p)
     return p._range
@@ -403,7 +407,7 @@ def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fr
     tr(E P) / tr(P), which equals tr(P E P) / tr(P) whether or not the
     word is detectable.
     """
-    basis = _range_basis(p)
+    basis = range_basis(p)
     if len(word) != basis.n:
         raise ValueError(f"word of length {len(word)} on {basis.n} qubits")
     mono = _sigma_monomial(word)

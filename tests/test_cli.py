@@ -1,9 +1,10 @@
 import json
 
-from agstab import artifacts
+from agstab import artifacts, cli
 from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.fields import EPS, EPS_BAR
+from agstab.pauli import ExactMatrix, stabilizer_projector
 from agstab.symplectic import make_symplectic, pack_gf4
 
 
@@ -109,6 +110,26 @@ def test_pauli_check_cli(tmp_path, capsys):
 
     rc = main(["pauli-check", "--code", str(path), "--max-n", "2"])
     assert rc == 1  # n exceeds the cap
+
+
+def test_pauli_check_cli_fails_on_a_non_projector(tmp_path, capsys, monkeypatch):
+    # Hermitian with the right trace, but not idempotent.
+    def skewed(spec, n, max_n):
+        p = stabilizer_projector(spec, n=n, max_n=max_n)
+        re = p.re.copy()
+        re[0, 1] += 1 << p.den
+        re[1, 0] += 1 << p.den
+        return ExactMatrix(re, p.im, p.den)
+
+    monkeypatch.setattr(cli, "stabilizer_projector", skewed)
+    fcode = make_symplectic(4, [pack_gf4((EPS,) * 4), pack_gf4((EPS_BAR,) * 4)])
+    path = tmp_path / "small.json"
+    artifacts.save_json(artifacts.fcode_to_obj(fcode), path)
+    rc = main(["pauli-check", "--code", str(path), "--max-n", "4"])
+    assert rc == 1
+    result = json.loads(capsys.readouterr().out)
+    assert not result["passed"]
+    assert any("not an orthogonal projector" in f for f in result["failures"])
 
 
 def test_artifact_kind_mismatch(tmp_path):

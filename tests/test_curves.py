@@ -1,9 +1,11 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from agstab.curves import (
     _all_nonzero_combination,
+    _monomial_values,
     build_dual_chain,
     enumerate_curve,
     evaluation_code,
@@ -18,6 +20,13 @@ from agstab.linear import WeightVector
 def squared(v):
     """The entrywise square of a weight vector."""
     return WeightVector(v.field, tuple(v.field.mul(e, e) for e in v.entries))
+
+
+def eval_monomial(field, mono, point):
+    """x^i y^j at one point in scalar field arithmetic; Field.pow has 0^0 = 1."""
+    i, j = mono
+    x, y = point
+    return field.mul(field.pow(x, i), field.pow(y, j))
 
 
 def semigroup_gaps(q: int, bound: int) -> list[int]:
@@ -126,6 +135,19 @@ class TestEvaluationCode:
             warnings.simplefilter("always")
             evaluation_code(cur, 5)
         assert any("2g-1" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("kind, q", [("line", 16), ("hermitian", 2), ("hermitian", 4), ("hermitian", 8)])
+    def test_monomial_values_match_scalar_evaluation(self, kind, q):
+        cur = enumerate_curve(kind, q)
+        f = cur.field
+        assert any(x == 0 for x, _ in cur.points) and any(y == 0 for _, y in cur.points)
+        # exponents 0 (0^0 = 1), small, and around and past the order of GF(q)*
+        exps = (0, 1, 2, f.order - 2, f.order - 1, f.order, 2 * f.order + 3)
+        monos = [(i, j) for i in exps for j in exps]
+        got = _monomial_values(f, monos, cur.points)
+        want = [[eval_monomial(f, m, p) for p in cur.points] for m in monos]
+        assert got.dtype == np.uint8
+        assert got.tolist() == want
 
 
 class TestTwist:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from agstab.curves import build_dual_chain, enumerate_curve
@@ -10,10 +11,14 @@ from agstab.expansion import (
     random_dual_containing_code,
 )
 from agstab.fields import EPS, EPS_BAR, SelfDualBasis, get_field, self_dual_basis
-from agstab.linear import binary_code, make_code, zero_code
+from agstab.linear import binary_code, code_from_matrix, from_symbols, make_code
 
 GF4 = get_field(2)
 GF16 = get_field(4)
+
+
+def zero_code(field, n):
+    return code_from_matrix(field, n, from_symbols(field, np.zeros((0, n), dtype=np.uint8)))
 
 
 def emap(field):

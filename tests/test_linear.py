@@ -10,17 +10,25 @@ from agstab.linear import (
     LinearCode,
     WeightVector,
     binary_code,
+    code_from_matrix,
     combine,
-    full_code,
+    from_symbols,
     gray_span,
     make_code,
     odometer,
     to_symbols,
-    zero_code,
 )
 
 GF2 = get_field(1)
 GF4 = get_field(2)
+
+
+def zero_code(field, n):
+    return code_from_matrix(field, n, from_symbols(field, np.zeros((0, n), dtype=np.uint8)))
+
+
+def full_code(field, n):
+    return code_from_matrix(field, n, from_symbols(field, np.eye(n, dtype=np.uint8)))
 
 HAMMING_7_4 = [
     [1, 0, 0, 0, 1, 1, 0],

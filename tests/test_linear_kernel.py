@@ -4,7 +4,9 @@ Matrices are drawn over GF(2^k) for k in {1, 2, 3, 4, 6, 8} with widths
 on both sides of the 64-bit word boundary, more rows than columns, zero
 rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
-against the one-row-at-a-time Python elimination it replaced.  A code's
+against one-pivot-at-a-time Python eliminations.  Full and near-full
+rank matrices up to 200 columns take the blocked GF(2) kernel and the
+grouped ``reduce`` through many pivot blocks.  A code's
 one stored form is checked to compare and hash canonically, to be
 read-only, to round-trip through its int and tuple views, and to
 serialize to the per-symbol hex rows of ``row_to_hex``.  The two
@@ -135,6 +137,104 @@ def test_rref_is_canonical_and_spans_the_input(case):
         ref_rows, ref_pivots = reference_rref(symbols.tolist(), field, n)
         assert ref_pivots == pivots
         assert ref_rows == [tuple(row) for row in out.tolist()]
+
+
+def reference_rref_bits(rows, n):
+    """The per-column GF(2) elimination on bit-packed int rows, one pivot at a time."""
+    rows = list(rows)
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_reduce(vecs, basis, pivots, field):
+    """Remainders of symbol rows modulo an RREF basis, one pivot at a time."""
+    out = []
+    for vec in vecs:
+        vec = list(vec)
+        for row, p in zip(basis, pivots):
+            f = vec[p]
+            if f:
+                vec = [e ^ field.mul(f, b) for e, b in zip(vec, row)]
+        out.append(tuple(vec))
+    return out
+
+
+def high_rank(field, n, m, deficit, seed):
+    """An m x n symbol matrix of rank at most min(m, n) - deficit.
+
+    Random rows of that rank, with a quarter of the columns zeroed and a
+    few columns copied over others, so that some blocks of columns hold
+    fewer pivots than columns, or none.
+    """
+    rng = np.random.default_rng(seed)
+    q = field.order
+    rank = min(m, n) - deficit
+    base = rng.integers(0, q, (rank, n))
+    base[:, rng.choice(n, n // 4, replace=False)] = 0
+    for _ in range(3):
+        src, dst = rng.integers(0, n, 2)
+        base[:, dst] = base[:, src]
+    coeffs = rng.integers(0, q, (m, rank))
+    mat = np.zeros((m, n), dtype=np.uint8)
+    for t in range(rank):
+        mat ^= field.mul_table[coeffs[:, t, None], base[t]]
+    return mat
+
+
+# (k, n, m, deficit): full and near-full rank past several pivot blocks,
+# with fewer and with more rows than columns.  The Python references
+# bound n for k > 1.
+HIGH_RANK = [
+    (1, n, m, deficit)
+    for n in (63, 64, 65, 129, 200)
+    for m in (n - 9, n + 11)
+    for deficit in (0, 1, 5)
+] + [(k, n, n + 3, deficit) for k in (2, 4, 8) for n in (63, 65) for deficit in (0, 2)]
+
+
+@pytest.mark.parametrize("k, n, m, deficit", HIGH_RANK)
+def test_high_rank_rref_matches_the_reference(k, n, m, deficit):
+    field = get_field(k)
+    symbols = high_rank(field, n, m, deficit, seed=k * 1000 + n + m + deficit)
+    rr, pivots = rref(from_symbols(field, symbols), field, n)
+    out = to_symbols(field, rr, n)
+    if k == 1:
+        ref_rows, ref_pivots = reference_rref_bits(to_rows(from_symbols(field, symbols)), n)
+        assert to_rows(rr) == ref_rows
+    else:
+        ref_rows, ref_pivots = reference_rref(symbols.tolist(), field, n)
+        assert [tuple(row) for row in out.tolist()] == ref_rows
+    assert pivots == ref_pivots
+    assert len(pivots) > 16  # several pivot blocks
+    # Rows already in RREF change nothing, yet a read-only matrix still raises.
+    again = rr.copy()
+    again.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        rref(again, field, n)
+
+
+@pytest.mark.parametrize("k, n, m, deficit", HIGH_RANK)
+def test_high_rank_reduce_matches_one_pivot_at_a_time(k, n, m, deficit):
+    field = get_field(k)
+    symbols = high_rank(field, n, m, deficit, seed=k * 1000 + n + m + deficit)
+    basis, pivots = rref(from_symbols(field, symbols), field, n)
+    rng = np.random.default_rng(n + m)
+    vecs = np.concatenate([rng.integers(0, field.order, (6, n), dtype=np.uint8), symbols[:3]])
+    got = to_symbols(field, reduce(from_symbols(field, vecs), basis, pivots, field), n)
+    want = reference_reduce(vecs.tolist(), to_symbols(field, basis, n).tolist(), pivots, field)
+    assert [tuple(row) for row in got.tolist()] == want
+    assert not got[6:].any()  # members of the span reduce to zero
 
 
 @settings(deadline=None)
