@@ -15,14 +15,15 @@ for artifacts and the symplectic layer's (a|b) surgery on Python ints;
 ``to_matrix``/``to_rows`` are that GF(2) int boundary.
 
 ``rref`` is the one elimination kernel for both, and ``reduce`` and
-``nullspace`` work on its output.  Both ``rref`` and ``reduce`` update
-rows by table gathers: over GF(2), the Method of Four Russians (Albrecht,
+``nullspace`` work on its output.  ``rref`` and ``reduce`` update rows
+by table gathers.  Over GF(2), the Method of Four Russians (Albrecht,
 Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
 ``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums;
 over GF(2^k), each pivot row's q multiples are tabled once and gathered
 per row.  Their scratch beyond the output is two arrays at most the
-size of the trailing matrix plus one such table.  Codewords are enumerated by two
-primitives, both yielding blocks of rows:
+size of the trailing matrix, plus one such table.
+
+Codewords are enumerated by two primitives, both yielding blocks of rows:
 
 - ``gray_span``: the 2^k XOR combinations of packed rows in Gray-code
   order from 0, step t flipping row (t & -t).bit_length() - 1;
@@ -249,7 +250,7 @@ def reduce(
 
     - GF(2): basis rows go in groups of ``_BLOCK_COLS``; the bits at a
       group's pivots index the table of the group's XOR combinations,
-      and one gather of it updates every vector.
+      and one gather of it updates every vector with a bit there.
     - GF(2^k): one gather of the basis row's multiples per pivot.
 
     Beyond the result, the scratch of one update is the gathered table
