@@ -22,7 +22,6 @@ from .bounds import (
     gv_bound,
     gv_curve,
     line_crossover,
-    optimal_alpha_prime,
     parse_csv,
     restriction_limit,
 )
@@ -50,7 +49,6 @@ from .fields import (
     EPS_BAR,
     Field,
     SelfDualBasis,
-    conj4,
     get_field,
     self_dual_basis,
 )
@@ -68,15 +66,12 @@ from .pauli import (
     all_mu_traces,
     check_error,
     detectability_check,
-    find_violation,
-    sigma,
     stabilizer_projector,
 )
 from .pipeline import PipelineConfig, PipelineRun, pipeline_build
 from .symplectic import (
     QuantumCodeReport,
     SymplecticCode,
-    gf4_weight,
     make_symplectic,
     pack_gf4,
     quantum_bound,

@@ -19,8 +19,8 @@ from typing import Any
 
 from .curves import DualChainTriple
 from .expansion import ExpandedPair
-from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_row, symbols_to_hex
-from .linear import LinearCode, WeightVector, make_code, to_symbols
+from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
+from .linear import LinearCode, WeightVector, code_from_matrix, from_symbols, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
 
@@ -45,11 +45,7 @@ def code_to_obj(code: LinearCode) -> dict[str, Any]:
 def code_from_obj(obj: dict[str, Any]) -> LinearCode:
     field = get_field(obj["field_k"])
     n = obj["n"]
-    rows = [hex_to_row(field, text) for text in obj["generators"]]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"generator length {len(row)} != n = {n}")
-    return make_code(field, n, rows)
+    return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
 
 
 def weights_to_obj(w: WeightVector) -> list[str]:

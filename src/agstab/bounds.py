@@ -85,21 +85,6 @@ def line_crossover(m: int) -> Fraction:
     return Fraction(3, 5) * Fraction(p, (p - 2) * (2 * p - 2))
 
 
-def optimal_alpha_prime(alpha, m: int) -> Fraction:
-    """Companion divisor ratio (2/3)(alpha + gamma) minimizing the trade-off.
-
-    Valid for 2*gamma <= alpha <= 1/2 + gamma; the left endpoint is a
-    fixed point.
-    """
-    if m < M_MIN:
-        raise ValueError(f"half-degree must be >= {M_MIN}")
-    a = Fraction(alpha)
-    g = gamma(m)
-    if not 2 * g <= a <= Fraction(1, 2) + g:
-        raise ValueError(f"alpha={a} outside [{2 * g}, {Fraction(1, 2) + g}]")
-    return Fraction(2, 3) * (a + g)
-
-
 @dataclass(frozen=True)
 class CurveSample:
     delta: Fraction

@@ -116,9 +116,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[(self.order - 1 - self.log[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e == 0:
             return 1
@@ -136,9 +133,6 @@ class Field:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.k == self.k
@@ -160,13 +154,6 @@ def get_field(k: int) -> Field:
 # square; conjugation (squaring) swaps them and fixes 0 and 1.
 EPS = 2
 EPS_BAR = 3
-
-
-def conj4(x: int) -> int:
-    """Conjugation on GF(4): x -> x^2 (fixes 0, 1; swaps the others)."""
-    if not 0 <= x < 4:
-        raise ValueError(f"not a GF(4) element: {x}")
-    return get_field(2).mul(x, x)
 
 
 def ordered_elements(field: Field) -> list[int]:
@@ -262,15 +249,17 @@ def element_to_hex(field: Field, x: int) -> str:
     return format(x, f"0{element_hex_width(field)}x")
 
 
-def row_to_hex(field: Field, row: tuple[int, ...]) -> str:
-    return "".join(element_to_hex(field, x) for x in row)
-
-
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
+# Value of each ASCII byte as a hex digit; 16 marks a non-hex byte.
+_HEX_VALUES = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+
 def symbols_to_hex(field: Field, symbols: np.ndarray) -> list[str]:
-    """``row_to_hex`` of every row of a uint8 matrix of field elements."""
+    """Hex rows of a uint8 matrix of field elements, ``element_to_hex`` per symbol."""
     m, n = symbols.shape
     width = element_hex_width(field)
     if width == 2:
@@ -280,16 +269,20 @@ def symbols_to_hex(field: Field, symbols: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in digits.reshape(m, width * n)]
 
 
-def hex_to_row(field: Field, text: str) -> tuple[int, ...]:
-    w = element_hex_width(field)
-    if len(text) % w:
-        raise ValueError("hex row length does not match the element width")
-    out = []
-    for i in range(0, len(text), w):
-        x = int(text[i : i + w], 16)
-        if x >= field.order:
-            raise ValueError(f"hex symbol {text[i:i+w]!r} outside {field}")
-        out.append(x)
-    return tuple(out)
-
-
+def hex_to_symbols(field: Field, texts: list[str], n: int) -> np.ndarray:
+    """uint8 matrix of n field elements per hex row; inverse of ``symbols_to_hex``."""
+    width = element_hex_width(field)
+    for text in texts:
+        if len(text) != width * n:
+            raise ValueError(f"hex row of {len(text)} digits, not {width * n} for n = {n}")
+    try:
+        raw = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        raise ValueError("non-hex character in a hex row") from None
+    digits = _HEX_VALUES[raw].reshape(len(texts), n, width)
+    if (digits > 15).any():
+        raise ValueError("non-hex character in a hex row")
+    symbols = digits[..., 0] if width == 1 else digits[..., 0] << 4 | digits[..., 1]
+    if (symbols >= field.order).any():
+        raise ValueError(f"hex symbol {int(symbols.max())} outside {field}")
+    return symbols

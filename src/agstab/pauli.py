@@ -2,9 +2,9 @@
 
 Everything is exact: matrices carry Gaussian-integer entries (separate
 int64 real and imaginary parts) with a power-of-two denominator, so
-projector identities, traces, and detectability are integer equalities,
-never float comparisons.  Dense matrices are capped at 2^8; this is a
-verifier for small instances, not a simulator.
+projector identities, traces, and detectability are integer equalities.
+Dense matrices are capped at 2^8; this is a verifier for small
+instances, not a simulator.
 
 A Pauli operator is a monomial matrix (one entry per row, a phase in
 {+-1, +-i}), so products with it are row or column permutations with
@@ -16,12 +16,27 @@ J, and P an orthogonal projector whose range is span(B),
 
 since P = B (B^dagger B)^-1 B^dagger.  Per error, E B is a row
 permutation with phases, O(2^n * r), and B^dagger (E B) costs
-O(2^n * r^2), against 2^(3n) for the dense P (E P).  The premise is
-certified once per matrix, exactly: P is Hermitian, P B = B, B^dagger B
-is nonsingular and tr(P) = sum |P_ij|^2 = r.  The first three give r
-eigenvalues 1 with eigenvectors spanning span(B); the trace identity
-then forces every other eigenvalue to 0.  A matrix that fails raises
-ValueError.
+O(2^n * r^2), against 2^(3n) for the dense P (E P).
+
+J is read off the nonzero pattern of P: j is in J when P[j, j] != 0 and
+no row above j is nonzero in column j.  For Hermitian P this makes
+P[J, J] diagonal: P[j, k] = 0 for j < k in J, and P[k, j] is its
+conjugate.  The premise is certified once per matrix, exactly: P is
+Hermitian, r = tr(P) = sum |P_ij|^2 is a positive integer, P B = B and
+|J| = r.  With P Hermitian and P B = B, B^dagger B = (P P)[J, J] =
+P[J, J], a diagonal of |b_j|^2 > 0, so the r columns of B are
+orthogonal eigenvectors of eigenvalue 1; the trace identity then forces
+every other eigenvalue to 0.  A matrix that fails raises ValueError.
+
+Every stabilizer projector meets the rule.  For each element s of the
+stabilizer group, sigma(s) e_x is a phase times e_(x + X(s)) and
+P sigma(s) = +-P.  So column x of P is supported on the coset x + V,
+with V the span of the X parts, and the columns of one coset are unit
+multiples of each other.  A nonzero one then has P[y, y] = |P e_y|^2
+!= 0 at every y of its coset, hence the whole coset as support, and J
+is the first element of each coset whose columns are nonzero.  Other
+orthogonal projectors, such as I - |v><v| for a dense v, can give
+|J| < r and are rejected.
 
 Qubit symbols follow the GF(4) convention of the rest of the package:
 0 -> identity, eps -> X, eps-bar -> Z, 1 -> the third Pauli matrix
@@ -116,20 +131,12 @@ class ExactMatrix:
     def conj_transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.re.T.copy(), -self.im.T.copy(), self.den)
 
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        re = np.kron(self.re, other.re) - np.kron(self.im, other.im)
-        im = np.kron(self.re, other.im) + np.kron(self.im, other.re)
-        return ExactMatrix(re, im, self.den + other.den)
-
     def trace(self) -> tuple[Fraction, Fraction]:
         den = 1 << self.den
         return (
             Fraction(int(np.trace(self.re)), den),
             Fraction(int(np.trace(self.im)), den),
         )
-
-    def is_zero(self) -> bool:
-        return not (self.re.any() or self.im.any())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -145,19 +152,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix(dim={self.dim}, den=2^{self.den})"
-
-
-def sigma(word: Sequence[int], max_n: int = 6) -> ExactMatrix:
-    """Tensor product of per-coordinate Pauli matrices for a GF(4)^n word."""
-    n = len(word)
-    _check_n(n, max_n)
-    out = ExactMatrix(np.array([[1]], dtype=np.int64), np.array([[0]], dtype=np.int64))
-    for s in word:
-        if s not in _PAULI:
-            raise ValueError(f"not a GF(4) symbol: {s}")
-        re, im = _PAULI[s]
-        out = out.kron(ExactMatrix(re, im))
-    return out
 
 
 def _check_n(n: int, max_n: int) -> None:
@@ -192,7 +186,7 @@ _COL, _I_POWER = _monomial_tables()
 def _sigma_monomial(word: Sequence[int]) -> _Monomial:
     """(perm, phase_re, phase_im): row r has its only entry at column perm[r].
 
-    Qubit 0 is the most significant bit of a row index, as in ``sigma``.
+    Qubit 0 is the most significant bit of a row index.
     """
     if any(s not in _PAULI for s in word):
         raise ValueError(f"not a GF(4) word: {tuple(word)}")
@@ -322,9 +316,16 @@ class _RangeBasis:
 
 
 def range_basis(p: ExactMatrix) -> _RangeBasis:
-    """The certified range basis of P, made on the first call and cached on P.
+    """The certified range basis B = P[:, J] of P, made on the first call
+    and cached on P.
 
-    Raises ValueError when P is not an orthogonal projector.
+    J holds the columns whose first nonzero entry is on the diagonal, so
+    B^dagger B = P[J, J] is diagonal and positive once P B = B.  With P
+    Hermitian, P B = B and |J| = tr(P) = sum |P_ij|^2 prove that P is
+    the orthogonal projector onto span(B) (see the module docstring).
+    Raises ValueError when P is not an orthogonal projector, or is one
+    that the rule does not fit (|J| < tr(P)); every stabilizer projector
+    fits it.
     """
     if p._range is None:
         p._range = _certify_projector(p)
@@ -351,61 +352,33 @@ def _certify_projector(p: ExactMatrix) -> _RangeBasis:
         raise ValueError(f"trace {p.trace()[0]} is not a positive integer")
     if int((re * re).sum() + (im * im).sum()) != rank << (2 * den):
         raise ValueError("tr(P) != sum |P_ij|^2, so not an orthogonal projector")
-    cols = _range_columns(p, rank)
+    nz = (re != 0) | (im != 0)
+    cols = np.flatnonzero((nz.argmax(axis=0) == np.arange(p.dim)) & nz.diagonal())
     b = ExactMatrix(re[:, cols], im[:, cols], den)
     if p @ b != b:
         raise ValueError("P B != B for the chosen columns, so not an orthogonal projector")
-    # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger and P B = B
+    if len(cols) != rank:
+        raise ValueError(
+            f"{len(cols)} columns of P have their first nonzero entry on the diagonal, "
+            f"not tr(P) = {rank}: not a stabilizer projector"
+        )
+    # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger
+    # and P B = B: diagonal and positive, so nonsingular
     gram = ExactMatrix(re[np.ix_(cols, cols)], im[np.ix_(cols, cols)], den)
-    if not _nonsingular(gram):
-        raise ValueError("B^dagger B is singular: the chosen columns do not span range(P)")
     return _RangeBasis(n=n, rank=rank, b=b, b_adj=b.conj_transpose(), gram=gram)
-
-
-def _range_columns(p: ExactMatrix, rank: int) -> np.ndarray:
-    """rank column indices of P by a float pivoted-Cholesky scan (certified later)."""
-    a = (p.re + 1j * p.im) / float(1 << p.den)
-    resid = a.diagonal().real.copy()
-    l = np.zeros((p.dim, rank), dtype=complex)
-    cols = []
-    for t in range(rank):
-        j = int(np.argmax(resid))
-        # for a projector the residual is one of rank - t >= 1, whose
-        # largest diagonal entry is at least 1 / dim
-        if resid[j] < 0.5 / p.dim:
-            raise ValueError(f"P has fewer than tr(P) = {rank} independent columns")
-        cols.append(j)
-        l[:, t] = (a[:, j] - l[:, :t] @ l[j, :t].conj()) / np.sqrt(resid[j])
-        resid -= np.abs(l[:, t]) ** 2
-    return np.array(cols)
-
-
-def _nonsingular(m: ExactMatrix) -> bool:
-    """Exact: is m invertible?  Bareiss elimination on its real 2r x 2r form."""
-    a = np.block([[m.re, -m.im], [m.im, m.re]]).astype(object)
-    prev = 1
-    for k in range(len(a)):
-        nz = np.flatnonzero(a[k:, k])
-        if not nz.size:
-            return False
-        a[[k, k + nz[0]]] = a[[k + nz[0], k]]
-        a[k + 1 :, k + 1 :] = (
-            a[k + 1 :, k + 1 :] * a[k, k] - np.outer(a[k + 1 :, k], a[k, k + 1 :])
-        ) // prev
-        prev = a[k, k]
-    return True
 
 
 def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fraction]:
     """Is sigma(word) detectable: P E P == lambda P exactly?
 
     Decided as B^dagger (E B) == lambda B^dagger B on the certified range
-    basis B of P (see the module docstring): E B is a row permutation
-    with phases, O(2^n * r) for r = tr(P), and B^dagger (E B) costs
-    O(2^n * r^2).  The certificate is made on the first call for P and
-    cached on it; a P that fails it raises ValueError.  lambda is
-    tr(E P) / tr(P), which equals tr(P E P) / tr(P) whether or not the
-    word is detectable.
+    basis B = P[:, J] of P, J the columns whose first nonzero entry is on
+    the diagonal (see ``range_basis`` and the module docstring).  E B is
+    a row permutation with phases, O(2^n * r) for r = tr(P), and
+    B^dagger (E B) costs O(2^n * r^2).  The certificate is made on the
+    first call for P and cached on it; a P that fails it raises
+    ValueError.  lambda is tr(E P) / tr(P), which equals
+    tr(P E P) / tr(P) whether or not the word is detectable.
     """
     basis = range_basis(p)
     if len(word) != basis.n:
@@ -475,16 +448,6 @@ def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
         n=n, dmax=dmax, checked=checked, passed=not violations,
         violations=tuple(violations), rationale=_RATIONALE,
     )
-
-
-def find_violation(p: ExactMatrix, weight: int) -> tuple[int, ...] | None:
-    """First weight-w Pauli word that is not detectable, if any."""
-    n = p.dim.bit_length() - 1
-    for word in weight_words(n, weight):
-        ok, _, _ = check_error(p, word)
-        if not ok:
-            return word
-    return None
 
 
 def all_mu_traces(

@@ -64,11 +64,6 @@ def unpack_gf4(v: int, n: int) -> tuple[int, ...]:
     )
 
 
-def gf4_weight(v: int, n: int) -> int:
-    """Number of coordinates with (a_j, b_j) != (0, 0)."""
-    return ((v | (v >> n)) & ((1 << n) - 1)).bit_count()
-
-
 def symplectic_form(x: int, y: int, n: int) -> int:
     """sum_j a_j b'_j + a'_j b_j over GF(2)."""
     mask = (1 << n) - 1

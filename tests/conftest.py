@@ -1,23 +1,5 @@
-import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="also run tests marked slow (long exact verifications)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

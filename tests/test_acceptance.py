@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Runtime limits are asserted alongside the functional checks.  The
-long-running operator-level verification of the eight-qubit instance is
-gated behind the ``slow`` marker (enable with --runslow).
+Runtime limits are asserted alongside the functional checks.  C7-slow,
+the operator-level verification of the eight-qubit instance, keeps its
+historical name and budget; it runs with the rest of the suite.
 """
 
 import random
@@ -32,8 +32,8 @@ from agstab.pauli import (
     all_mu_traces,
     check_error,
     detectability_check,
-    find_violation,
     stabilizer_projector,
+    weight_words,
 )
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
@@ -170,7 +170,7 @@ def test_c7_pauli_verification_four_qubits():
         assert proj.conj_transpose() == proj
         rep = detectability_check(proj, 2)
         assert rep.passed and rep.checked == 12
-        witness = find_violation(proj, 2)
+        witness = next((w for w in weight_words(4, 2) if not check_error(proj, w)[0]), None)
         assert witness is not None
         ok, _, _ = check_error(proj, witness)
         assert not ok

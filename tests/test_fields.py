@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,13 +6,12 @@ from agstab.fields import (
     EPS,
     EPS_BAR,
     SelfDualBasis,
-    conj4,
     element_to_hex,
     get_field,
-    hex_to_row,
+    hex_to_symbols,
     ordered_elements,
-    row_to_hex,
     self_dual_basis,
+    symbols_to_hex,
 )
 
 # Table-free oracle: schoolbook carry-less multiply mod the pinned polynomial.
@@ -114,10 +114,17 @@ def test_gf16_trace_of_one_is_zero():
 
 def test_inverse_and_division():
     f = get_field(5)
-    for x in f.nonzero_elements():
+    for x in range(1, f.order):
         assert f.mul(x, f.inv(x)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def conj4(x):
+    """Conjugation on GF(4): x -> x^2 (fixes 0, 1; swaps the others)."""
+    if not 0 <= x < 4:
+        raise ValueError(f"not a GF(4) element: {x}")
+    return get_field(2).mul(x, x)
 
 
 def test_conj4():
@@ -171,8 +178,33 @@ def test_ordered_elements_start_at_zero_then_powers():
 def test_hex_round_trip():
     for k in (2, 4, 5, 8):
         f = get_field(k)
-        row = tuple(x % f.order for x in range(11))
-        text = row_to_hex(f, row)
+        row = np.array([[x % f.order for x in range(11)]], dtype=np.uint8)
+        (text,) = symbols_to_hex(f, row)
         assert text == text.lower()
-        assert hex_to_row(f, text) == row
+        assert np.array_equal(hex_to_symbols(f, [text], 11), row)
     assert element_to_hex(get_field(8), 255) == "ff"
+
+
+def test_hex_parse_accepts_upper_case_and_no_rows():
+    assert hex_to_symbols(get_field(8), ["FF0a"], 2).tolist() == [[255, 10]]
+    assert hex_to_symbols(get_field(4), [], 5).shape == (0, 5)
+
+
+def test_hex_row_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match="digits"):
+        hex_to_symbols(get_field(2), ["0123", "012"], 4)
+    with pytest.raises(ValueError, match="digits"):
+        hex_to_symbols(get_field(8), ["0a1"], 2)  # half a two-digit symbol
+
+
+@pytest.mark.parametrize("text", ["01g3", "01 3", "0x13", "01\u00e93"])
+def test_non_hex_character_rejected(text):
+    with pytest.raises(ValueError, match="non-hex"):
+        hex_to_symbols(get_field(4), ["0000", text], 4)
+
+
+def test_hex_symbol_outside_the_field_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        hex_to_symbols(get_field(2), ["0124"], 4)
+    with pytest.raises(ValueError, match="outside"):
+        hex_to_symbols(get_field(5), ["1f20"], 2)

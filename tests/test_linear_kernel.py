@@ -8,8 +8,9 @@ against one-pivot-at-a-time Python eliminations.  Full and near-full
 rank matrices up to 200 columns take the blocked GF(2) kernel and the
 grouped ``reduce`` through many pivot blocks.  A code's
 one stored form is checked to compare and hash canonically, to be
-read-only, to round-trip through its int and tuple views, and to
-serialize to the per-symbol hex rows of ``row_to_hex``.  The two
+read-only, to round-trip through its int and tuple views, to
+serialize to the per-symbol hex rows of a local ``row_to_hex``, and to
+parse back from them.  The two
 enumeration primitives are checked against plain Python loops in the
 orders they promise, whole and in blocks.
 """
@@ -22,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.artifacts import _HEX_BLOCK, code_to_obj
+from agstab.artifacts import _HEX_BLOCK, code_from_obj, code_to_obj
 from agstab.expansion import ExpansionMap, expand_code
-from agstab.fields import get_field, row_to_hex, self_dual_basis, symbols_to_hex
+from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
     _SPAN_BLOCK,
     WeightVector,
@@ -105,7 +106,7 @@ def span(rows, field):
     for row in rows:
         if pack(row) in out:
             continue
-        multiples = [pack([field.mul(c, e) for e in row]) for c in field.nonzero_elements()]
+        multiples = [pack([field.mul(c, e) for e in row]) for c in range(1, field.order)]
         out |= {s ^ t for s in out for t in multiples}
     return out
 
@@ -274,6 +275,11 @@ def test_boundary_rows_round_trip(case):
     assert make_code(field, n, code.generators) == code
 
 
+def row_to_hex(field, row):
+    """One hex row, symbol by symbol: the reference for ``symbols_to_hex``."""
+    return "".join(element_to_hex(field, x) for x in row)
+
+
 @settings(deadline=None)
 @given(matrices())
 def test_hex_rows_match_row_to_hex(case):
@@ -281,6 +287,15 @@ def test_hex_rows_match_row_to_hex(case):
     assert symbols_to_hex(field, symbols) == [row_to_hex(field, tuple(r)) for r in symbols.tolist()]
     code = code_from_matrix(field, n, from_symbols(field, symbols))
     assert code_to_obj(code)["generators"] == [row_to_hex(field, row) for row in code.generators]
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_hex_rows_parse_back_to_the_symbols(case):
+    field, n, symbols = case
+    assert np.array_equal(hex_to_symbols(field, symbols_to_hex(field, symbols), n), symbols)
+    code = code_from_matrix(field, n, from_symbols(field, symbols))
+    assert code_from_obj(code_to_obj(code)) == code
 
 
 def test_code_to_obj_spans_several_row_blocks():

@@ -14,14 +14,12 @@ from agstab.pauli import (
     StabilizerSpec,
     _apply_monomial_left,
     _apply_monomial_right,
-    _nonsingular,
     _sigma_monomial,
     all_mu_traces,
     check_error,
     detectability_check,
-    find_violation,
     proportionality,
-    sigma,
+    range_basis,
     stabilizer_projector,
     weight_words,
 )
@@ -53,6 +51,22 @@ WORDS_8 = [w for weight in range(4) for w in weight_words(8, weight)]
 
 def gf4_add(a, b):
     return a ^ b  # polynomial-basis representation: addition is xor
+
+
+def kron(a, b):
+    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
+    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
+    return ExactMatrix(re, im, a.den + b.den)
+
+
+def sigma(word, max_n=6):
+    """Tensor product of per-coordinate Pauli matrices for a GF(4)^n word:
+    the dense reference for the monomial products of ``agstab.pauli``."""
+    pauli._check_n(len(word), max_n)
+    out = ExactMatrix(np.array([[1]]), np.array([[0]]))
+    for s in word:
+        out = kron(out, ExactMatrix(*pauli._PAULI[s]))
+    return out
 
 
 class TestSigma:
@@ -155,7 +169,7 @@ class TestDetectability:
         assert rep.checked == 12  # 4 positions x 3 symbols
 
     def test_weight_two_violation_exists(self):
-        witness = find_violation(self.proj, 2)
+        witness = next((w for w in weight_words(4, 2) if not check_error(self.proj, w)[0]), None)
         assert witness is not None
         ok, _, _ = check_error(self.proj, witness)
         assert not ok
@@ -179,10 +193,10 @@ def test_exact_matrix_normalization_and_equality():
     assert a == ExactMatrix.identity(2)
     b = ExactMatrix(np.array([[1, 0], [0, 1]]), np.array([[1, 0], [0, 1]]), den=0)
     assert a != b
-    assert (b - b).is_zero()
+    zero = b - b
+    assert not (zero.re.any() or zero.im.any())
 
 
-@pytest.mark.slow
 def test_steane_8_3_3_detectability_dmax_3():
     ext_hamming = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])
     even = binary_code(8, [(1 << i) | (1 << 7) for i in range(7)])
@@ -344,21 +358,14 @@ class TestProjectorCertificate:
         with pytest.raises(ValueError, match="too fine"):
             check_error(diagonal([(1 << 20) - 1, 0], 20), (0,))
 
-    def test_exact_nonsingularity(self):
-        def m(re, im):
-            return ExactMatrix(np.array(re), np.array(im))
-
-        assert not _nonsingular(m([[1, 0], [0, -1]], [[0, 1], [1, 0]]))  # det 0 over C
-        assert _nonsingular(m([[1, 0], [0, 2]], [[0, 1], [-1, 0]]))  # det 1
-        assert not _nonsingular(m([[1, 2], [2, 4]], [[0, 0], [0, 0]]))
-        assert _nonsingular(m([[0, 1], [1, 0]], [[0, 0], [0, 0]]))  # needs a row swap
-
-    def test_columns_that_miss_the_range_rejected(self, monkeypatch):
-        # a column scan that repeats a column: P B = B holds, B^dagger B is singular
-        p = stabilizer_projector(StabilizerSpec.plus(B422))
-        monkeypatch.setattr(pauli, "_range_columns", lambda p, rank: np.zeros(rank, dtype=np.int64))
-        with pytest.raises(ValueError, match="singular"):
-            check_error(p, (0, 0, 0, 0))
+    def test_projector_outside_the_stabilizer_scope_rejected(self):
+        # I - |v><v| with v = (1, 1, 1, 1) / 2 is an orthogonal projector of
+        # rank 3, but only column 0 has its first nonzero entry on the
+        # diagonal, so |J| = 1 < tr(P)
+        p = ExactMatrix(4 * np.eye(4, dtype=np.int64) - 1, np.zeros((4, 4), dtype=np.int64), 2)
+        assert p @ p == p and p.conj_transpose() == p
+        with pytest.raises(ValueError, match="not tr\\(P\\) = 3"):
+            check_error(p, (0, 0))
 
     def test_certificate_cached_on_the_matrix(self):
         p = stabilizer_projector(StabilizerSpec.plus(B422))
@@ -375,3 +382,41 @@ class TestProjectorCertificate:
             check_error(p, (0, 0, 0))
         with pytest.raises(ValueError, match="GF\\(4\\)"):
             check_error(p, (7, 0, 0, 0))
+
+
+def rule_columns(p):
+    """J by its definition, one column at a time: P[j, j] != 0 and no
+    nonzero entry above it in column j."""
+    nz = (p.re != 0) | (p.im != 0)
+    return [j for j in range(p.dim) if nz[j, j] and not nz[:j, j].any()]
+
+
+def sign_pattern_projectors():
+    for basis, n in ((STAB_8, 8), (tuple(B422_EXTENDED), 4)):
+        for mu in product((1, -1), repeat=len(basis)):
+            yield stabilizer_projector(StabilizerSpec(tuple(basis), mu), max_n=n)
+
+
+class TestRangeColumns:
+    def test_every_sign_pattern_gives_orthogonal_columns(self):
+        count = 0
+        for p in sign_pattern_projectors():
+            cols = rule_columns(p)
+            basis = range_basis(p)
+            assert len(cols) == basis.rank == int(p.trace()[0])
+            assert basis.b == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
+            gram_re, gram_im = p.re[np.ix_(cols, cols)], p.im[np.ix_(cols, cols)]
+            assert not gram_im.any()
+            assert np.array_equal(gram_re, np.diag(gram_re.diagonal()))
+            assert (gram_re.diagonal() > 0).all()
+            assert basis.gram == ExactMatrix(gram_re, gram_im, p.den)
+            count += 1
+        assert count == 32 + 16
+
+    def test_identity_on_eight_qubits(self):
+        p = ExactMatrix.identity(256)
+        assert range_basis(p).rank == 256
+        assert check_error(p, (0,) * 8) == (True, Fraction(1), Fraction(0))
+        for w in weight_words(8, 1):
+            ok, _, _ = check_error(p, w)
+            assert not ok, w
