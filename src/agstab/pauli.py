@@ -6,37 +6,67 @@ projector identities, traces, and detectability are integer equalities.
 Dense matrices are capped at 2^8; this is a verifier for small
 instances, not a simulator.
 
-A Pauli operator is a monomial matrix (one entry per row, a phase in
-{+-1, +-i}), so products with it are row or column permutations with
-phases, never dense products.  Detectability P E P = lambda P is
-decided on a basis of range(P): with B = P[:, J] for r = tr(P) columns
-J, and P an orthogonal projector whose range is span(B),
+A Pauli operator sigma(w) is a monomial matrix: row x has its one
+nonzero entry, a power of i, at column perm[x], which is x with the bits
+of the X part of w flipped.  A product of monomials is a monomial, found
+by one gather per row, never by a dense product.
+
+**The projector is a group sum.**  For independent, commuting
+generators f_1 .. f_s with signs mu_i,
+
+    P = prod_i (I + mu_i sigma(f_i)) / 2 = 2^-s sum_{g in S} mu_g sigma(g),
+
+a sum over the 2^s elements of the stabilizer group S (Gottesman's
+stabilizer formalism, PhD thesis, Caltech 1997).  ``stabilizer_projector``
+grows the 2^s monomials from the identity, each generator doubling the
+list, and adds them into the numerators: O(2^s * 2^n) entries, never
+more than 4^n, in integers only.
+
+**Detectability on a range basis.**  P E P = lambda P is decided on a
+basis of range(P): with B = P[:, J] for r = tr(P) columns J, and P an
+orthogonal projector whose range is span(B),
 
     P E P = lambda P   iff   B^dagger (E B) = lambda B^dagger B,
 
-since P = B (B^dagger B)^-1 B^dagger.  Per error, E B is a row
-permutation with phases, O(2^n * r), and B^dagger (E B) costs
-O(2^n * r^2), against 2^(3n) for the dense P (E P).
+since P = B (B^dagger B)^-1 B^dagger.
 
 J is read off the nonzero pattern of P: j is in J when P[j, j] != 0 and
 no row above j is nonzero in column j.  For Hermitian P this makes
 P[J, J] diagonal: P[j, k] = 0 for j < k in J, and P[k, j] is its
 conjugate.  The premise is certified once per matrix, exactly: P is
-Hermitian, r = tr(P) = sum |P_ij|^2 is a positive integer, P B = B and
-|J| = r.  With P Hermitian and P B = B, B^dagger B = (P P)[J, J] =
-P[J, J], a diagonal of |b_j|^2 > 0, so the r columns of B are
-orthogonal eigenvectors of eigenvalue 1; the trace identity then forces
-every other eigenvalue to 0.  A matrix that fails raises ValueError.
+Hermitian, r = tr(P) = sum |P_ij|^2 is a positive integer, every row of
+B has at most one nonzero entry, P B = B and |J| = r.  With P Hermitian
+and P B = B, B^dagger B = (P P)[J, J] = P[J, J], a diagonal of
+|b_j|^2 > 0, so the r columns of B are orthogonal eigenvectors of
+eigenvalue 1; the trace identity then forces every other eigenvalue to
+0.  A matrix that fails raises ValueError.
 
-Every stabilizer projector meets the rule.  For each element s of the
+**Disjoint supports.**  Every stabilizer projector meets the rule, with
+columns of B that have disjoint supports.  For each element s of the
 stabilizer group, sigma(s) e_x is a phase times e_(x + X(s)) and
 P sigma(s) = +-P.  So column x of P is supported on the coset x + V,
 with V the span of the X parts, and the columns of one coset are unit
 multiples of each other.  A nonzero one then has P[y, y] = |P e_y|^2
 != 0 at every y of its coset, hence the whole coset as support, and J
-is the first element of each coset whose columns are nonzero.  Other
-orthogonal projectors, such as I - |v><v| for a dense v, can give
-|J| < r and are rejected.
+is the first element of each coset whose columns are nonzero.  Distinct
+columns of J lie in distinct cosets, so no row meets two of them.
+Other orthogonal projectors, such as I - |v><v| for a dense v, can give
+|J| < r or overlapping columns, and are rejected.
+
+**The detectability kernel.**  With owner(x) the column of B that holds
+row x's one nonzero entry v_x, the entries of B^dagger (E B) are
+
+    M[i, j] = sum of conj(v_x) * i^power[x] * v_(perm x)
+              over the rows x with owner(x) = i and owner(perm x) = j,
+
+one term per row: O(2^n) terms per word, grouped by (i, j) with one
+sort per block of words.  Because B^dagger B = diag(g) is positive,
+M = lambda diag(g) iff M is diagonal and M[i, i] tr(g) = g_i tr(M) for
+every i.  ``_decide`` does this for a block of words at once: it builds
+one 2^n x n table of row bits per block and accumulates exactly in
+int64.  Its temporaries have one cell per word and row, so a block of
+at most _SPAN_BLOCK / 2^n words keeps each within ``_SPAN_BLOCK``
+cells.
 
 Qubit symbols follow the GF(4) convention of the rest of the package:
 0 -> identity, eps -> X, eps-bar -> Z, 1 -> the third Pauli matrix
@@ -47,13 +77,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fields import EPS, EPS_BAR
-from .linear import binary_code
+from .linear import _SPAN_BLOCK, binary_code
 from .symplectic import pack_gf4, symplectic_form
 
 HARD_MAX_N = 8  # 2^8 = 256 keeps every intermediate product inside int64
@@ -97,36 +127,10 @@ class ExactMatrix:
     def dim(self) -> int:
         return self.re.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "ExactMatrix":
-        return cls(np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64))
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         re = self.re @ other.re - self.im @ other.im
         im = self.re @ other.im + self.im @ other.re
         return ExactMatrix(re, im, self.den + other.den)
-
-    def _aligned(self, other: "ExactMatrix") -> tuple:
-        d = max(self.den, other.den)
-        sr = self.re << (d - self.den)
-        si = self.im << (d - self.den)
-        orr = other.re << (d - other.den)
-        oi = other.im << (d - other.den)
-        return sr, si, orr, oi, d
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        sr, si, orr, oi, d = self._aligned(other)
-        return ExactMatrix(sr + orr, si + oi, d)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        sr, si, orr, oi, d = self._aligned(other)
-        return ExactMatrix(sr - orr, si - oi, d)
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.re, -self.im, self.den)
-
-    def half(self) -> "ExactMatrix":
-        return ExactMatrix(self.re, self.im, self.den + 1)
 
     def conj_transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.re.T.copy(), -self.im.T.copy(), self.den)
@@ -160,9 +164,6 @@ def _check_n(n: int, max_n: int) -> None:
         raise ValueError(f"n={n} exceeds the dense-matrix cap {cap}")
 
 
-_Monomial = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0 .. i^3 as (re, im)
 _I_POWER_RE, _I_POWER_IM = np.array(_I_POWERS, dtype=np.int64).T
 
@@ -183,38 +184,23 @@ def _monomial_tables() -> tuple[np.ndarray, np.ndarray]:
 _COL, _I_POWER = _monomial_tables()
 
 
-def _sigma_monomial(word: Sequence[int]) -> _Monomial:
-    """(perm, phase_re, phase_im): row r has its only entry at column perm[r].
+def _monomials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, power), each (len(words), 2^n): row x of sigma(words[w]) has
+    its only entry, i^power[w, x], at column perm[w, x].
 
-    Qubit 0 is the most significant bit of a row index.
+    Qubit 0 is the most significant bit of a row index.  Per qubit, the
+    column bit and the power are affine in the row bit b, t(s, 0) +
+    b (t(s, 1) - t(s, 0)), so both sums over the qubits are one integer
+    product with the 2^n x n table of row bits.
     """
-    if any(s not in _PAULI for s in word):
-        raise ValueError(f"not a GF(4) word: {tuple(word)}")
-    n = len(word)
-    syms = np.array(word, dtype=np.int64)
+    n = words.shape[1]
     shifts = np.arange(n - 1, -1, -1)
-    bits = (np.arange(1 << n)[:, None] >> shifts) & 1
-    perm = _COL[syms, bits] @ (1 << shifts)
-    power = _I_POWER[syms, bits].sum(axis=1) & 3
-    return perm, _I_POWER_RE[power], _I_POWER_IM[power]
-
-
-def _apply_monomial_left(mono: _Monomial, m: ExactMatrix) -> ExactMatrix:
-    """sigma @ m without a dense product: row r is phase[r] * row perm[r] of m."""
-    perm, ph_re, ph_im = mono
-    re = ph_re[:, None] * m.re[perm] - ph_im[:, None] * m.im[perm]
-    im = ph_re[:, None] * m.im[perm] + ph_im[:, None] * m.re[perm]
-    return ExactMatrix(re, im, m.den)
-
-
-def _apply_monomial_right(m: ExactMatrix, mono: _Monomial) -> ExactMatrix:
-    """m @ sigma without a dense product: column perm[r] is phase[r] * column r of m."""
-    perm, ph_re, ph_im = mono
-    re = np.empty_like(m.re)
-    im = np.empty_like(m.im)
-    re[:, perm] = m.re * ph_re - m.im * ph_im
-    im[:, perm] = m.re * ph_im + m.im * ph_re
-    return ExactMatrix(re, im, m.den)
+    bits_t = (np.arange(1 << n) >> shifts[:, None]) & 1
+    col = _COL[words] << shifts[:, None]
+    power = _I_POWER[words]
+    perm = col[..., 0].sum(axis=1)[:, None] + (col[..., 1] - col[..., 0]) @ bits_t
+    power = (power[..., 0].sum(axis=1)[:, None] + (power[..., 1] - power[..., 0]) @ bits_t) & 3
+    return perm, power
 
 
 @dataclass(frozen=True)
@@ -260,10 +246,15 @@ class StabilizerSpec:
 
 
 def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int = 6) -> ExactMatrix:
-    """P = prod_i (I + mu_i sigma(f_i)) / 2, an exact orthogonal projector.
+    """P = prod_i (I + mu_i sigma(f_i)) / 2, an exact orthogonal projector,
+    built as the group sum 2^-s sum_{g in S} mu_g sigma(g).
 
-    Each factor multiplies P from the right as a column permutation with
-    phases, at O(4^n) per generator.
+    The 2^s monomials of the stabilizer group grow from the identity:
+    generator f doubles the list with the products g sigma(f), whose row
+    x has column perm_f[perm_g[x]] and power power_g[x] +
+    power_f[perm_g[x]], plus 2 when mu = -1.  One unbuffered
+    ``np.add.at`` then adds every monomial's entries into the int64
+    numerators, exactly.  Cost O(2^s * 2^n) entries, at most 4^n.
     """
     if n is None:
         if not spec.basis:
@@ -272,60 +263,57 @@ def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int 
     elif spec.basis and n != spec.n:
         raise ValueError(f"n={n} but the basis vectors have length {spec.n}")
     _check_n(n, max_n)
-    p = ExactMatrix.identity(1 << n)
-    for f, m in zip(spec.basis, spec.mu):
-        perm, ph_re, ph_im = _sigma_monomial(f)
-        p = (p + _apply_monomial_right(p, (perm, m * ph_re, m * ph_im))).half()
-    return p
-
-
-def proportionality(m: ExactMatrix, p: ExactMatrix) -> tuple[bool, Fraction, Fraction]:
-    """Decide m == lambda * p exactly (p must have nonzero trace).
-
-    Cross-multiplication keeps everything in integers: m and lambda*p
-    agree iff m * tr(p) == p * tr(m) entrywise over the common
-    denominator.
-    """
-    pr = int(np.trace(p.re))
-    pi = int(np.trace(p.im))
-    if pr == 0 and pi == 0:
-        raise ValueError("reference matrix has zero trace")
-    mr = int(np.trace(m.re))
-    mi = int(np.trace(m.im))
-    lhs_re = m.re * pr - m.im * pi
-    lhs_im = m.re * pi + m.im * pr
-    rhs_re = p.re * mr - p.im * mi
-    rhs_im = p.re * mi + p.im * mr
-    ok = bool(np.array_equal(lhs_re, rhs_re) and np.array_equal(lhs_im, rhs_im))
-    norm = pr * pr + pi * pi
-    scale = Fraction(1 << p.den, 1 << m.den)
-    lam_re = Fraction(mr * pr + mi * pi, norm) * scale
-    lam_im = Fraction(mi * pr - mr * pi, norm) * scale
-    return ok, lam_re, lam_im
+    dim = 1 << n
+    rows = np.arange(dim)
+    perms, powers = rows[None, :], np.zeros((1, dim), dtype=np.int64)
+    if spec.basis:
+        gen_perms, gen_powers = _monomials(np.array(spec.basis, dtype=np.int64))
+        for perm_f, power_f, mu in zip(gen_perms, gen_powers, spec.mu):
+            flip = 0 if mu == 1 else 2
+            perms, powers = (
+                np.concatenate([perms, perm_f[perms]]),
+                np.concatenate([powers, powers + power_f[perms] + flip]),
+            )
+    # entry (x, perm[x]) of every monomial, as an index into the flat matrix
+    flat = rows * dim + perms
+    re = np.zeros(dim * dim, dtype=np.int64)
+    im = np.zeros_like(re)
+    np.add.at(re, flat, _I_POWER_RE[powers & 3])
+    np.add.at(im, flat, _I_POWER_IM[powers & 3])
+    return ExactMatrix(re.reshape(dim, dim), im.reshape(dim, dim), len(spec.basis))
 
 
 @dataclass(frozen=True)
 class _RangeBasis:
-    """Certified B = P[:, J] spanning range(P), with B^dagger and B^dagger B."""
+    """Certified B = P[:, J] spanning range(P), with B^dagger B, and each
+    row's one nonzero entry of B.
+
+    ``owner[x]`` is the column of B holding row x's nonzero entry, -1
+    for a zero row; ``value_re``/``value_im`` are that entry's
+    numerators over the denominator of P, 0 for a zero row.
+    """
 
     n: int
     rank: int
     b: ExactMatrix
-    b_adj: ExactMatrix
     gram: ExactMatrix
+    owner: np.ndarray
+    value_re: np.ndarray
+    value_im: np.ndarray
 
 
 def range_basis(p: ExactMatrix) -> _RangeBasis:
     """The certified range basis B = P[:, J] of P, made on the first call
     and cached on P.
 
-    J holds the columns whose first nonzero entry is on the diagonal, so
-    B^dagger B = P[J, J] is diagonal and positive once P B = B.  With P
-    Hermitian, P B = B and |J| = tr(P) = sum |P_ij|^2 prove that P is
-    the orthogonal projector onto span(B) (see the module docstring).
-    Raises ValueError when P is not an orthogonal projector, or is one
-    that the rule does not fit (|J| < tr(P)); every stabilizer projector
-    fits it.
+    J holds the columns whose first nonzero entry is on the diagonal.
+    The certificate (module docstring) proves that P is the orthogonal
+    projector onto span(B) and that each row of B has at most one
+    nonzero entry, whose column and value it records for the
+    detectability kernel; P B = B is checked as grouped sums of columns
+    of P, O(4^n).  Raises ValueError when P is not an orthogonal
+    projector, or is one that the rules do not fit (overlapping columns,
+    |J| < tr(P)); every stabilizer projector fits them.
     """
     if p._range is None:
         p._range = _certify_projector(p)
@@ -341,7 +329,7 @@ def _certify_projector(p: ExactMatrix) -> _RangeBasis:
     if not (np.array_equal(re, re.T) and np.array_equal(im, -im.T)):
         raise ValueError("matrix is not Hermitian, so not an orthogonal projector")
     # |P_ij| <= 1 holds for any projector.  With it, every int64 value
-    # below, up to proportionality's cross products, is at most
+    # below and in ``_decide``, up to its cross products, is at most
     # 4^(n+1) * 8^den, which the den cap keeps below 2^63.
     if max(int(np.abs(re).max()), int(np.abs(im).max())) > 1 << den:
         raise ValueError("an entry exceeds 1 in modulus, so not an orthogonal projector")
@@ -354,8 +342,27 @@ def _certify_projector(p: ExactMatrix) -> _RangeBasis:
         raise ValueError("tr(P) != sum |P_ij|^2, so not an orthogonal projector")
     nz = (re != 0) | (im != 0)
     cols = np.flatnonzero((nz.argmax(axis=0) == np.arange(p.dim)) & nz.diagonal())
-    b = ExactMatrix(re[:, cols], im[:, cols], den)
-    if p @ b != b:
+    per_row = nz[:, cols].sum(axis=1)
+    if (per_row > 1).any():
+        x = int(np.argmax(per_row > 1))
+        raise ValueError(
+            f"row {x} of B = P[:, J] has {per_row[x]} nonzero entries, not at most one: "
+            f"the columns overlap, not a stabilizer projector"
+        )
+    owner = np.full(p.dim, -1)
+    x, j = np.nonzero(nz[:, cols])
+    owner[x] = j
+    # with one nonzero entry per row at most, a row sum of B is that entry
+    value_re, value_im = re[:, cols].sum(axis=1), im[:, cols].sum(axis=1)
+    # (P B)[:, j] = sum of P[:, x] B[x, j] over the rows x that j owns;
+    # each column j owns row J[j] at least, as B[J[j], j] = P[J[j], J[j]]
+    owned = np.flatnonzero(owner >= 0)
+    owned = owned[np.argsort(owner[owned])]
+    starts = np.flatnonzero(np.diff(owner[owned], prepend=-1))
+    v_re, v_im = value_re[owned], value_im[owned]
+    pb_re = np.add.reduceat(re[:, owned] * v_re - im[:, owned] * v_im, starts, axis=1)
+    pb_im = np.add.reduceat(re[:, owned] * v_im + im[:, owned] * v_re, starts, axis=1)
+    if not (np.array_equal(pb_re, re[:, cols] << den) and np.array_equal(pb_im, im[:, cols] << den)):
         raise ValueError("P B != B for the chosen columns, so not an orthogonal projector")
     if len(cols) != rank:
         raise ValueError(
@@ -364,8 +371,67 @@ def _certify_projector(p: ExactMatrix) -> _RangeBasis:
         )
     # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger
     # and P B = B: diagonal and positive, so nonsingular
-    gram = ExactMatrix(re[np.ix_(cols, cols)], im[np.ix_(cols, cols)], den)
-    return _RangeBasis(n=n, rank=rank, b=b, b_adj=b.conj_transpose(), gram=gram)
+    return _RangeBasis(
+        n=n,
+        rank=rank,
+        b=ExactMatrix(re[:, cols], im[:, cols], den),
+        gram=ExactMatrix(re[np.ix_(cols, cols)], im[np.ix_(cols, cols)], den),
+        owner=owner,
+        value_re=value_re,
+        value_im=value_im,
+    )
+
+
+def _decide(p: ExactMatrix, basis: _RangeBasis, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Detectability of each row of ``words`` on the certified basis of P:
+    (ok, tr(E P) real and imaginary numerators over 2^p.den), one entry
+    per word.
+
+    M = B^dagger (E B) has one term per row x with owner(x) = i and
+    owner(perm x) = j >= 0 (module docstring); the terms are summed per
+    (word, i, j) after one sort of their keys.  ok holds when every
+    off-diagonal sum is 0 and M[i, i] tr(g) = g_i tr(M) for all i, with
+    g the diagonal of B^dagger B.  Each temporary has at most
+    len(words) * 2^n cells, which callers keep within ``_SPAN_BLOCK``.
+    """
+    perm, power = _monomials(words)
+    ph_re, ph_im = _I_POWER_RE[power], _I_POWER_IM[power]
+    # tr(E P) = sum_x (E P)[x, x] = sum_x phase[x] * P[perm[x], x]
+    diag = np.arange(p.dim)
+    d_re, d_im = p.re[perm, diag], p.im[perm, diag]
+    tr_re = (ph_re * d_re - ph_im * d_im).sum(axis=1)
+    tr_im = (ph_re * d_im + ph_im * d_re).sum(axis=1)
+
+    # one term per row x: conj(v_x) * phase[x] * v_(perm x), at (owner x, owner(perm x))
+    v_re, v_im = basis.value_re, basis.value_im
+    a_re = ph_re * v_re[perm] - ph_im * v_im[perm]
+    a_im = ph_re * v_im[perm] + ph_im * v_re[perm]
+    c_re = v_re * a_re + v_im * a_im
+    c_im = v_re * a_im - v_im * a_re
+    r, count = basis.rank, len(words)
+    j = basis.owner[perm]
+    term = (basis.owner >= 0) & (j >= 0)
+    keys = ((np.arange(count)[:, None] * r + basis.owner) * r + j)[term]
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    m_re = np.add.reduceat(c_re[term][order], first)
+    m_im = np.add.reduceat(c_im[term][order], first)
+    word, ij = np.divmod(keys[first], r * r)
+    i, j = np.divmod(ij, r)
+
+    ok = np.ones(count, dtype=bool)
+    ok[word[(i != j) & ((m_re != 0) | (m_im != 0))]] = False
+    on = i == j
+    diag_re = np.zeros((count, r), dtype=np.int64)
+    diag_im = np.zeros((count, r), dtype=np.int64)
+    diag_re[word[on], i[on]] = m_re[on]
+    diag_im[word[on], i[on]] = m_im[on]
+    g = basis.gram.re.diagonal()
+    tr_g = int(g.sum())
+    ok &= (diag_re * tr_g == g * diag_re.sum(axis=1, keepdims=True)).all(axis=1)
+    ok &= (diag_im * tr_g == g * diag_im.sum(axis=1, keepdims=True)).all(axis=1)
+    return ok, tr_re, tr_im
 
 
 def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fraction]:
@@ -373,28 +439,22 @@ def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fr
 
     Decided as B^dagger (E B) == lambda B^dagger B on the certified range
     basis B = P[:, J] of P, J the columns whose first nonzero entry is on
-    the diagonal (see ``range_basis`` and the module docstring).  E B is
-    a row permutation with phases, O(2^n * r) for r = tr(P), and
-    B^dagger (E B) costs O(2^n * r^2).  The certificate is made on the
-    first call for P and cached on it; a P that fails it raises
-    ValueError.  lambda is tr(E P) / tr(P), which equals
+    the diagonal (see ``range_basis`` and the module docstring).  As B
+    has at most one nonzero entry per row, B^dagger (E B) is a sum of
+    one term per row, O(2^n); this is the one-word case of the kernel
+    ``detectability_check`` runs on blocks of words.  The certificate is
+    made on the first call for P and cached on it; a P that fails it
+    raises ValueError.  lambda is tr(E P) / tr(P), which equals
     tr(P E P) / tr(P) whether or not the word is detectable.
     """
     basis = range_basis(p)
     if len(word) != basis.n:
         raise ValueError(f"word of length {len(word)} on {basis.n} qubits")
-    mono = _sigma_monomial(word)
-    ok, _, _ = proportionality(basis.b_adj @ _apply_monomial_left(mono, basis.b), basis.gram)
-    perm, ph_re, ph_im = mono
-    # (E P)[r, r] = phase[r] * P[perm[r], r]
-    diag = np.arange(p.dim)
-    d_re, d_im = p.re[perm, diag], p.im[perm, diag]
+    if any(s not in _PAULI for s in word):
+        raise ValueError(f"not a GF(4) word: {tuple(word)}")
+    ok, tr_re, tr_im = _decide(p, basis, np.array([word], dtype=np.int64))
     tr_p = basis.rank << p.den
-    return (
-        ok,
-        Fraction(int(ph_re @ d_re - ph_im @ d_im), tr_p),
-        Fraction(int(ph_re @ d_im + ph_im @ d_re), tr_p),
-    )
+    return bool(ok[0]), Fraction(int(tr_re[0]), tr_p), Fraction(int(tr_im[0]), tr_p)
 
 
 def weight_words(n: int, weight: int) -> Iterator[tuple[int, ...]]:
@@ -425,25 +485,36 @@ _RATIONALE = (
 
 
 def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
-    """Verify P E P = lambda_E P for every Pauli error of weight < dmax."""
+    """Verify P E P = lambda_E P for every Pauli error of weight < dmax.
+
+    The words of each weight, in ``weight_words`` order, go through the
+    kernel of ``check_error`` in blocks of _SPAN_BLOCK / 2^n words, so
+    a block's temporaries hold at most _SPAN_BLOCK cells each.  The
+    check stops at the MAX_VIOLATIONS-th undetectable word, which is
+    the last one counted in ``checked``: the report is the one a
+    word-by-word loop over ``check_error`` gives.
+    """
     n = p.dim.bit_length() - 1
     if 1 << n != p.dim:
         raise ValueError("projector dimension is not a power of two")
     if dmax > n + 1:
         raise ValueError("dmax exceeds the number of coordinates + 1")
+    step = max(1, _SPAN_BLOCK >> n)
     checked = 0
     violations: list[tuple[int, ...]] = []
     for w in range(1, dmax):
-        for word in weight_words(n, w):
-            ok, _, _ = check_error(p, word)
-            checked += 1
-            if not ok:
-                violations.append(word)
-                if len(violations) >= MAX_VIOLATIONS:
-                    return DetectabilityReport(
-                        n=n, dmax=dmax, checked=checked, passed=False,
-                        violations=tuple(violations), rationale=_RATIONALE,
-                    )
+        words = weight_words(n, w)
+        while block := list(islice(words, step)):
+            ok, _, _ = _decide(p, range_basis(p), np.array(block, dtype=np.int64))
+            bad = np.flatnonzero(~ok)[: MAX_VIOLATIONS - len(violations)]
+            violations.extend(block[k] for k in bad)
+            if len(violations) == MAX_VIOLATIONS:
+                checked += int(bad[-1]) + 1
+                return DetectabilityReport(
+                    n=n, dmax=dmax, checked=checked, passed=False,
+                    violations=tuple(violations), rationale=_RATIONALE,
+                )
+            checked += len(block)
     return DetectabilityReport(
         n=n, dmax=dmax, checked=checked, passed=not violations,
         violations=tuple(violations), rationale=_RATIONALE,

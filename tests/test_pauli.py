@@ -11,14 +11,11 @@ from agstab.fields import EPS, EPS_BAR
 from agstab.linear import binary_code
 from agstab.pauli import (
     ExactMatrix,
+    MAX_VIOLATIONS,
     StabilizerSpec,
-    _apply_monomial_left,
-    _apply_monomial_right,
-    _sigma_monomial,
     all_mu_traces,
     check_error,
     detectability_check,
-    proportionality,
     range_basis,
     stabilizer_projector,
     weight_words,
@@ -46,11 +43,68 @@ STAB_8 = (
     (2, 2, 2, 2, 2, 2, 2, 2),
 )
 SIGNS_8 = [(1, 1, 1, 1, 1), (1, -1, 1, -1, -1)]
+# The [[5,1,3]] code, cyclic shifts of X Z Z X I.  Unlike B422 and STAB_8,
+# some generator pairs overlap an X part with a Z part in an odd number of
+# places (X Z Z X I and I X Z Z X in one), which a monomial product that
+# read sigma(f)'s phase at the wrong row would get wrong by a sign.
+FIVE_QUBIT = tuple(tuple((EPS, EPS_BAR, EPS_BAR, EPS, 0)[(q - t) % 5] for q in range(5)) for t in range(4))
 WORDS_8 = [w for weight in range(4) for w in weight_words(8, weight)]
 
 
 def gf4_add(a, b):
     return a ^ b  # polynomial-basis representation: addition is xor
+
+
+def identity(dim):
+    return ExactMatrix(np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64))
+
+
+def aligned(a, b):
+    d = max(a.den, b.den)
+    return a.re << (d - a.den), a.im << (d - a.den), b.re << (d - b.den), b.im << (d - b.den), d
+
+
+def add(a, b):
+    ar, ai, br, bi, d = aligned(a, b)
+    return ExactMatrix(ar + br, ai + bi, d)
+
+
+def sub(a, b):
+    ar, ai, br, bi, d = aligned(a, b)
+    return ExactMatrix(ar - br, ai - bi, d)
+
+
+def neg(a):
+    return ExactMatrix(-a.re, -a.im, a.den)
+
+
+def half(a):
+    return ExactMatrix(a.re, a.im, a.den + 1)
+
+
+def proportionality(m, p):
+    """Decide m == lambda * p exactly (p must have nonzero trace).
+
+    Cross-multiplication keeps everything in integers: m and lambda*p
+    agree iff m * tr(p) == p * tr(m) entrywise over the common
+    denominator.
+    """
+    pr = int(np.trace(p.re))
+    pi = int(np.trace(p.im))
+    if pr == 0 and pi == 0:
+        raise ValueError("reference matrix has zero trace")
+    mr = int(np.trace(m.re))
+    mi = int(np.trace(m.im))
+    lhs_re = m.re * pr - m.im * pi
+    lhs_im = m.re * pi + m.im * pr
+    rhs_re = p.re * mr - p.im * mi
+    rhs_im = p.re * mi + p.im * mr
+    ok = bool(np.array_equal(lhs_re, rhs_re) and np.array_equal(lhs_im, rhs_im))
+    norm = pr * pr + pi * pi
+    scale = Fraction(1 << p.den, 1 << m.den)
+    lam_re = Fraction(mr * pr + mi * pi, norm) * scale
+    lam_im = Fraction(mi * pr - mr * pi, norm) * scale
+    return ok, lam_re, lam_im
 
 
 def kron(a, b):
@@ -72,16 +126,16 @@ def sigma(word, max_n=6):
 class TestSigma:
     def test_identity(self):
         s = sigma((0, 0, 0))
-        assert s == ExactMatrix.identity(8)
+        assert s == identity(8)
 
     def test_squares_to_identity(self):
         for sym in range(4):
             s = sigma((sym,))
-            assert s @ s == ExactMatrix.identity(2)
+            assert s @ s == identity(2)
 
     def test_x_z_anticommute(self):
         x, z = sigma((EPS,)), sigma((EPS_BAR,))
-        assert x @ z == -(z @ x)
+        assert x @ z == neg(z @ x)
 
     def test_third_pauli_matrix_entries(self):
         s = sigma((1,))
@@ -92,7 +146,7 @@ class TestSigma:
         f1, f2 = B422
         fsum = tuple(gf4_add(a, b) for a, b in zip(f1, f2))
         prod = sigma(f1) @ sigma(f2)
-        assert prod == sigma(fsum) or prod == -sigma(fsum)
+        assert prod == sigma(fsum) or prod == neg(sigma(fsum))
         assert prod == sigma(f2) @ sigma(f1)  # commuting
         assert prod == sigma(fsum)  # sign instance for this pair
 
@@ -119,7 +173,7 @@ class TestProjector:
     def test_empty_spec_is_identity(self):
         spec = StabilizerSpec((), ())
         p = stabilizer_projector(spec, n=3)
-        assert p == ExactMatrix.identity(8)
+        assert p == identity(8)
 
     def test_all_sign_patterns_have_the_same_trace(self):
         for mus, tr in all_mu_traces(B422).items():
@@ -190,10 +244,10 @@ def test_weight_words_count():
 
 def test_exact_matrix_normalization_and_equality():
     a = ExactMatrix(np.array([[2, 0], [0, 2]]), np.zeros((2, 2), dtype=np.int64), den=1)
-    assert a == ExactMatrix.identity(2)
+    assert a == identity(2)
     b = ExactMatrix(np.array([[1, 0], [0, 1]]), np.array([[1, 0], [0, 1]]), den=0)
     assert a != b
-    zero = b - b
+    zero = sub(b, b)
     assert not (zero.re.any() or zero.im.any())
 
 
@@ -226,10 +280,10 @@ def exact_matmul(a, b):
 
 def dense_projector(spec, n):
     """prod (I + mu sigma(f)) / 2 as dense products."""
-    p = ExactMatrix.identity(1 << n)
+    p = identity(1 << n)
     for f, mu in zip(spec.basis, spec.mu):
         s = sigma(f, max_n=n)
-        p = exact_matmul(p, (ExactMatrix.identity(1 << n) + (s if mu == 1 else -s)).half())
+        p = exact_matmul(p, half(add(identity(1 << n), s if mu == 1 else neg(s))))
     return p
 
 
@@ -302,9 +356,18 @@ class TestRangeBasisOracle:
         for w in WORDS_8[::97]:
             assert np.array_equal(dense_sigma(w), complex_numerators(sigma(w, max_n=8)))
 
-    def test_projector_matches_the_dense_product(self, projs_8):
-        for mu, p in zip(SIGNS_8, projs_8):
-            assert p == dense_projector(StabilizerSpec(STAB_8, mu), 8)
+    def test_projector_matches_the_dense_product(self):
+        for mu in product((1, -1), repeat=len(STAB_8)):
+            spec = StabilizerSpec(STAB_8, mu)
+            assert stabilizer_projector(spec, max_n=8) == dense_projector(spec, 8), mu
+
+    def test_every_sign_pattern_of_the_five_qubit_code(self):
+        for mu in product((1, -1), repeat=len(FIVE_QUBIT)):
+            spec = StabilizerSpec(FIVE_QUBIT, mu)
+            p = stabilizer_projector(spec)
+            assert p == dense_projector(spec, 5), mu
+            rep = detectability_check(p, 3)
+            assert rep.passed and rep.checked == 15 + 90
 
     def test_every_sign_pattern_of_the_rank4_spec(self):
         for mu in product((1, -1), repeat=len(B422_EXTENDED)):
@@ -312,13 +375,37 @@ class TestRangeBasisOracle:
             assert stabilizer_projector(spec) == dense_projector(spec, 4)
 
 
+def sigma_monomial(word):
+    """(perm, phase_re, phase_im) of sigma(word): row r has its only entry at column perm[r]."""
+    perm, power = pauli._monomials(np.array([word]))
+    return perm[0], pauli._I_POWER_RE[power[0]], pauli._I_POWER_IM[power[0]]
+
+
+def apply_monomial_left(mono, m):
+    """sigma @ m without a dense product: row r is phase[r] * row perm[r] of m."""
+    perm, ph_re, ph_im = mono
+    re = ph_re[:, None] * m.re[perm] - ph_im[:, None] * m.im[perm]
+    im = ph_re[:, None] * m.im[perm] + ph_im[:, None] * m.re[perm]
+    return ExactMatrix(re, im, m.den)
+
+
+def apply_monomial_right(m, mono):
+    """m @ sigma without a dense product: column perm[r] is phase[r] * column r of m."""
+    perm, ph_re, ph_im = mono
+    re = np.empty_like(m.re)
+    im = np.empty_like(m.im)
+    re[:, perm] = m.re * ph_re - m.im * ph_im
+    im[:, perm] = m.re * ph_im + m.im * ph_re
+    return ExactMatrix(re, im, m.den)
+
+
 def test_monomial_products_match_dense_products():
     rng = np.random.default_rng(4)
     m = ExactMatrix(rng.integers(-9, 10, (8, 8)), rng.integers(-9, 10, (8, 8)), 1)
     for w in product(range(4), repeat=3):
-        mono = _sigma_monomial(w)
-        assert _apply_monomial_left(mono, m) == sigma(w) @ m
-        assert _apply_monomial_right(m, mono) == m @ sigma(w)
+        mono = sigma_monomial(w)
+        assert apply_monomial_left(mono, m) == sigma(w) @ m
+        assert apply_monomial_right(m, mono) == m @ sigma(w)
 
 
 def diagonal(nums, den):
@@ -334,7 +421,7 @@ class TestProjectorCertificate:
     def test_doubled_projector_rejected(self):
         p = stabilizer_projector(StabilizerSpec.plus(B422))
         with pytest.raises(ValueError, match="sum"):
-            check_error(p + p, (0, 0, 0, 0))
+            check_error(add(p, p), (0, 0, 0, 0))
 
     def test_hermitian_non_projector_with_integer_trace_rejected(self):
         # eigenvalues 1/2, 1/2, 1/2, -1/2: tr = sum |P_ij|^2 = 1, yet P B != B
@@ -365,6 +452,26 @@ class TestProjectorCertificate:
         p = ExactMatrix(4 * np.eye(4, dtype=np.int64) - 1, np.zeros((4, 4), dtype=np.int64), 2)
         assert p @ p == p and p.conj_transpose() == p
         with pytest.raises(ValueError, match="not tr\\(P\\) = 3"):
+            check_error(p, (0, 0))
+
+    def test_overlapping_columns_rejected(self):
+        # the orthogonal projector onto span(a, b), a = (1, 0, 1+i, 1) / 4 and
+        # b = (0, 1, 1, -1+i) / 4: J = {0, 1} and |J| = tr(P) = 2, but both
+        # columns are nonzero in row 2
+        a, b = np.array([1, 0, 1 + 1j, 1]), np.array([0, 1, 1, -1 + 1j])
+        m = np.outer(a, a.conj()) + np.outer(b, b.conj())
+        p = ExactMatrix(m.real.astype(np.int64), m.imag.astype(np.int64), 2)
+        assert p @ p == p and p.conj_transpose() == p and p.trace() == (2, 0)
+        with pytest.raises(ValueError, match="row 2 of B .* has 2 nonzero entries"):
+            check_error(p, (0, 0))
+
+    def test_no_column_fits_the_rule_rejected(self):
+        # Hermitian with tr = sum |P_ij|^2 = 1, yet every nonzero column has
+        # a nonzero entry above its diagonal: J is empty
+        a = 1 + 1j
+        m = np.array([[0, a, a, 0], [a.conjugate(), 2, 0, 0], [a.conjugate(), 0, 2, 0], [0, 0, 0, 0]])
+        p = ExactMatrix(m.real.astype(np.int64), m.imag.astype(np.int64), 2)
+        with pytest.raises(ValueError, match="0 columns .* not tr\\(P\\) = 1"):
             check_error(p, (0, 0))
 
     def test_certificate_cached_on_the_matrix(self):
@@ -414,9 +521,59 @@ class TestRangeColumns:
         assert count == 32 + 16
 
     def test_identity_on_eight_qubits(self):
-        p = ExactMatrix.identity(256)
+        p = identity(256)
         assert range_basis(p).rank == 256
         assert check_error(p, (0,) * 8) == (True, Fraction(1), Fraction(0))
         for w in weight_words(8, 1):
             ok, _, _ = check_error(p, w)
             assert not ok, w
+
+
+def sequential_check(p, dmax):
+    """(checked, passed, violations) of a word-by-word loop over
+    ``check_error``: the reference for the batched ``detectability_check``."""
+    n = p.dim.bit_length() - 1
+    checked, violations = 0, []
+    for w in range(1, dmax):
+        for word in weight_words(n, w):
+            ok, _, _ = check_error(p, word)
+            checked += 1
+            if not ok:
+                violations.append(word)
+                if len(violations) >= MAX_VIOLATIONS:
+                    return checked, False, tuple(violations)
+    return checked, not violations, tuple(violations)
+
+
+BATCH_CASES = [
+    (StabilizerSpec.plus(B422), 4, 3),
+    (StabilizerSpec(STAB_8, SIGNS_8[1]), 8, 3),
+    (StabilizerSpec(STAB_8, SIGNS_8[0]), 8, 4),
+]
+
+
+class TestBatchedDetectability:
+    @pytest.mark.parametrize("per_block", [None, 1, 3, 5])
+    @pytest.mark.parametrize("spec, n, dmax", BATCH_CASES)
+    def test_matches_the_word_by_word_loop(self, spec, n, dmax, per_block, monkeypatch):
+        # with 3 and 5 words per block, the MAX_VIOLATIONS-th violation
+        # (weight-2 word 10 of B422, weight-3 word 97 of STAB_8) is the
+        # first, the last or the second word of its block
+        p = stabilizer_projector(spec, max_n=n)
+        expected = sequential_check(p, dmax)
+        if per_block is not None:
+            monkeypatch.setattr(pauli, "_SPAN_BLOCK", per_block << n)
+        rep = detectability_check(p, dmax)
+        assert (rep.checked, rep.passed, rep.violations) == expected
+        if dmax == 3 and n == 8:
+            assert rep.passed and rep.checked == 276
+        else:
+            assert len(rep.violations) == MAX_VIOLATIONS
+
+    def test_block_values_match_check_error(self, projs_8):
+        words = [w for w in WORDS_8 if sum(1 for s in w if s) <= 2]
+        for p in projs_8:
+            ok, tr_re, tr_im = pauli._decide(p, range_basis(p), np.array(words))
+            tr_p = int(p.trace()[0]) << p.den
+            for k, w in enumerate(words):
+                assert check_error(p, w) == (ok[k], Fraction(int(tr_re[k]), tr_p), Fraction(int(tr_im[k]), tr_p))
