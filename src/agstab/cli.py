@@ -37,7 +37,6 @@ from .symplectic import (
     designed_quantum_bound,
     quantum_params,
     steane_compose,
-    symplectic_dual,
     unpack_gf4,
 )
 
@@ -169,7 +168,7 @@ def _cmd_pauli_check(args: argparse.Namespace) -> int:
     if fcode.is_isotropic:
         stab_space = fcode.space
     elif fcode.is_large:
-        stab_space = symplectic_dual(fcode).space
+        stab_space = fcode.dual_space
     else:
         print("FAIL: code is neither isotropic nor dual-containing", file=sys.stderr)
         return 1
@@ -198,9 +197,7 @@ def _cmd_pauli_check(args: argparse.Namespace) -> int:
 
     dmax = args.dmax
     if dmax is None:
-        report = quantum_params(fcode, budget=args.budget) if fcode.is_large or fcode.is_isotropic else None
-        if report is not None and report.d_q is not None:
-            dmax = report.d_q
+        dmax = quantum_params(fcode, budget=args.budget).d_q
     det = None
     if certified and dmax is not None and dmax >= 1:
         det = detectability_check(proj, dmax)

@@ -131,9 +131,6 @@ class Field:
         """The unique square root x^(2^(k-1)); total in characteristic 2."""
         return self.pow(x, 1 << (self.k - 1))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.k == self.k
 
@@ -179,18 +176,6 @@ class SelfDualBasis:
                     raise ValueError(
                         f"trace-Gram is not the identity at ({i},{j})"
                     )
-
-    def coordinates(self, x: int) -> tuple[int, ...]:
-        """GF(2) coordinates of x; entry i is Tr(x * alpha_i)."""
-        f = self.field
-        return tuple(f.trace(f.mul(x, a)) for a in self.elements)
-
-    def combine(self, bits: tuple[int, ...]) -> int:
-        x = 0
-        for b, a in zip(bits, self.elements):
-            if b:
-                x ^= a
-        return x
 
 
 def self_dual_basis(field: Field) -> SelfDualBasis:

@@ -374,17 +374,9 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def ones(cls, field: Field, n: int) -> "WeightVector":
-        return cls(field, (1,) * n)
-
     def sqrt(self) -> "WeightVector":
         f = self.field
         return WeightVector(f, tuple(f.sqrt(e) for e in self.entries))
-
-    def inverse(self) -> "WeightVector":
-        f = self.field
-        return WeightVector(f, tuple(f.inv(e) for e in self.entries))
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,14 @@ Dense matrices are capped at 2^8; this is a verifier for small
 instances, not a simulator.
 
 A Pauli operator sigma(w) is a monomial matrix: row x has its one
-nonzero entry, a power of i, at column perm[x], which is x with the bits
-of the X part of w flipped.  A product of monomials is a monomial, found
-by one gather per row, never by a dense product.
+nonzero entry, a power of i, at column perm[x].  Both are read off the
+symplectic (X|Z) bits of w, the (a|b) identification of ``symplectic``
+with X the b-bit and Z the a-bit: 0 -> identity, eps -> X, eps-bar ->
+Z, 1 -> Y = [[0,-i],[i,0]] (Calderbank, Rains, Shor and Sloane,
+"Quantum error correction via codes over GF(4)", IEEE Trans. IT 1998).
+perm[x] is x with the X bits flipped, and the power of i is 3 per Y
+plus 2 per Z bit that x has set.  A product of monomials is a monomial,
+found by one gather per row, never by a dense product.
 
 **The projector is a group sum.**  For independent, commuting
 generators f_1 .. f_s with signs mu_i,
@@ -53,8 +58,9 @@ columns of J lie in distinct cosets, so no row meets two of them.
 Other orthogonal projectors, such as I - |v><v| for a dense v, can give
 |J| < r or overlapping columns, and are rejected.
 
-**The detectability kernel.**  With owner(x) the column of B that holds
-row x's one nonzero entry v_x, the entries of B^dagger (E B) are
+**The detectability kernel.**  B is stored once, by its rows: owner(x)
+is the column of B that holds row x's one nonzero entry v_x, kept with
+v_x and the diagonal g of B^dagger B.  The entries of B^dagger (E B) are
 
     M[i, j] = sum of conj(v_x) * i^power[x] * v_(perm x)
               over the rows x with owner(x) = i and owner(perm x) = j,
@@ -62,15 +68,11 @@ row x's one nonzero entry v_x, the entries of B^dagger (E B) are
 one term per row: O(2^n) terms per word, grouped by (i, j) with one
 sort per block of words.  Because B^dagger B = diag(g) is positive,
 M = lambda diag(g) iff M is diagonal and M[i, i] tr(g) = g_i tr(M) for
-every i.  ``_decide`` does this for a block of words at once: it builds
-one 2^n x n table of row bits per block and accumulates exactly in
-int64.  Its temporaries have one cell per word and row, so a block of
-at most _SPAN_BLOCK / 2^n words keeps each within ``_SPAN_BLOCK``
-cells.
-
-Qubit symbols follow the GF(4) convention of the rest of the package:
-0 -> identity, eps -> X, eps-bar -> Z, 1 -> the third Pauli matrix
-[[0,-i],[i,0]].
+every i.  ``_decide`` does this for a block of words at once, with one
+XOR and popcount per word and row for the monomials, and accumulates
+exactly in int64.  Its temporaries have one cell per word and row, so
+a block of at most _SPAN_BLOCK / 2^n words keeps each within
+``_SPAN_BLOCK`` cells.
 """
 
 from __future__ import annotations
@@ -83,19 +85,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fields import EPS, EPS_BAR
-from .linear import _SPAN_BLOCK, binary_code
-from .symplectic import pack_gf4, symplectic_form
+from .linear import _SPAN_BLOCK
+from .symplectic import _BITS_FROM_SYMBOL, make_symplectic, pack_gf4
 
 HARD_MAX_N = 8  # 2^8 = 256 keeps every intermediate product inside int64
 MAX_VIOLATIONS = 4  # undetectable errors listed before a check stops
-
-_PAULI = {
-    0: ((np.array([[1, 0], [0, 1]]), np.zeros((2, 2), dtype=np.int64))),
-    EPS: ((np.array([[0, 1], [1, 0]]), np.zeros((2, 2), dtype=np.int64))),
-    EPS_BAR: ((np.array([[1, 0], [0, -1]]), np.zeros((2, 2), dtype=np.int64))),
-    1: ((np.zeros((2, 2), dtype=np.int64), np.array([[0, -1], [1, 0]]))),
-}
-
 
 class ExactMatrix:
     """(re + i*im) / 2^den with int64 numerators; normalized on creation.
@@ -168,38 +162,27 @@ _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0 .. i^3 as (re, im)
 _I_POWER_RE, _I_POWER_IM = np.array(_I_POWERS, dtype=np.int64).T
 
 
-def _monomial_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per symbol s and row bit b: the column of the one nonzero entry of
-    the 2 x 2 Pauli matrix, and that entry as a power of i."""
-    col = np.zeros((4, 2), dtype=np.int64)
-    power = np.zeros((4, 2), dtype=np.int64)
-    for s, (re, im) in _PAULI.items():
-        for b in (0, 1):
-            c = int(np.argmax(np.abs(re[b]) + np.abs(im[b])))
-            col[s, b] = c
-            power[s, b] = _I_POWERS.index((int(re[b, c]), int(im[b, c])))
-    return col, power
-
-
-_COL, _I_POWER = _monomial_tables()
+# X is the b-bit of a symbol's (a|b) pair, set for X and Y; Z is the a-bit
+_Z_BIT, _X_BIT = np.array([_BITS_FROM_SYMBOL[s] for s in range(4)], dtype=np.int64).T
 
 
 def _monomials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(perm, power), each (len(words), 2^n): row x of sigma(words[w]) has
     its only entry, i^power[w, x], at column perm[w, x].
 
-    Qubit 0 is the most significant bit of a row index.  Per qubit, the
-    column bit and the power are affine in the row bit b, t(s, 0) +
-    b (t(s, 1) - t(s, 0)), so both sums over the qubits are one integer
-    product with the 2^n x n table of row bits.
+    Qubit 0 is the most significant bit of a row index.  With the word's
+    X and Z parts packed into masks, perm = x XOR X-mask and power =
+    3 #Y + 2 popcount(x AND Z-mask) mod 4: on one qubit, Z has (-1)^b
+    and Y = [[0, -i], [i, 0]] has i^(3 + 2b) at row bit b, X has 1.
     """
     n = words.shape[1]
-    shifts = np.arange(n - 1, -1, -1)
-    bits_t = (np.arange(1 << n) >> shifts[:, None]) & 1
-    col = _COL[words] << shifts[:, None]
-    power = _I_POWER[words]
-    perm = col[..., 0].sum(axis=1)[:, None] + (col[..., 1] - col[..., 0]) @ bits_t
-    power = (power[..., 0].sum(axis=1)[:, None] + (power[..., 1] - power[..., 0]) @ bits_t) & 3
+    place = 1 << np.arange(n - 1, -1, -1)
+    x_mask = _X_BIT[words] @ place
+    z_mask = _Z_BIT[words] @ place
+    rows = np.arange(1 << n)
+    perm = rows ^ x_mask[:, None]
+    n_y = np.bitwise_count(x_mask & z_mask).astype(np.int64)
+    power = (3 * n_y[:, None] + 2 * np.bitwise_count(rows & z_mask[:, None])) & 3
     return perm, power
 
 
@@ -221,14 +204,12 @@ class StabilizerSpec:
         n = len(self.basis[0])
         if any(len(f) != n for f in self.basis):
             raise ValueError("basis vectors have unequal lengths")
-        if any(s not in _PAULI for f in self.basis for s in f):
+        if any(s not in _BITS_FROM_SYMBOL for f in self.basis for s in f):
             raise ValueError("basis symbols must be GF(4) elements 0..3")
-        packed = [pack_gf4(f) for f in self.basis]
-        for i, x in enumerate(packed):
-            for y in packed[i + 1 :]:
-                if symplectic_form(x, y, n):
-                    raise ValueError("basis is not isotropic: operators would not commute")
-        if binary_code(2 * n, packed).k_dim != len(self.basis):
+        code = make_symplectic(n, [pack_gf4(f) for f in self.basis])
+        if not code.is_isotropic:
+            raise ValueError("basis is not isotropic: operators would not commute")
+        if code.k_dim != len(self.basis):
             raise ValueError("basis vectors are not independent")
 
     @property
@@ -285,21 +266,21 @@ def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int 
 
 @dataclass(frozen=True)
 class _RangeBasis:
-    """Certified B = P[:, J] spanning range(P), with B^dagger B, and each
-    row's one nonzero entry of B.
+    """Certified B = P[:, J] spanning range(P), stored once by its rows.
 
-    ``owner[x]`` is the column of B holding row x's nonzero entry, -1
-    for a zero row; ``value_re``/``value_im`` are that entry's
-    numerators over the denominator of P, 0 for a zero row.
+    Each row of B has at most one nonzero entry: ``owner[x]`` is the
+    column of B that holds it, -1 for a zero row, and ``value_re``/
+    ``value_im`` are its numerators over the denominator of P, 0 for a
+    zero row.  ``gram`` holds the numerators of the diagonal of
+    B^dagger B = P[J, J], which is diagonal and positive.
     """
 
     n: int
     rank: int
-    b: ExactMatrix
-    gram: ExactMatrix
     owner: np.ndarray
     value_re: np.ndarray
     value_im: np.ndarray
+    gram: np.ndarray
 
 
 def range_basis(p: ExactMatrix) -> _RangeBasis:
@@ -372,13 +353,8 @@ def _certify_projector(p: ExactMatrix) -> _RangeBasis:
     # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger
     # and P B = B: diagonal and positive, so nonsingular
     return _RangeBasis(
-        n=n,
-        rank=rank,
-        b=ExactMatrix(re[:, cols], im[:, cols], den),
-        gram=ExactMatrix(re[np.ix_(cols, cols)], im[np.ix_(cols, cols)], den),
-        owner=owner,
-        value_re=value_re,
-        value_im=value_im,
+        n=n, rank=rank, owner=owner, value_re=value_re, value_im=value_im,
+        gram=re[cols, cols],
     )
 
 
@@ -427,7 +403,7 @@ def _decide(p: ExactMatrix, basis: _RangeBasis, words: np.ndarray) -> tuple[np.n
     diag_im = np.zeros((count, r), dtype=np.int64)
     diag_re[word[on], i[on]] = m_re[on]
     diag_im[word[on], i[on]] = m_im[on]
-    g = basis.gram.re.diagonal()
+    g = basis.gram
     tr_g = int(g.sum())
     ok &= (diag_re * tr_g == g * diag_re.sum(axis=1, keepdims=True)).all(axis=1)
     ok &= (diag_im * tr_g == g * diag_im.sum(axis=1, keepdims=True)).all(axis=1)
@@ -450,7 +426,7 @@ def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fr
     basis = range_basis(p)
     if len(word) != basis.n:
         raise ValueError(f"word of length {len(word)} on {basis.n} qubits")
-    if any(s not in _PAULI for s in word):
+    if any(s not in _BITS_FROM_SYMBOL for s in word):
         raise ValueError(f"not a GF(4) word: {tuple(word)}")
     ok, tr_re, tr_im = _decide(p, basis, np.array([word], dtype=np.int64))
     tr_p = basis.rank << p.den

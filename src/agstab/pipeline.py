@@ -9,7 +9,7 @@ the stage that raised them.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .curves import DualChainTriple, build_dual_chain, enumerate_curve, HERMITIAN, LINE
@@ -127,12 +127,7 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
         )
 
     with _stage("params"):
-        report = quantum_params(
-            fcode,
-            budget=cfg.distance_budget,
-            fallback_bound=designed,
-            trace_prefix=tuple(trace),
-        )
+        report = quantum_params(fcode, budget=cfg.distance_budget)
         # Rate bookkeeping, exactly in rationals.
         n_sym = triple.n
         k = triple.c.k_dim
@@ -148,13 +143,6 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
             f"rates: R_Q = {r_q} = R + R' - 1 exactly; designed bound "
             f"d_Q >= min({triple.designed_d}, ceil(3*{triple.designed_d_prime}/2)) = {designed}"
         )
-        report = QuantumCodeReport(
-            n=report.n,
-            k_q=report.k_q,
-            d_q=report.d_q,
-            d_exact=report.d_exact,
-            d_witness=report.d_witness,
-            trace=report.trace + (extra,),
-        )
+        report = replace(report, trace=tuple(trace) + report.trace + (extra,))
 
     return PipelineRun(config=cfg, triple=triple, pair=pair, fcode=fcode, report=report)

@@ -196,7 +196,7 @@ def steane_compose(
     try:
         d_val = d.min_distance_exact(budget)
         d2_val = d_prime.second_or_weight(budget)
-        bound = min(d_val, d2_val)
+        bound = quantum_bound(d_val, d2_val)
     except BudgetExceeded:
         pass
 
@@ -278,22 +278,17 @@ def _min_weight_difference(
     return best, witness
 
 
-def quantum_params(
-    code: SymplecticCode,
-    budget: int = DEFAULT_BUDGET,
-    fallback_bound: int | None = None,
-    trace_prefix: tuple[str, ...] = (),
-) -> QuantumCodeReport:
+def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> QuantumCodeReport:
     """Quantum dimension and distance of the stabilizer code attached to F.
 
     For a large code the stabilizer side is the form-dual, so
     k_Q = k_F - n and the distance enumerates F minus F-dual; for a
     small (isotropic) code the roles swap symmetrically.  When the
-    enumeration exceeds ``budget`` the recorded bound (or
-    ``fallback_bound``) is reported with d_exact = False.
+    enumeration exceeds ``budget`` the recorded ``code.distance_bound``
+    is reported with d_exact = False.
     """
     n = code.n
-    trace = list(trace_prefix)
+    trace = []
     if code.is_large:
         k_q = code.k_dim - n
         big_bits = code.k_dim
@@ -330,11 +325,11 @@ def quantum_params(
             d_witness=unpack_gf4(wit, n), trace=tuple(trace),
         )
 
-    bound = fallback_bound if fallback_bound is not None else code.distance_bound
     trace.append(
         f"enumeration of 2^{big_bits} states exceeds budget {budget}; "
-        f"reporting recorded bound {bound}"
+        f"reporting recorded bound {code.distance_bound}"
     )
     return QuantumCodeReport(
-        n=n, k_q=k_q, d_q=bound, d_exact=False, d_witness=None, trace=tuple(trace)
+        n=n, k_q=k_q, d_q=code.distance_bound, d_exact=False, d_witness=None,
+        trace=tuple(trace),
     )

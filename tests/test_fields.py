@@ -75,7 +75,7 @@ def test_degree_out_of_range(k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_tables_match_oracle(k):
     f = get_field(k)
-    elems = list(f.elements())
+    elems = list(range(f.order))
     sample = elems if k <= 5 else elems[::5] + [f.order - 1]
     for a in sample:
         for b in sample:
@@ -96,7 +96,7 @@ def test_trace_is_linear_and_frobenius_invariant(k, data):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sqrt_squares_back(k):
     f = get_field(k)
-    for x in f.elements():
+    for x in range(f.order):
         r = f.sqrt(x)
         assert f.mul(r, r) == x
 
@@ -137,6 +137,21 @@ def test_conj4():
         conj4(4)
 
 
+def coordinates(basis, x):
+    """GF(2) coordinates of x in a self-dual basis; entry i is Tr(x * alpha_i)."""
+    f = basis.field
+    return tuple(f.trace(f.mul(x, a)) for a in basis.elements)
+
+
+def combine(basis, bits):
+    """The element with the given GF(2) coordinates in the basis."""
+    x = 0
+    for b, a in zip(bits, basis.elements):
+        if b:
+            x ^= a
+    return x
+
+
 class TestSelfDualBasis:
     def test_gf2(self):
         assert self_dual_basis(get_field(1)).elements == (1,)
@@ -156,8 +171,8 @@ class TestSelfDualBasis:
     def test_coordinate_round_trip(self, k):
         f = get_field(k)
         basis = self_dual_basis(f)
-        for x in f.elements():
-            assert basis.combine(basis.coordinates(x)) == x
+        for x in range(f.order):
+            assert combine(basis, coordinates(basis, x)) == x
 
     def test_deterministic(self):
         assert self_dual_basis(get_field(6)).elements == self_dual_basis(get_field(6)).elements

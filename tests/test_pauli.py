@@ -113,13 +113,23 @@ def kron(a, b):
     return ExactMatrix(re, im, a.den + b.den)
 
 
+ZERO_2 = np.zeros((2, 2), dtype=np.int64)
+# the 2 x 2 Pauli matrices as (re, im) numerators, by GF(4) symbol
+PAULI_MATRICES = {
+    0: (np.array([[1, 0], [0, 1]]), ZERO_2),
+    EPS: (np.array([[0, 1], [1, 0]]), ZERO_2),
+    EPS_BAR: (np.array([[1, 0], [0, -1]]), ZERO_2),
+    1: (ZERO_2, np.array([[0, -1], [1, 0]])),
+}
+
+
 def sigma(word, max_n=6):
     """Tensor product of per-coordinate Pauli matrices for a GF(4)^n word:
     the dense reference for the monomial products of ``agstab.pauli``."""
     pauli._check_n(len(word), max_n)
     out = ExactMatrix(np.array([[1]]), np.array([[0]]))
     for s in word:
-        out = kron(out, ExactMatrix(*pauli._PAULI[s]))
+        out = kron(out, ExactMatrix(*PAULI_MATRICES[s]))
     return out
 
 
@@ -194,6 +204,11 @@ class TestProjector:
         fsum = tuple(gf4_add(a, b) for a, b in zip(f1, f2))
         with pytest.raises(ValueError):
             StabilizerSpec.plus([f1, f2, fsum])
+
+    def test_dependent_non_commuting_reports_isotropy_first(self):
+        # X, Z and Y = X Z on one qubit: Y is the sum of the other two
+        with pytest.raises(ValueError, match="not isotropic"):
+            StabilizerSpec.plus([(EPS, 0), (EPS_BAR, 0), (1, 0)])
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="unequal lengths"):
@@ -504,6 +519,18 @@ def sign_pattern_projectors():
             yield stabilizer_projector(StabilizerSpec(tuple(basis), mu), max_n=n)
 
 
+def stored_columns(basis, den):
+    """B rebuilt from its stored rows over P's denominator 2^den: row x
+    holds its value at column owner[x], or nothing when owner[x] = -1."""
+    re = np.zeros((1 << basis.n, basis.rank), dtype=np.int64)
+    im = np.zeros_like(re)
+    x = np.flatnonzero(basis.owner >= 0)
+    re[x, basis.owner[x]] = basis.value_re[x]
+    im[x, basis.owner[x]] = basis.value_im[x]
+    assert not basis.value_re[basis.owner < 0].any() and not basis.value_im[basis.owner < 0].any()
+    return ExactMatrix(re, im, den)
+
+
 class TestRangeColumns:
     def test_every_sign_pattern_gives_orthogonal_columns(self):
         count = 0
@@ -511,12 +538,12 @@ class TestRangeColumns:
             cols = rule_columns(p)
             basis = range_basis(p)
             assert len(cols) == basis.rank == int(p.trace()[0])
-            assert basis.b == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
+            assert stored_columns(basis, p.den) == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
             gram_re, gram_im = p.re[np.ix_(cols, cols)], p.im[np.ix_(cols, cols)]
             assert not gram_im.any()
             assert np.array_equal(gram_re, np.diag(gram_re.diagonal()))
             assert (gram_re.diagonal() > 0).all()
-            assert basis.gram == ExactMatrix(gram_re, gram_im, p.den)
+            assert np.array_equal(basis.gram, gram_re.diagonal())
             count += 1
         assert count == 32 + 16
 

@@ -178,7 +178,7 @@ class TestQuantumParams:
 
     def test_budget_fallback_reports_bound(self):
         f = steane_compose(EXT_HAMMING, EVEN)
-        rep = quantum_params(f, budget=16, fallback_bound=3)
+        rep = quantum_params(f, budget=16)
         assert rep.d_q == 3 and not rep.d_exact
 
     def test_neither_flag_rejected(self):
