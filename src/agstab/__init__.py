@@ -61,7 +61,7 @@ from .linear import (
 )
 from .pauli import (
     DetectabilityReport,
-    ExactMatrix,
+    RangeBasis,
     StabilizerSpec,
     all_mu_traces,
     check_error,

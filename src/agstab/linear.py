@@ -9,10 +9,12 @@ matrix, pivots leftmost first, as a read-only numpy *kernel matrix*:
   scaled row from the field's multiplication table and XORs it in.
 
 The form is unique, so codes compare and hash by field, n, pivots and
-matrix.  Only ``code_from_matrix`` builds one.  ``bit_rows`` (ints, bit
-j = coordinate j) and ``generators`` (symbol tuples) are derived views
-for artifacts and the symplectic layer's (a|b) surgery on Python ints;
-``to_matrix``/``to_rows`` are that GF(2) int boundary.
+matrix.  Only ``code_from_matrix`` builds one, and
+``binary_code_from_rref`` from packed rows that it certifies to be in
+that form already.  ``bit_rows`` (ints, bit j = coordinate j) and
+``generators`` (symbol tuples) are derived views for artifacts and the
+symplectic layer's (a|b) surgery on Python ints; ``to_matrix``/``to_rows``
+are that GF(2) int boundary.
 
 ``rref`` is the one elimination kernel for both, and ``reduce`` and
 ``nullspace`` work on its output.  ``rref`` and ``reduce`` update rows
@@ -42,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CertificationError
 from .fields import Field, get_field
 
 DEFAULT_BUDGET = 1 << 26
@@ -517,6 +519,32 @@ def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
         rr = rr.copy()  # let the dependent rows go
     rr.flags.writeable = False
     return LinearCode(field, n, rr, tuple(pv))
+
+
+def binary_code_from_rref(n: int, mat: np.ndarray, pivots: Sequence[int]) -> LinearCode:
+    """The binary code of packed rows that are already in RREF with these
+    pivots, certified with no elimination, in O(rows x words).
+
+    Row i must have its lowest set bit at pivots[i], the pivots must
+    increase, and no other row may have a bit at pivots[i].  Raises
+    CertificationError otherwise; ``mat`` becomes the read-only kernel.
+    """
+    pv = np.asarray(pivots, dtype=np.int64)
+    m, width = mat.shape
+    if len(pv) != m or (np.diff(pv) <= 0).any() or (m and not 0 <= pv[0] <= pv[-1] < n):
+        raise CertificationError(f"{len(pv)} pivots do not increase within n={n} for {m} rows")
+    rows, word = np.arange(m), pv >> 6
+    unit = np.zeros_like(mat)
+    unit[rows, word] = _ONE << (pv & 63).astype(np.uint64)
+    below = np.arange(width) < word[:, None]
+    if (
+        ((mat & np.bitwise_or.reduce(unit, axis=0)) != unit).any()
+        or mat[below].any()
+        or (mat[rows, word] & (unit[rows, word] - _ONE)).any()
+    ):
+        raise CertificationError("rows are not in reduced row echelon form with the given pivots")
+    mat.flags.writeable = False
+    return LinearCode(GF2, n, mat, tuple(pv.tolist()))
 
 
 def make_code(field: Field, n: int, rows: Iterable[Sequence[int]]) -> LinearCode:

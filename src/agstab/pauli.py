@@ -1,78 +1,91 @@
-"""Operator-level verification of stabilizer projectors at tiny qubit counts.
+"""Operator-level verification of stabilizer codes on a range basis built from the group.
 
-Everything is exact: matrices carry Gaussian-integer entries (separate
-int64 real and imaginary parts) with a power-of-two denominator, so
-projector identities, traces, and detectability are integer equalities.
-Dense matrices are capped at 2^8; this is a verifier for small
-instances, not a simulator.
+Nothing here forms a dense projector.  Everything is exact: an entry is
+a power of i over a common power-of-two scale, and every decision is
+integer arithmetic on exponents mod 4 and on counts.
 
-A Pauli operator sigma(w) is a monomial matrix: row x has its one
-nonzero entry, a power of i, at column perm[x].  Both are read off the
-symplectic (X|Z) bits of w, the (a|b) identification of ``symplectic``
-with X the b-bit and Z the a-bit: 0 -> identity, eps -> X, eps-bar ->
-Z, 1 -> Y = [[0,-i],[i,0]] (Calderbank, Rains, Shor and Sloane,
-"Quantum error correction via codes over GF(4)", IEEE Trans. IT 1998).
-perm[x] is x with the X bits flipped, and the power of i is 3 per Y
-plus 2 per Z bit that x has set.  A product of monomials is a monomial,
-found by one gather per row, never by a dense product.
+**Pauli monomials.**  sigma(w) has one nonzero entry per row: row x has
+i^power[x] at column perm[x].  Both are read off the symplectic (X|Z)
+bits of w, the (a|b) identification of ``symplectic`` with X the b-bit
+and Z the a-bit: 0 -> identity, eps -> X, eps-bar -> Z, 1 -> Y =
+[[0,-i],[i,0]] (Calderbank, Rains, Shor and Sloane, "Quantum error
+correction via codes over GF(4)", IEEE Trans. IT 1998).  Qubit 0 is the
+most significant bit of a row index.  perm[x] is x with the X bits
+flipped, and power[x] is 3 per Y plus 2 per Z bit that x has set; so
+sigma(w) = i^#Y X^x Z^z for the X and Z masks x, z of w.
 
-**The projector is a group sum.**  For independent, commuting
+**The basis, straight from the group.**  For independent, commuting
 generators f_1 .. f_s with signs mu_i,
 
-    P = prod_i (I + mu_i sigma(f_i)) / 2 = 2^-s sum_{g in S} mu_g sigma(g),
+    P = prod_i (I + mu_i sigma(f_i)) / 2 = 2^-s sum_{g in S} g,
 
-a sum over the 2^s elements of the stabilizer group S (Gottesman's
-stabilizer formalism, PhD thesis, Caltech 1997).  ``stabilizer_projector``
-grows the 2^s monomials from the identity, each generator doubling the
-list, and adds them into the numerators: O(2^s * 2^n) entries, never
-more than 4^n, in integers only.
+a sum over the 2^s signed elements of the stabilizer group S
+(Gottesman's stabilizer formalism, PhD thesis, Caltech 1997).  Let V
+be the span of the X parts, r = rank(X) its dimension, and S_Z the
+elements with no X part.  Column x of P lives on the coset x + V, and
+P[x, x] is 2^-r when e_x is a +1 eigenvector of every element of S_Z,
+else 0.  For such an x and any h in S with X part v, the 2^(s-r)
+elements of S with X part v are h times S_Z, each with the same entry
+at (x + v, x), so
 
-**Detectability on a range basis.**  P E P = lambda P is decided on a
-basis of range(P): with B = P[:, J] for r = tr(P) columns J, and P an
-orthogonal projector whose range is span(B),
+    b_x = P e_x has b_x[x + v] = 2^-r h[x + v, x] for every v in V:
 
-    P E P = lambda P   iff   B^dagger (E B) = lambda B^dagger B,
+every nonzero entry is 2^-r times a unit in {1, i, -1, -i}.  Taking x
+the least element of each coset gives one column per coset, with
+disjoint supports.  ``_build`` finds them all in O(s 2^n): a
+Gauss-Jordan elimination of the s generators, as signed Paulis
+i^p X^x Z^z on Python ints, splits them into r with independent X
+parts and s - r in S_Z; reducing every row index by the first kind at
+once yields its coset's least element and the element h that moves it
+there, and the second kind decides which cosets are kept.  The basis
+stores, per row, its column (owner, -1 for a zero row) and its power
+of i; the scale 2^-r is common.  That is 2^k_Q 2^r nonzero entries in
+2^n stored rows.
 
-since P = B (B^dagger B)^-1 B^dagger.
+**The certificate** (``_certify``) is exact, O(s 2^n), and reads only
+the stored rows and the spec's own monomials:
 
-J is read off the nonzero pattern of P: j is in J when P[j, j] != 0 and
-no row above j is nonzero in column j.  For Hermitian P this makes
-P[J, J] diagonal: P[j, k] = 0 for j < k in J, and P[k, j] is its
-conjugate.  The premise is certified once per matrix, exactly: P is
-Hermitian, r = tr(P) = sum |P_ij|^2 is a positive integer, every row of
-B has at most one nonzero entry, P B = B and |J| = r.  With P Hermitian
-and P B = B, B^dagger B = (P P)[J, J] = P[J, J], a diagonal of
-|b_j|^2 > 0, so the r columns of B are orthogonal eigenvectors of
-eigenvalue 1; the trace identity then forces every other eigenvalue to
-0.  A matrix that fails raises ValueError.
+1. sigma(f_i) b = mu_i b for every generator and column: the monomial
+   keeps every row's owner (owner(perm_f x) = owner(x)) and matches the
+   phases;
+2. there are 2^(n-s) columns;
+3. B^dagger B = 2^r I on the stored units: every column owns 2^r rows,
+   and no row has two owners.
 
-**Disjoint supports.**  Every stabilizer projector meets the rule, with
-columns of B that have disjoint supports.  For each element s of the
-stabilizer group, sigma(s) e_x is a phase times e_(x + X(s)) and
-P sigma(s) = +-P.  So column x of P is supported on the coset x + V,
-with V the span of the X parts, and the columns of one coset are unit
-multiples of each other.  A nonzero one then has P[y, y] = |P e_y|^2
-!= 0 at every y of its coset, hence the whole coset as support, and J
-is the first element of each coset whose columns are nonzero.  Distinct
-columns of J lie in distinct cosets, so no row meets two of them.
-Other orthogonal projectors, such as I - |v><v| for a dense v, can give
-|J| < r or overlapping columns, and are rejected.
+Proof that B spans range(P).  P projects onto the common +1
+eigenspace of the mu_i sigma(f_i), so by 1 every column lies in
+range(P).  The columns are nonzero with disjoint supports, hence
+independent.  tr(P) = 2^(n-s), because sigma(w) is traceless for
+w != 0 and, the generators being independent, only the empty product
+of them has the zero word.  With 2, span(B) = range(P).  So
+P = B (B^dagger B)^-1 B^dagger = 2^-r B B^dagger on the stored units,
+P[y, x] = 2^-r i^(power[y] - power[x]) when y and x share an owner,
+else 0.  Each column's support is also exactly one coset of V.  By 1
+it is a union of cosets, so |V| = 2^rank(X) divides 2^r.  And P[y, y]
+is nonzero at every owned row y, since b = P b is nonzero there, while
+only 2^(n-s+rank(X)) rows have P[y, y] != 0 (each such entry is
+2^-rank(X), and they sum to tr(P)); so 2^(n-s) 2^r <= 2^(n-s+rank(X)).
+Hence r = rank(X), and each support is a single coset.
 
-**The detectability kernel.**  B is stored once, by its rows: owner(x)
-is the column of B that holds row x's one nonzero entry v_x, kept with
-v_x and the diagonal g of B^dagger B.  The entries of B^dagger (E B) are
+**Detectability.**  P E P = lambda P iff M = B^dagger (E B) equals
+lambda B^dagger B = lambda 2^r I on the stored units.  E = sigma(w)
+maps the support of column a, a coset of V, onto one coset, owned by
+a single column t(a) or by none, so row a of M has at most one nonzero
+entry,
 
-    M[i, j] = sum of conj(v_x) * i^power[x] * v_(perm x)
-              over the rows x with owner(x) = i and owner(perm x) = j,
+    M[a, t(a)] = sum over the rows y of column a of i^e(y),
+    e(y) = power_E[y] - power[y] + power[perm_E y]  (mod 4),
 
-one term per row: O(2^n) terms per word, grouped by (i, j) with one
-sort per block of words.  Because B^dagger B = diag(g) is positive,
-M = lambda diag(g) iff M is diagonal and M[i, i] tr(g) = g_i tr(M) for
-every i.  ``_decide`` does this for a block of words at once, with one
-XOR and popcount per word and row for the monomials, and accumulates
-exactly in int64.  Its temporaries have one cell per word and row, so
-a block of at most _SPAN_BLOCK / 2^n words keeps each within
-``_SPAN_BLOCK`` cells.
+a count of each exponent.  E is detectable iff t(a) = a wherever that
+sum is nonzero and the diagonal sums are all equal; then
+lambda = tr(M) / (2^r rank), which is tr(E P) / tr(P) in every case.
+``_decide`` does this for a block of words at once.
+
+**Memory.**  A basis stores 2^n rows of an owner and a power of i, and
+its build and certificate hold a few arrays of 2^n cells at a time;
+``HARD_MAX_N`` caps 2^n at 2^16 rows.  The kernel's temporaries have
+one cell per word and stored row, and a block of at most
+_SPAN_BLOCK / 2^n words keeps each within ``_SPAN_BLOCK`` cells.
 """
 
 from __future__ import annotations
@@ -84,111 +97,98 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import CertificationError
 from .fields import EPS, EPS_BAR
 from .linear import _SPAN_BLOCK
-from .symplectic import _BITS_FROM_SYMBOL, make_symplectic, pack_gf4
+from .symplectic import _BITS_FROM_SYMBOL
 
-HARD_MAX_N = 8  # 2^8 = 256 keeps every intermediate product inside int64
+HARD_MAX_N = 16  # at most 2^16 stored rows: an owner, a power of i and a column slot, 1.5 MB
 MAX_VIOLATIONS = 4  # undetectable errors listed before a check stops
-
-class ExactMatrix:
-    """(re + i*im) / 2^den with int64 numerators; normalized on creation.
-
-    Immutable, so ``check_error`` caches the certified range basis of a
-    projector in the private ``_range`` slot.
-    """
-
-    __slots__ = ("re", "im", "den", "_range")
-
-    def __init__(self, re: np.ndarray, im: np.ndarray, den: int = 0):
-        re = np.asarray(re, dtype=np.int64)
-        im = np.asarray(im, dtype=np.int64)
-        # cancel the largest power of two that divides every numerator
-        bits = int(np.bitwise_or.reduce(re, axis=None) | np.bitwise_or.reduce(im, axis=None))
-        shift = min(den, (bits & -bits).bit_length() - 1) if bits else den
-        if shift > 0:
-            re = re >> shift
-            im = im >> shift
-            den -= shift
-        re.setflags(write=False)
-        im.setflags(write=False)
-        self.re = re
-        self.im = im
-        self.den = den
-        self._range = None
-
-    @property
-    def dim(self) -> int:
-        return self.re.shape[0]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
-        return ExactMatrix(re, im, self.den + other.den)
-
-    def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), -self.im.T.copy(), self.den)
-
-    def trace(self) -> tuple[Fraction, Fraction]:
-        den = 1 << self.den
-        return (
-            Fraction(int(np.trace(self.re)), den),
-            Fraction(int(np.trace(self.im)), den),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and np.array_equal(self.re, other.re)
-            and np.array_equal(self.im, other.im)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
-        return hash((self.den, self.re.tobytes(), self.im.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix(dim={self.dim}, den=2^{self.den})"
 
 
 def _check_n(n: int, max_n: int) -> None:
     cap = min(max_n, HARD_MAX_N)
     if n > cap:
-        raise ValueError(f"n={n} exceeds the dense-matrix cap {cap}")
+        raise ValueError(f"n={n} exceeds the cap {cap} on qubits (2^n stored rows)")
 
 
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0 .. i^3 as (re, im)
-_I_POWER_RE, _I_POWER_IM = np.array(_I_POWERS, dtype=np.int64).T
+_I_POWER_RE, _I_POWER_IM = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.int64).T
 
 
 # X is the b-bit of a symbol's (a|b) pair, set for X and Y; Z is the a-bit
 _Z_BIT, _X_BIT = np.array([_BITS_FROM_SYMBOL[s] for s in range(4)], dtype=np.int64).T
 
 
-def _monomials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, power), each (len(words), 2^n): row x of sigma(words[w]) has
-    its only entry, i^power[w, x], at column perm[w, x].
+def _monomials(words: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, power), each (len(words), len(rows)): row x of sigma(words[w])
+    has its only entry, i^power[w, x], at column perm[w, x].
 
-    Qubit 0 is the most significant bit of a row index.  With the word's
-    X and Z parts packed into masks, perm = x XOR X-mask and power =
-    3 #Y + 2 popcount(x AND Z-mask) mod 4: on one qubit, Z has (-1)^b
-    and Y = [[0, -i], [i, 0]] has i^(3 + 2b) at row bit b, X has 1.
+    ``rows`` defaults to all 2^n.  With the word's X and Z parts packed
+    into masks, perm = x XOR X-mask and power = 3 #Y + 2 popcount(x AND
+    Z-mask) mod 4: on one qubit, Z has (-1)^b and Y = [[0, -i], [i, 0]]
+    has i^(3 + 2b) at row bit b, X has 1.
     """
     n = words.shape[1]
+    if rows is None:
+        rows = np.arange(1 << n)
     place = 1 << np.arange(n - 1, -1, -1)
     x_mask = _X_BIT[words] @ place
     z_mask = _Z_BIT[words] @ place
-    rows = np.arange(1 << n)
     perm = rows ^ x_mask[:, None]
     n_y = np.bitwise_count(x_mask & z_mask).astype(np.int64)
     power = (3 * n_y[:, None] + 2 * np.bitwise_count(rows & z_mask[:, None])) & 3
     return perm, power
 
 
+# A signed Pauli i^p X^x Z^z is the triple (x, z, p) of Python ints.
+
+def _signed(basis: Sequence[Sequence[int]], mu: Sequence[int]) -> list[tuple[int, int, int]]:
+    """mu_i sigma(f_i) as (x, z, p): sigma(w) = i^#Y X^x Z^z, and -1 = i^2."""
+    out = []
+    for f, m in zip(basis, mu):
+        x = z = 0
+        for s in f:
+            zb, xb = _BITS_FROM_SYMBOL[s]
+            x, z = x << 1 | xb, z << 1 | zb
+        out.append((x, z, ((x & z).bit_count() + (m < 0) * 2) & 3))
+    return out
+
+
+def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """a b, as Z^z X^x' = (-1)^|z AND x'| X^x' Z^z."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) & 3
+
+
+def _reduce(gens: list[tuple[int, int, int]]) -> tuple[list, list]:
+    """Split commuting generators into (x_rows, z_rows) of the same group.
+
+    x_rows have independent X parts, each without the leading bit (its
+    pivot) of any row before it; z_rows have no X part and the same
+    property for their Z parts.  Each generator is reduced by the rows
+    before it, in order, through group products.  Raises ValueError when
+    one reduces to the identity up to a phase: the words are dependent.
+    """
+    x_rows: list = []
+    z_rows: list = []
+    for g in gens:
+        for h in x_rows:
+            if g[0] >> (h[0].bit_length() - 1) & 1:
+                g = _mul(g, h)
+        if g[0]:
+            x_rows.append(g)
+            continue
+        for h in z_rows:
+            if g[1] >> (h[1].bit_length() - 1) & 1:
+                g = _mul(g, h)
+        if not g[1]:
+            raise ValueError("basis vectors are not independent")
+        z_rows.append(g)
+    return x_rows, z_rows
+
+
 @dataclass(frozen=True)
 class StabilizerSpec:
-    """Independent, pairwise form-orthogonal generators with their signs."""
+    """Independent, pairwise commuting generators with their signs."""
 
     basis: tuple[tuple[int, ...], ...]
     mu: tuple[int, ...]
@@ -206,11 +206,11 @@ class StabilizerSpec:
             raise ValueError("basis vectors have unequal lengths")
         if any(s not in _BITS_FROM_SYMBOL for f in self.basis for s in f):
             raise ValueError("basis symbols must be GF(4) elements 0..3")
-        code = make_symplectic(n, [pack_gf4(f) for f in self.basis])
-        if not code.is_isotropic:
-            raise ValueError("basis is not isotropic: operators would not commute")
-        if code.k_dim != len(self.basis):
-            raise ValueError("basis vectors are not independent")
+        gens = _signed(self.basis, self.mu)
+        for (x, z, _), (x2, z2, _) in combinations(gens, 2):
+            if ((x & z2).bit_count() + (z & x2).bit_count()) & 1:
+                raise ValueError("basis is not isotropic: operators would not commute")
+        _reduce(gens)
 
     @property
     def n(self) -> int:
@@ -226,16 +226,107 @@ class StabilizerSpec:
         return cls(tuple(tuple(f) for f in basis), (1,) * len(basis))
 
 
-def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int = 6) -> ExactMatrix:
-    """P = prod_i (I + mu_i sigma(f_i)) / 2, an exact orthogonal projector,
-    built as the group sum 2^-s sum_{g in S} mu_g sigma(g).
+@dataclass(frozen=True, eq=False)
+class RangeBasis:
+    """The certified basis B of range(P), stored by its rows (module docstring).
 
-    The 2^s monomials of the stabilizer group grow from the identity:
-    generator f doubles the list with the products g sigma(f), whose row
-    x has column perm_f[perm_g[x]] and power power_g[x] +
-    power_f[perm_g[x]], plus 2 when mu = -1.  One unbuffered
-    ``np.add.at`` then adds every monomial's entries into the int64
-    numerators, exactly.  Cost O(2^s * 2^n) entries, at most 4^n.
+    Row y of B is i^power[y] (times the common scale 2^-x_rank) in
+    column owner[y], or zero when owner[y] = -1.  ``cols[a]`` lists the
+    2^x_rank rows of column a in increasing order, its least element
+    first.
+    """
+
+    n: int
+    rank: int
+    x_rank: int
+    owner: np.ndarray
+    power: np.ndarray
+    cols: np.ndarray
+
+    def trace(self) -> tuple[Fraction, Fraction]:
+        """tr(P) = dim range(P), the number of columns."""
+        return Fraction(self.rank), Fraction(0)
+
+
+def _build(gens: list[tuple[int, int, int]], n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(owner, power, r) of the columns b_x = 2^r P e_x, one per kept coset.
+
+    Every row index y is reduced by the x_rows in order, the product h
+    of the rows used is kept as its Z part and phase, and y ends at its
+    coset's least element x, where h[y, x] = i^(p + 2 |x AND z|).  The
+    coset is kept when e_x is a +1 eigenvector of every z_row.
+    """
+    x_rows, z_rows = _reduce(gens)
+    rows = np.arange(1 << n)
+    least = rows.copy()
+    z_part = np.zeros_like(rows)
+    phase = np.zeros_like(rows)
+    for x, z, p in x_rows:
+        hit = (least >> (x.bit_length() - 1)) & 1
+        phase += hit * (p + 2 * np.bitwise_count(z_part & x))
+        z_part ^= hit * z
+        least ^= hit * x
+    kept = np.ones(1 << n, dtype=bool)
+    for _, z, p in z_rows:
+        kept &= (p + 2 * np.bitwise_count(least & z)) & 3 == 0
+    column = np.cumsum(kept & (least == rows)) - 1
+    owner = np.where(kept, column[least], -1)
+    power = np.where(kept, (phase + 2 * np.bitwise_count(least & z_part)) & 3, 0)
+    return owner, power, len(x_rows)
+
+
+def _certify(
+    basis: Sequence[Sequence[int]], mu: Sequence[int], n: int,
+    owner: np.ndarray, power: np.ndarray, x_rank: int,
+) -> RangeBasis:
+    """Prove that the stored rows are a basis of range(P) with B^dagger B = 2^r I.
+
+    The three checks of the module docstring, against the monomials of
+    the spec's own words; raises CertificationError at the first that fails.
+    """
+    owned = owner >= 0
+    words = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+    for i, (word, m) in enumerate(zip(words, mu)):
+        (perm,), (pw,) = _monomials(word[None])
+        if not np.array_equal(owner[perm], owner):
+            y = int(np.argmax(owner[perm] != owner))
+            raise CertificationError(
+                f"sigma(f_{i}) moves row {y} out of its column: B is not in range(P)"
+            )
+        # (mu sigma(f) b)[y] = mu i^pw[y] b[perm y] must be b[y]
+        off = ((pw + 2 * (m < 0) + power[perm] - power) & 3 != 0) & owned
+        if off.any():
+            raise CertificationError(
+                f"sigma(f_{i}) b != mu_{i} b at row {int(np.argmax(off))}: B is not in range(P)"
+            )
+    rank = 1 << (n - len(words))
+    counts = np.bincount(owner[owned], minlength=rank)
+    if len(counts) != rank or not counts.all():
+        raise CertificationError(
+            f"{np.count_nonzero(counts)} columns, not tr(P) = 2^(n-s) = {rank}"
+        )
+    if (counts != 1 << x_rank).any():
+        raise CertificationError(
+            f"a column owns {int(counts[np.argmax(counts != 1 << x_rank)])} rows, "
+            f"not 2^r = {1 << x_rank}: B^dagger B != 2^r I"
+        )
+    cols = np.flatnonzero(owned)[np.argsort(owner[owned], kind="stable")]
+    arrays = owner, power, cols.reshape(rank, 1 << x_rank)
+    for a in arrays:
+        a.flags.writeable = False
+    return RangeBasis(n, rank, x_rank, *arrays)
+
+
+def _certified_basis(basis, mu, n: int) -> RangeBasis:
+    return _certify(basis, mu, n, *_build(_signed(basis, mu), n))
+
+
+def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int = 6) -> RangeBasis:
+    """The certified range basis of P = prod_i (I + mu_i sigma(f_i)) / 2.
+
+    Built from the group in O(s 2^n) and proved a basis of range(P) with
+    B^dagger B = 2^r I (module docstring); P itself is never formed.
+    Raises CertificationError when the certificate fails.
     """
     if n is None:
         if not spec.basis:
@@ -244,193 +335,49 @@ def stabilizer_projector(spec: StabilizerSpec, n: int | None = None, max_n: int 
     elif spec.basis and n != spec.n:
         raise ValueError(f"n={n} but the basis vectors have length {spec.n}")
     _check_n(n, max_n)
-    dim = 1 << n
-    rows = np.arange(dim)
-    perms, powers = rows[None, :], np.zeros((1, dim), dtype=np.int64)
-    if spec.basis:
-        gen_perms, gen_powers = _monomials(np.array(spec.basis, dtype=np.int64))
-        for perm_f, power_f, mu in zip(gen_perms, gen_powers, spec.mu):
-            flip = 0 if mu == 1 else 2
-            perms, powers = (
-                np.concatenate([perms, perm_f[perms]]),
-                np.concatenate([powers, powers + power_f[perms] + flip]),
-            )
-    # entry (x, perm[x]) of every monomial, as an index into the flat matrix
-    flat = rows * dim + perms
-    re = np.zeros(dim * dim, dtype=np.int64)
-    im = np.zeros_like(re)
-    np.add.at(re, flat, _I_POWER_RE[powers & 3])
-    np.add.at(im, flat, _I_POWER_IM[powers & 3])
-    return ExactMatrix(re.reshape(dim, dim), im.reshape(dim, dim), len(spec.basis))
+    return _certified_basis(spec.basis, spec.mu, n)
 
 
-@dataclass(frozen=True)
-class _RangeBasis:
-    """Certified B = P[:, J] spanning range(P), stored once by its rows.
+def _decide(basis: RangeBasis, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Detectability of each row of ``words`` on a certified basis:
+    (ok, tr(M) real and imaginary parts), one entry per word, where
+    lambda = tr(M) / (2^x_rank rank).
 
-    Each row of B has at most one nonzero entry: ``owner[x]`` is the
-    column of B that holds it, -1 for a zero row, and ``value_re``/
-    ``value_im`` are its numerators over the denominator of P, 0 for a
-    zero row.  ``gram`` holds the numerators of the diagonal of
-    B^dagger B = P[J, J], which is diagonal and positive.
+    Row a of M = B^dagger (E B) is the sum of i^e over the rows of
+    column a, at column t(a), the owner of E's image of the column's
+    least row (module docstring).  Each temporary has len(words) cells
+    per stored row, which callers keep within ``_SPAN_BLOCK``.
     """
-
-    n: int
-    rank: int
-    owner: np.ndarray
-    value_re: np.ndarray
-    value_im: np.ndarray
-    gram: np.ndarray
-
-
-def range_basis(p: ExactMatrix) -> _RangeBasis:
-    """The certified range basis B = P[:, J] of P, made on the first call
-    and cached on P.
-
-    J holds the columns whose first nonzero entry is on the diagonal.
-    The certificate (module docstring) proves that P is the orthogonal
-    projector onto span(B) and that each row of B has at most one
-    nonzero entry, whose column and value it records for the
-    detectability kernel; P B = B is checked as grouped sums of columns
-    of P, O(4^n).  Raises ValueError when P is not an orthogonal
-    projector, or is one that the rules do not fit (overlapping columns,
-    |J| < tr(P)); every stabilizer projector fits them.
-    """
-    if p._range is None:
-        p._range = _certify_projector(p)
-    return p._range
+    count, rank = len(words), basis.rank
+    y = basis.cols.ravel()
+    perm, power = _monomials(words, y)
+    e = (power - basis.power[y] + basis.power[perm]) & 3
+    m_re = _I_POWER_RE[e].reshape(count, rank, -1).sum(axis=2)
+    m_im = _I_POWER_IM[e].reshape(count, rank, -1).sum(axis=2)
+    target = basis.owner[perm.reshape(count, rank, -1)[:, :, 0]]
+    on = target == np.arange(rank)
+    off = (target >= 0) & ~on & ((m_re != 0) | (m_im != 0))
+    m_re, m_im = np.where(on, m_re, 0), np.where(on, m_im, 0)
+    ok = ~off.any(axis=1) & (m_re == m_re[:, :1]).all(axis=1) & (m_im == m_im[:, :1]).all(axis=1)
+    return ok, m_re.sum(axis=1), m_im.sum(axis=1)
 
 
-def _certify_projector(p: ExactMatrix) -> _RangeBasis:
-    """Prove exactly that P is an orthogonal projector with range span(P[:, J])."""
-    n = p.dim.bit_length() - 1
-    if p.re.shape != (1 << n, 1 << n):
-        raise ValueError(f"shape {p.re.shape} is not square of power-of-two size")
-    re, im, den = p.re, p.im, p.den
-    if not (np.array_equal(re, re.T) and np.array_equal(im, -im.T)):
-        raise ValueError("matrix is not Hermitian, so not an orthogonal projector")
-    # |P_ij| <= 1 holds for any projector.  With it, every int64 value
-    # below and in ``_decide``, up to its cross products, is at most
-    # 4^(n+1) * 8^den, which the den cap keeps below 2^63.
-    if max(int(np.abs(re).max()), int(np.abs(im).max())) > 1 << den:
-        raise ValueError("an entry exceeds 1 in modulus, so not an orthogonal projector")
-    if 2 * (n + 1) + 3 * den > 62:
-        raise ValueError(f"denominator 2^{den} too fine for exact int64 arithmetic at n={n}")
-    rank, rem = divmod(int(np.trace(re)), 1 << den)
-    if rem or rank <= 0:
-        raise ValueError(f"trace {p.trace()[0]} is not a positive integer")
-    if int((re * re).sum() + (im * im).sum()) != rank << (2 * den):
-        raise ValueError("tr(P) != sum |P_ij|^2, so not an orthogonal projector")
-    nz = (re != 0) | (im != 0)
-    cols = np.flatnonzero((nz.argmax(axis=0) == np.arange(p.dim)) & nz.diagonal())
-    per_row = nz[:, cols].sum(axis=1)
-    if (per_row > 1).any():
-        x = int(np.argmax(per_row > 1))
-        raise ValueError(
-            f"row {x} of B = P[:, J] has {per_row[x]} nonzero entries, not at most one: "
-            f"the columns overlap, not a stabilizer projector"
-        )
-    owner = np.full(p.dim, -1)
-    x, j = np.nonzero(nz[:, cols])
-    owner[x] = j
-    # with one nonzero entry per row at most, a row sum of B is that entry
-    value_re, value_im = re[:, cols].sum(axis=1), im[:, cols].sum(axis=1)
-    # (P B)[:, j] = sum of P[:, x] B[x, j] over the rows x that j owns;
-    # each column j owns row J[j] at least, as B[J[j], j] = P[J[j], J[j]]
-    owned = np.flatnonzero(owner >= 0)
-    owned = owned[np.argsort(owner[owned])]
-    starts = np.flatnonzero(np.diff(owner[owned], prepend=-1))
-    v_re, v_im = value_re[owned], value_im[owned]
-    pb_re = np.add.reduceat(re[:, owned] * v_re - im[:, owned] * v_im, starts, axis=1)
-    pb_im = np.add.reduceat(re[:, owned] * v_im + im[:, owned] * v_re, starts, axis=1)
-    if not (np.array_equal(pb_re, re[:, cols] << den) and np.array_equal(pb_im, im[:, cols] << den)):
-        raise ValueError("P B != B for the chosen columns, so not an orthogonal projector")
-    if len(cols) != rank:
-        raise ValueError(
-            f"{len(cols)} columns of P have their first nonzero entry on the diagonal, "
-            f"not tr(P) = {rank}: not a stabilizer projector"
-        )
-    # B^dagger B = (P^dagger P)[J, J] = (P B)[J] = P[J, J], as P = P^dagger
-    # and P B = B: diagonal and positive, so nonsingular
-    return _RangeBasis(
-        n=n, rank=rank, owner=owner, value_re=value_re, value_im=value_im,
-        gram=re[cols, cols],
-    )
-
-
-def _decide(p: ExactMatrix, basis: _RangeBasis, words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Detectability of each row of ``words`` on the certified basis of P:
-    (ok, tr(E P) real and imaginary numerators over 2^p.den), one entry
-    per word.
-
-    M = B^dagger (E B) has one term per row x with owner(x) = i and
-    owner(perm x) = j >= 0 (module docstring); the terms are summed per
-    (word, i, j) after one sort of their keys.  ok holds when every
-    off-diagonal sum is 0 and M[i, i] tr(g) = g_i tr(M) for all i, with
-    g the diagonal of B^dagger B.  Each temporary has at most
-    len(words) * 2^n cells, which callers keep within ``_SPAN_BLOCK``.
-    """
-    perm, power = _monomials(words)
-    ph_re, ph_im = _I_POWER_RE[power], _I_POWER_IM[power]
-    # tr(E P) = sum_x (E P)[x, x] = sum_x phase[x] * P[perm[x], x]
-    diag = np.arange(p.dim)
-    d_re, d_im = p.re[perm, diag], p.im[perm, diag]
-    tr_re = (ph_re * d_re - ph_im * d_im).sum(axis=1)
-    tr_im = (ph_re * d_im + ph_im * d_re).sum(axis=1)
-
-    # one term per row x: conj(v_x) * phase[x] * v_(perm x), at (owner x, owner(perm x))
-    v_re, v_im = basis.value_re, basis.value_im
-    a_re = ph_re * v_re[perm] - ph_im * v_im[perm]
-    a_im = ph_re * v_im[perm] + ph_im * v_re[perm]
-    c_re = v_re * a_re + v_im * a_im
-    c_im = v_re * a_im - v_im * a_re
-    r, count = basis.rank, len(words)
-    j = basis.owner[perm]
-    term = (basis.owner >= 0) & (j >= 0)
-    keys = ((np.arange(count)[:, None] * r + basis.owner) * r + j)[term]
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    m_re = np.add.reduceat(c_re[term][order], first)
-    m_im = np.add.reduceat(c_im[term][order], first)
-    word, ij = np.divmod(keys[first], r * r)
-    i, j = np.divmod(ij, r)
-
-    ok = np.ones(count, dtype=bool)
-    ok[word[(i != j) & ((m_re != 0) | (m_im != 0))]] = False
-    on = i == j
-    diag_re = np.zeros((count, r), dtype=np.int64)
-    diag_im = np.zeros((count, r), dtype=np.int64)
-    diag_re[word[on], i[on]] = m_re[on]
-    diag_im[word[on], i[on]] = m_im[on]
-    g = basis.gram
-    tr_g = int(g.sum())
-    ok &= (diag_re * tr_g == g * diag_re.sum(axis=1, keepdims=True)).all(axis=1)
-    ok &= (diag_im * tr_g == g * diag_im.sum(axis=1, keepdims=True)).all(axis=1)
-    return ok, tr_re, tr_im
-
-
-def check_error(p: ExactMatrix, word: Sequence[int]) -> tuple[bool, Fraction, Fraction]:
+def check_error(p: RangeBasis, word: Sequence[int]) -> tuple[bool, Fraction, Fraction]:
     """Is sigma(word) detectable: P E P == lambda P exactly?
 
-    Decided as B^dagger (E B) == lambda B^dagger B on the certified range
-    basis B = P[:, J] of P, J the columns whose first nonzero entry is on
-    the diagonal (see ``range_basis`` and the module docstring).  As B
-    has at most one nonzero entry per row, B^dagger (E B) is a sum of
-    one term per row, O(2^n); this is the one-word case of the kernel
-    ``detectability_check`` runs on blocks of words.  The certificate is
-    made on the first call for P and cached on it; a P that fails it
-    raises ValueError.  lambda is tr(E P) / tr(P), which equals
-    tr(P E P) / tr(P) whether or not the word is detectable.
+    Decided as B^dagger (E B) == lambda 2^r I on the certified basis,
+    one term per stored row: the one-word case of the kernel that
+    ``detectability_check`` runs on blocks of words.  lambda is
+    tr(E P) / tr(P), which equals tr(P E P) / tr(P) whether or not the
+    word is detectable.
     """
-    basis = range_basis(p)
-    if len(word) != basis.n:
-        raise ValueError(f"word of length {len(word)} on {basis.n} qubits")
+    if len(word) != p.n:
+        raise ValueError(f"word of length {len(word)} on {p.n} qubits")
     if any(s not in _BITS_FROM_SYMBOL for s in word):
         raise ValueError(f"not a GF(4) word: {tuple(word)}")
-    ok, tr_re, tr_im = _decide(p, basis, np.array([word], dtype=np.int64))
-    tr_p = basis.rank << p.den
-    return bool(ok[0]), Fraction(int(tr_re[0]), tr_p), Fraction(int(tr_im[0]), tr_p)
+    ok, tr_re, tr_im = _decide(p, np.array([word], dtype=np.int64))
+    scale = p.rank << p.x_rank
+    return bool(ok[0]), Fraction(int(tr_re[0]), scale), Fraction(int(tr_im[0]), scale)
 
 
 def weight_words(n: int, weight: int) -> Iterator[tuple[int, ...]]:
@@ -460,7 +407,7 @@ _RATIONALE = (
 )
 
 
-def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
+def detectability_check(p: RangeBasis, dmax: int) -> DetectabilityReport:
     """Verify P E P = lambda_E P for every Pauli error of weight < dmax.
 
     The words of each weight, in ``weight_words`` order, go through the
@@ -470,9 +417,7 @@ def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
     the last one counted in ``checked``: the report is the one a
     word-by-word loop over ``check_error`` gives.
     """
-    n = p.dim.bit_length() - 1
-    if 1 << n != p.dim:
-        raise ValueError("projector dimension is not a power of two")
+    n = p.n
     if dmax > n + 1:
         raise ValueError("dmax exceeds the number of coordinates + 1")
     step = max(1, _SPAN_BLOCK >> n)
@@ -481,7 +426,7 @@ def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
     for w in range(1, dmax):
         words = weight_words(n, w)
         while block := list(islice(words, step)):
-            ok, _, _ = _decide(p, range_basis(p), np.array(block, dtype=np.int64))
+            ok, _, _ = _decide(p, np.array(block, dtype=np.int64))
             bad = np.flatnonzero(~ok)[: MAX_VIOLATIONS - len(violations)]
             violations.extend(block[k] for k in bad)
             if len(violations) == MAX_VIOLATIONS:
@@ -500,11 +445,14 @@ def detectability_check(p: ExactMatrix, dmax: int) -> DetectabilityReport:
 def all_mu_traces(
     basis: Sequence[Sequence[int]], max_n: int = 6
 ) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
-    """Projector trace for every sign pattern on the given basis."""
-    out = {}
-    k = len(basis)
-    for bits in product((1, -1), repeat=k):
-        spec = StabilizerSpec(tuple(tuple(f) for f in basis), bits)
-        p = stabilizer_projector(spec, max_n=max_n)
-        out[bits] = p.trace()
-    return out
+    """Projector trace for every sign pattern on the given basis.
+
+    The basis is validated once; each sign pattern's range basis is
+    then built and certified, and its trace is its number of columns.
+    """
+    spec = StabilizerSpec.plus(basis)
+    _check_n(spec.n, max_n)
+    return {
+        mu: _certified_basis(spec.basis, mu, spec.n).trace()
+        for mu in product((1, -1), repeat=spec.k)
+    }

@@ -45,6 +45,8 @@ from agstab.symplectic import (
     unpack_gf4,
 )
 
+from test_pauli import dense_of, dense_projector
+
 EXT_HAMMING = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])
 EVEN_8_7 = binary_code(8, [(1 << i) | (1 << 7) for i in range(7)])
 
@@ -165,9 +167,12 @@ def test_c7_pauli_verification_four_qubits():
         for tr in traces.values():
             assert tr == (1, 0)
 
-        proj = stabilizer_projector(StabilizerSpec.plus(basis))
-        assert proj @ proj == proj
-        assert proj.conj_transpose() == proj
+        spec = StabilizerSpec.plus(basis)
+        proj = stabilizer_projector(spec)
+        p = dense_of(proj)  # the dense reference, n = 4
+        assert p == dense_projector(spec, 4)
+        assert p @ p == p
+        assert p.conj_transpose() == p
         rep = detectability_check(proj, 2)
         assert rep.passed and rep.checked == 12
         witness = next((w for w in weight_words(4, 2) if not check_error(proj, w)[0]), None)
@@ -187,6 +192,20 @@ def test_c7_pauli_verification_eight_qubits_slow():
         assert proj.trace() == (1 << (8 - 5), 0)
         det = detectability_check(proj, 3)
         assert det.passed
+        ok, _, _ = check_error(proj, rep.d_witness)
+        assert not ok  # weight-3 minimality witness
+
+
+def test_c7_pauli_verification_m1_sixteen_qubits():
+    with criterion("C7-m1", 10.0, "the m=1 [[16,8,3]] at operator level, dmax = 3"):
+        run = pipeline_build(PipelineConfig(m=1, curve_kind="hermitian", q=2, a=3, a_prime=1))
+        fcode, rep = run.fcode, run.report
+        assert (rep.n, rep.k_q, rep.d_q, rep.d_exact) == (16, 8, 3, True)
+        basis = [unpack_gf4(r, 16) for r in fcode.dual_space.bit_rows]
+        proj = stabilizer_projector(StabilizerSpec.plus(basis), max_n=16)
+        assert proj.trace() == (1 << (16 - 8), 0)
+        det = detectability_check(proj, 3)
+        assert det.passed and det.checked == 48 + 1080  # every word of weight 1-2
         ok, _, _ = check_error(proj, rep.d_witness)
         assert not ok  # weight-3 minimality witness
 

@@ -1,10 +1,9 @@
 import json
 
-from agstab import artifacts, cli
+from agstab import artifacts, pauli
 from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.fields import EPS, EPS_BAR
-from agstab.pauli import ExactMatrix, stabilizer_projector
 from agstab.symplectic import make_symplectic, pack_gf4
 
 
@@ -113,15 +112,17 @@ def test_pauli_check_cli(tmp_path, capsys):
 
 
 def test_pauli_check_cli_fails_on_a_non_projector(tmp_path, capsys, monkeypatch):
-    # Hermitian with the right trace, but not idempotent.
-    def skewed(spec, n, max_n):
-        p = stabilizer_projector(spec, n=n, max_n=max_n)
-        re = p.re.copy()
-        re[0, 1] += 1 << p.den
-        re[1, 0] += 1 << p.den
-        return ExactMatrix(re, p.im, p.den)
+    # the stored basis with one row's phase flipped: its column is no
+    # longer a +1 eigenvector of X X X X
+    build = pauli._build
 
-    monkeypatch.setattr(cli, "stabilizer_projector", skewed)
+    def flipped(gens, n):
+        owner, power, x_rank = build(gens, n)
+        power = power.copy()
+        power[0] ^= 2
+        return owner, power, x_rank
+
+    monkeypatch.setattr(pauli, "_build", flipped)
     fcode = make_symplectic(4, [pack_gf4((EPS,) * 4), pack_gf4((EPS_BAR,) * 4)])
     path = tmp_path / "small.json"
     artifacts.save_json(artifacts.fcode_to_obj(fcode), path)
@@ -130,6 +131,21 @@ def test_pauli_check_cli_fails_on_a_non_projector(tmp_path, capsys, monkeypatch)
     result = json.loads(capsys.readouterr().out)
     assert not result["passed"]
     assert any("not an orthogonal projector" in f for f in result["failures"])
+
+
+def test_pauli_check_cli_certifies_the_m1_code_at_sixteen_qubits(tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("triple", "pair", "fcode")}
+    assert main([
+        "build", "--curve", "hermitian", "--q", "2", "--a", "3",
+        "--a-prime", "1", "--out", paths["triple"],
+    ]) == 0
+    assert main(["expand", "--in", paths["triple"], "--out", paths["pair"]]) == 0
+    assert main(["steane", "--d", paths["pair"], "--out", paths["fcode"]]) == 0
+    capsys.readouterr()
+    assert main(["pauli-check", "--code", paths["fcode"], "--max-n", "16"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["passed"] and result["trace"] == ["256", "0"]
+    assert (result["dmax_checked"], result["errors_checked"]) == (3, 1128)
 
 
 def test_artifact_kind_mismatch(tmp_path):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.expansion import (
@@ -10,8 +12,16 @@ from agstab.expansion import (
     expand_code,
     random_dual_containing_code,
 )
+from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR, SelfDualBasis, get_field, self_dual_basis
-from agstab.linear import binary_code, code_from_matrix, from_symbols, make_code
+from agstab.linear import (
+    binary_code,
+    binary_code_from_rref,
+    code_from_matrix,
+    from_symbols,
+    make_code,
+    to_matrix,
+)
 
 GF4 = get_field(2)
 GF16 = get_field(4)
@@ -42,6 +52,46 @@ def test_expansion_of_conjugate_pair_span_is_self_dual():
     # coordinates (Tr(x*w), Tr(x*w^2)) per symbol: (w,w) -> 1010, (w^2,w^2) -> 0101
     assert d == binary_code(4, [0b0101, 0b1010])
     assert d.dual() == d
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3, 4, 6]), data=st.data())
+def test_expand_code_equals_the_elimination_of_its_rows(k, data):
+    f = get_field(k)
+    n = data.draw(st.integers(1, 6), label="n")
+    symbol = st.integers(0, f.order - 1)
+    rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), max_size=n), label="rows")
+    code = make_code(f, n, rows)
+    m = emap(f)
+    image = [
+        expand_word(m, [f.mul(a, x) for x in g])
+        for g in code.generators for a in m.basis.elements
+    ]
+    assert expand_code(code, m) == binary_code(k * n, image)
+
+
+class TestRREFCertificate:
+    def test_rref_rows_accepted(self):
+        mat = to_matrix(70, [0b101, 0b110, 1 << 69])
+        assert binary_code_from_rref(70, mat.copy(), [0, 1, 69]) == code_from_matrix(get_field(1), 70, mat)
+
+    def test_pivot_column_set_in_another_row_rejected(self):
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            binary_code_from_rref(8, to_matrix(8, [0b011, 0b010]), [0, 1])
+
+    def test_bit_below_the_pivot_rejected(self):
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            binary_code_from_rref(8, to_matrix(8, [0b110]), [2])
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            binary_code_from_rref(70, to_matrix(70, [1 | 1 << 68]), [68])
+
+    def test_missing_pivot_bit_rejected(self):
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            binary_code_from_rref(8, to_matrix(8, [0b100]), [1])
+
+    def test_pivots_must_increase(self):
+        with pytest.raises(CertificationError, match="pivots"):
+            binary_code_from_rref(8, to_matrix(8, [0b10, 0b01]), [1, 0])
 
 
 def test_zero_code_expands_to_zero():

@@ -1,22 +1,22 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
 from agstab import pauli
+from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR
 from agstab.linear import binary_code
 from agstab.pauli import (
-    ExactMatrix,
+    HARD_MAX_N,
     MAX_VIOLATIONS,
     StabilizerSpec,
     all_mu_traces,
     check_error,
     detectability_check,
-    range_basis,
     stabilizer_projector,
     weight_words,
 )
@@ -53,6 +53,58 @@ WORDS_8 = [w for weight in range(4) for w in weight_words(8, weight)]
 
 def gf4_add(a, b):
     return a ^ b  # polynomial-basis representation: addition is xor
+
+
+DENSE_MAX_N = 8  # 2^8 = 256 keeps every dense product below inside int64
+
+
+class ExactMatrix:
+    """(re + i*im) / 2^den with int64 numerators; normalized on creation.
+
+    The dense reference for the stored range bases of ``agstab.pauli``,
+    for n <= DENSE_MAX_N.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im, den=0):
+        re = np.asarray(re, dtype=np.int64)
+        im = np.asarray(im, dtype=np.int64)
+        # cancel the largest power of two that divides every numerator
+        bits = int(np.bitwise_or.reduce(re, axis=None) | np.bitwise_or.reduce(im, axis=None))
+        shift = min(den, (bits & -bits).bit_length() - 1) if bits else den
+        if shift > 0:
+            re = re >> shift
+            im = im >> shift
+            den -= shift
+        re.setflags(write=False)  # dense_projector's cache shares its results
+        im.setflags(write=False)
+        self.re = re
+        self.im = im
+        self.den = den
+
+    @property
+    def dim(self):
+        return self.re.shape[0]
+
+    def __matmul__(self, other):
+        re = self.re @ other.re - self.im @ other.im
+        im = self.re @ other.im + self.im @ other.re
+        return ExactMatrix(re, im, self.den + other.den)
+
+    def conj_transpose(self):
+        return ExactMatrix(self.re.T.copy(), -self.im.T.copy(), self.den)
+
+    def trace(self):
+        den = 1 << self.den
+        return Fraction(int(np.trace(self.re)), den), Fraction(int(np.trace(self.im)), den)
+
+    def __eq__(self, other):
+        return (
+            self.den == other.den
+            and np.array_equal(self.re, other.re)
+            and np.array_equal(self.im, other.im)
+        )
 
 
 def identity(dim):
@@ -126,7 +178,8 @@ PAULI_MATRICES = {
 def sigma(word, max_n=6):
     """Tensor product of per-coordinate Pauli matrices for a GF(4)^n word:
     the dense reference for the monomial products of ``agstab.pauli``."""
-    pauli._check_n(len(word), max_n)
+    if len(word) > min(max_n, DENSE_MAX_N):
+        raise ValueError(f"n={len(word)} exceeds the dense cap {min(max_n, DENSE_MAX_N)}")
     out = ExactMatrix(np.array([[1]]), np.array([[0]]))
     for s in word:
         out = kron(out, ExactMatrix(*PAULI_MATRICES[s]))
@@ -168,11 +221,34 @@ class TestSigma:
             sigma((0,) * 9, max_n=12)
 
 
+def stored_columns(basis):
+    """B rebuilt from its stored rows, in units of its common scale: row
+    y holds i^power[y] at column owner[y], or nothing when owner[y] = -1."""
+    re = np.zeros((1 << basis.n, basis.rank), dtype=np.int64)
+    im = np.zeros_like(re)
+    y = np.flatnonzero(basis.owner >= 0)
+    re[y, basis.owner[y]] = pauli._I_POWER_RE[basis.power[y]]
+    im[y, basis.owner[y]] = pauli._I_POWER_IM[basis.power[y]]
+    assert not basis.power[basis.owner < 0].any()
+    return ExactMatrix(re, im)
+
+
+def dense_of(basis):
+    """P = B (B^dagger B)^-1 B^dagger for the stored B, with B^dagger B = 2^x_rank I."""
+    b = stored_columns(basis)
+    gram = b.conj_transpose() @ b
+    assert gram == ExactMatrix(np.eye(basis.rank, dtype=np.int64) << basis.x_rank, np.zeros((basis.rank,) * 2))
+    p = b @ b.conj_transpose()
+    return ExactMatrix(p.re, p.im, p.den + basis.x_rank)
+
+
 class TestProjector:
     def test_bell_state(self):
         spec = StabilizerSpec.plus([(EPS, EPS), (EPS_BAR, EPS_BAR)])
-        p = stabilizer_projector(spec)
-        assert p.trace() == (Fraction(1), Fraction(0))
+        basis = stabilizer_projector(spec)
+        assert basis.trace() == (Fraction(1), Fraction(0))
+        p = dense_of(basis)
+        assert p == dense_projector(spec, 2)
         assert p @ p == p
         assert p.conj_transpose() == p
 
@@ -183,7 +259,7 @@ class TestProjector:
     def test_empty_spec_is_identity(self):
         spec = StabilizerSpec((), ())
         p = stabilizer_projector(spec, n=3)
-        assert p == identity(8)
+        assert dense_of(p) == identity(8)
 
     def test_all_sign_patterns_have_the_same_trace(self):
         for mus, tr in all_mu_traces(B422).items():
@@ -195,6 +271,13 @@ class TestProjector:
         for tr in traces.values():
             assert tr == (Fraction(1), Fraction(0))
 
+    def test_all_mu_traces_validates_the_basis_once(self, monkeypatch):
+        calls = []
+        validate = StabilizerSpec.__post_init__
+        monkeypatch.setattr(StabilizerSpec, "__post_init__", lambda spec: calls.append(validate(spec)))
+        assert len(all_mu_traces(STAB_8, max_n=8)) == 32
+        assert len(calls) == 1
+
     def test_non_isotropic_rejected(self):
         with pytest.raises(ValueError):
             StabilizerSpec.plus([(EPS, 0), (EPS_BAR, 0)])
@@ -204,6 +287,12 @@ class TestProjector:
         fsum = tuple(gf4_add(a, b) for a, b in zip(f1, f2))
         with pytest.raises(ValueError):
             StabilizerSpec.plus([f1, f2, fsum])
+
+    def test_dependent_z_parts_rejected(self):
+        # Z Z I, I Z Z and Z I Z have no X part, and the third is the product of the others
+        z = EPS_BAR
+        with pytest.raises(ValueError, match="not independent"):
+            StabilizerSpec.plus([(z, z, 0), (0, z, z), (z, 0, z)])
 
     def test_dependent_non_commuting_reports_isotropy_first(self):
         # X, Z and Y = X Z on one qubit: Y is the sum of the other two
@@ -217,6 +306,13 @@ class TestProjector:
     def test_symbol_outside_gf4_rejected(self):
         with pytest.raises(ValueError, match="GF\\(4\\)"):
             StabilizerSpec(((7, 0),), (1,))
+
+    def test_stored_rows_ceiling(self):
+        spec = StabilizerSpec((), ())
+        assert HARD_MAX_N == 16
+        assert stabilizer_projector(spec, n=16, max_n=16).rank == 1 << 16
+        with pytest.raises(ValueError, match="cap 16"):
+            stabilizer_projector(spec, n=17, max_n=20)
 
 
 class TestDetectability:
@@ -276,7 +372,8 @@ def test_steane_8_3_3_detectability_dmax_3():
     basis = [unpack_gf4(r, 8) for r in stab.space.bit_rows]
     proj = stabilizer_projector(StabilizerSpec.plus(basis), max_n=8)
     assert proj.trace() == (Fraction(8), Fraction(0))
-    assert proj @ proj == proj
+    p = dense_of(proj)
+    assert p @ p == p
     det = detectability_check(proj, 3)
     assert det.passed and det.checked == 276
     # minimality: the enumerated weight-3 witness is an operator-level violation
@@ -293,6 +390,7 @@ def exact_matmul(a, b):
     return ExactMatrix(c.real.astype(np.int64), c.imag.astype(np.int64), a.den + b.den)
 
 
+@lru_cache(maxsize=None)
 def dense_projector(spec, n):
     """prod (I + mu sigma(f)) / 2 as dense products."""
     p = identity(1 << n)
@@ -346,6 +444,39 @@ def projs_8():
     return [stabilizer_projector(StabilizerSpec(STAB_8, mu), max_n=8) for mu in SIGNS_8]
 
 
+def rule_columns(p):
+    """J by its definition, one column at a time: P[j, j] != 0 and no
+    nonzero entry above it in column j."""
+    nz = (p.re != 0) | (p.im != 0)
+    return [j for j in range(p.dim) if nz[j, j] and not nz[:j, j].any()]
+
+
+def assert_matches_the_dense_product(specs, n, words=()):
+    """Each spec's stored basis against its dense product P: P is the
+    projector the basis defines, its columns are P[:, J] up to the common
+    scale 2^x_rank, and every word's verdict and lambda are those of
+    P E P = lambda P."""
+    cases = []
+    for spec in specs:
+        basis = stabilizer_projector(spec, max_n=n)
+        p = dense_projector(spec, n)
+        assert dense_of(basis) == p, spec.mu
+        cols = rule_columns(p)
+        assert basis.cols[:, 0].tolist() == cols
+        b = stored_columns(basis)
+        assert ExactMatrix(b.re, b.im, basis.x_rank) == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
+        cases.append((basis, p, complex_numerators(p)))
+    for w in words:
+        e = dense_sigma(w)
+        for basis, p, pc in cases:
+            assert check_error(basis, w) == dense_check(p, pc, e), w
+    return [basis for basis, _, _ in cases]
+
+
+def sign_patterns(basis):
+    return [StabilizerSpec(tuple(basis), mu) for mu in product((1, -1), repeat=len(basis))]
+
+
 class TestRangeBasisOracle:
     def test_verdicts_match_the_symplectic_criterion(self, projs_8):
         stab = binary_code(16, [pack_gf4(f) for f in STAB_8])
@@ -358,36 +489,30 @@ class TestRangeBasisOracle:
                 undetectable += not ok
             assert undetectable > 0  # the weight-3 logical operators
 
-    def test_values_match_the_dense_product(self, projs_8):
+    def test_values_match_the_dense_product(self):
+        # every word of weight <= 2 and 24 of weight 3: a dense P E P at
+        # n = 8 costs a few ms, too much for all 1789 words here
         low = [w for w in WORDS_8 if sum(1 for s in w if s) <= 2]
         high = [w for w in WORDS_8 if sum(1 for s in w if s) == 3]
-        dense = [(p, complex_numerators(p)) for p in projs_8]
-        for w in low + random.Random(8).sample(high, 24):
-            e = dense_sigma(w)
-            for p, pc in dense:
-                assert check_error(p, w) == dense_check(p, pc, e), w
+        specs = [StabilizerSpec(STAB_8, mu) for mu in SIGNS_8]
+        assert_matches_the_dense_product(specs, 8, low + random.Random(8).sample(high, 24))
 
     def test_dense_sigma_is_sigma(self):
         for w in WORDS_8[::97]:
             assert np.array_equal(dense_sigma(w), complex_numerators(sigma(w, max_n=8)))
 
     def test_projector_matches_the_dense_product(self):
-        for mu in product((1, -1), repeat=len(STAB_8)):
-            spec = StabilizerSpec(STAB_8, mu)
-            assert stabilizer_projector(spec, max_n=8) == dense_projector(spec, 8), mu
+        assert_matches_the_dense_product(sign_patterns(STAB_8), 8)
 
     def test_every_sign_pattern_of_the_five_qubit_code(self):
-        for mu in product((1, -1), repeat=len(FIVE_QUBIT)):
-            spec = StabilizerSpec(FIVE_QUBIT, mu)
-            p = stabilizer_projector(spec)
-            assert p == dense_projector(spec, 5), mu
-            rep = detectability_check(p, 3)
+        words = [w for weight in range(4) for w in weight_words(5, weight)]
+        for basis in assert_matches_the_dense_product(sign_patterns(FIVE_QUBIT), 5, words):
+            rep = detectability_check(basis, 3)
             assert rep.passed and rep.checked == 15 + 90
 
     def test_every_sign_pattern_of_the_rank4_spec(self):
-        for mu in product((1, -1), repeat=len(B422_EXTENDED)):
-            spec = StabilizerSpec(tuple(B422_EXTENDED), mu)
-            assert stabilizer_projector(spec) == dense_projector(spec, 4)
+        words = [w for weight in range(4) for w in weight_words(4, weight)]
+        assert_matches_the_dense_product(sign_patterns(B422_EXTENDED), 4, words)
 
 
 def sigma_monomial(word):
@@ -423,80 +548,74 @@ def test_monomial_products_match_dense_products():
         assert apply_monomial_right(m, mono) == m @ sigma(w)
 
 
-def diagonal(nums, den):
-    return ExactMatrix(np.diag(nums), np.zeros((len(nums), len(nums)), dtype=np.int64), den)
+def corrupt_build(monkeypatch, change):
+    """Make ``stabilizer_projector`` certify the builder's rows after
+    ``change(owner, power, x_rank)`` has edited copies of them in place;
+    a value it returns replaces x_rank."""
+    build = pauli._build
+
+    def corrupted(gens, n):
+        owner, power, x_rank = build(gens, n)
+        owner, power = owner.copy(), power.copy()
+        new = change(owner, power, x_rank)
+        return owner, power, x_rank if new is None else new
+
+    monkeypatch.setattr(pauli, "_build", corrupted)
 
 
 class TestProjectorCertificate:
-    def test_non_hermitian_rejected(self):
-        m = ExactMatrix(np.array([[1, 1], [0, 0]]), np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match="Hermitian"):
-            check_error(m, (EPS,))
+    def test_projector_outside_the_stabilizer_scope_rejected(self, monkeypatch):
+        # one row's phase flipped: the stored columns still define an
+        # orthogonal projector of rank tr(P), but one column is not a +1
+        # eigenvector of X X X X, so its range is not range(P)
+        def flip(owner, power, x_rank):
+            assert owner[0] == 0
+            power[0] ^= 2
 
-    def test_doubled_projector_rejected(self):
-        p = stabilizer_projector(StabilizerSpec.plus(B422))
-        with pytest.raises(ValueError, match="sum"):
-            check_error(add(p, p), (0, 0, 0, 0))
+        corrupt_build(monkeypatch, flip)
+        with pytest.raises(CertificationError, match="sigma\\(f_0\\) b != mu_0 b"):
+            stabilizer_projector(StabilizerSpec.plus(B422))
 
-    def test_hermitian_non_projector_with_integer_trace_rejected(self):
-        # eigenvalues 1/2, 1/2, 1/2, -1/2: tr = sum |P_ij|^2 = 1, yet P B != B
-        with pytest.raises(ValueError, match="P B != B"):
-            check_error(diagonal([1, 1, 1, -1], 1), (0, 0))
+    def test_wrong_owner_rejected(self, monkeypatch):
+        # row 0 moved from column 0 into column 1: X X X X maps it onto
+        # row 15, which column 0 still owns
+        def move(owner, power, x_rank):
+            assert owner[0] == 0 and owner[15] == 0
+            owner[0] = 1
 
-    def test_trace_identity_is_required(self):
-        # P e_0 = e_0 and tr = 1, but sum |P_ij|^2 = 3/2
-        with pytest.raises(ValueError, match="sum"):
-            check_error(diagonal([2, 1, -1, 0], 1), (0, 0))
+        corrupt_build(monkeypatch, move)
+        with pytest.raises(CertificationError, match="moves row 0 out of its column"):
+            stabilizer_projector(StabilizerSpec.plus(B422))
 
-    def test_non_integer_trace_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            check_error(diagonal([1, 0], 1), (0,))
-        with pytest.raises(ValueError, match="positive integer"):
-            check_error(diagonal([0, 0], 0), (0,))
+    def test_trace_identity_is_required(self, monkeypatch):
+        # a dropped column: the certificate's trace identity is that the
+        # number of columns is tr(P) = 2^(n-s)
+        def drop(owner, power, x_rank):
+            owner[owner == owner.max()] = -1
+            power[owner < 0] = 0
 
-    def test_entries_outside_int64_reach_rejected(self):
-        with pytest.raises(ValueError, match="exceeds 1"):
-            check_error(diagonal([4, 0], 1), (0,))
-        with pytest.raises(ValueError, match="too fine"):
-            check_error(diagonal([(1 << 20) - 1, 0], 20), (0,))
+        corrupt_build(monkeypatch, drop)
+        with pytest.raises(CertificationError, match="3 columns, not tr\\(P\\) = 2\\^\\(n-s\\) = 4"):
+            stabilizer_projector(StabilizerSpec.plus(B422))
 
-    def test_projector_outside_the_stabilizer_scope_rejected(self):
-        # I - |v><v| with v = (1, 1, 1, 1) / 2 is an orthogonal projector of
-        # rank 3, but only column 0 has its first nonzero entry on the
-        # diagonal, so |J| = 1 < tr(P)
-        p = ExactMatrix(4 * np.eye(4, dtype=np.int64) - 1, np.zeros((4, 4), dtype=np.int64), 2)
-        assert p @ p == p and p.conj_transpose() == p
-        with pytest.raises(ValueError, match="not tr\\(P\\) = 3"):
-            check_error(p, (0, 0))
+    def test_doubled_projector_rejected(self, monkeypatch):
+        # every column owns 2 rows, so B^dagger B = 2 I; claiming 2^0 I
+        # instead would make B (B^dagger B)^-1 B^dagger the doubled 2P
+        def halve_the_scale(owner, power, x_rank):
+            return x_rank - 1
 
-    def test_overlapping_columns_rejected(self):
-        # the orthogonal projector onto span(a, b), a = (1, 0, 1+i, 1) / 4 and
-        # b = (0, 1, 1, -1+i) / 4: J = {0, 1} and |J| = tr(P) = 2, but both
-        # columns are nonzero in row 2
-        a, b = np.array([1, 0, 1 + 1j, 1]), np.array([0, 1, 1, -1 + 1j])
-        m = np.outer(a, a.conj()) + np.outer(b, b.conj())
-        p = ExactMatrix(m.real.astype(np.int64), m.imag.astype(np.int64), 2)
-        assert p @ p == p and p.conj_transpose() == p and p.trace() == (2, 0)
-        with pytest.raises(ValueError, match="row 2 of B .* has 2 nonzero entries"):
-            check_error(p, (0, 0))
+        corrupt_build(monkeypatch, halve_the_scale)
+        with pytest.raises(CertificationError, match="owns 2 rows, not 2\\^r = 1"):
+            stabilizer_projector(StabilizerSpec.plus(B422))
 
-    def test_no_column_fits_the_rule_rejected(self):
-        # Hermitian with tr = sum |P_ij|^2 = 1, yet every nonzero column has
-        # a nonzero entry above its diagonal: J is empty
-        a = 1 + 1j
-        m = np.array([[0, a, a, 0], [a.conjugate(), 2, 0, 0], [a.conjugate(), 0, 2, 0], [0, 0, 0, 0]])
-        p = ExactMatrix(m.real.astype(np.int64), m.imag.astype(np.int64), 2)
-        with pytest.raises(ValueError, match="0 columns .* not tr\\(P\\) = 1"):
-            check_error(p, (0, 0))
+    def test_every_sign_pattern_is_certified(self, monkeypatch):
+        # all_mu_traces certifies each sign pattern's basis
+        def flip(owner, power, x_rank):
+            power[0] ^= 2
 
-    def test_certificate_cached_on_the_matrix(self):
-        p = stabilizer_projector(StabilizerSpec.plus(B422))
-        assert p._range is None
-        check_error(p, (0, 0, 0, 0))
-        cert = p._range
-        assert cert is not None and cert.rank == 4
-        check_error(p, (EPS, 0, 0, 0))
-        assert p._range is cert
+        corrupt_build(monkeypatch, flip)
+        with pytest.raises(CertificationError):
+            all_mu_traces(B422)
 
     def test_word_must_fit_the_projector(self):
         p = stabilizer_projector(StabilizerSpec.plus(B422))
@@ -506,50 +625,33 @@ class TestProjectorCertificate:
             check_error(p, (7, 0, 0, 0))
 
 
-def rule_columns(p):
-    """J by its definition, one column at a time: P[j, j] != 0 and no
-    nonzero entry above it in column j."""
-    nz = (p.re != 0) | (p.im != 0)
-    return [j for j in range(p.dim) if nz[j, j] and not nz[:j, j].any()]
-
-
 def sign_pattern_projectors():
     for basis, n in ((STAB_8, 8), (tuple(B422_EXTENDED), 4)):
         for mu in product((1, -1), repeat=len(basis)):
-            yield stabilizer_projector(StabilizerSpec(tuple(basis), mu), max_n=n)
-
-
-def stored_columns(basis, den):
-    """B rebuilt from its stored rows over P's denominator 2^den: row x
-    holds its value at column owner[x], or nothing when owner[x] = -1."""
-    re = np.zeros((1 << basis.n, basis.rank), dtype=np.int64)
-    im = np.zeros_like(re)
-    x = np.flatnonzero(basis.owner >= 0)
-    re[x, basis.owner[x]] = basis.value_re[x]
-    im[x, basis.owner[x]] = basis.value_im[x]
-    assert not basis.value_re[basis.owner < 0].any() and not basis.value_im[basis.owner < 0].any()
-    return ExactMatrix(re, im, den)
+            spec = StabilizerSpec(tuple(basis), mu)
+            yield stabilizer_projector(spec, max_n=n), dense_projector(spec, n)
 
 
 class TestRangeColumns:
     def test_every_sign_pattern_gives_orthogonal_columns(self):
         count = 0
-        for p in sign_pattern_projectors():
+        for basis, p in sign_pattern_projectors():
             cols = rule_columns(p)
-            basis = range_basis(p)
             assert len(cols) == basis.rank == int(p.trace()[0])
-            assert stored_columns(basis, p.den) == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
-            gram_re, gram_im = p.re[np.ix_(cols, cols)], p.im[np.ix_(cols, cols)]
-            assert not gram_im.any()
-            assert np.array_equal(gram_re, np.diag(gram_re.diagonal()))
-            assert (gram_re.diagonal() > 0).all()
-            assert np.array_equal(basis.gram, gram_re.diagonal())
+            b = stored_columns(basis)
+            assert ExactMatrix(b.re, b.im, basis.x_rank) == ExactMatrix(p.re[:, cols], p.im[:, cols], p.den)
+            gram = b.conj_transpose() @ b
+            assert not gram.im.any()
+            assert np.array_equal(gram.re, np.eye(basis.rank, dtype=np.int64) << basis.x_rank)
+            # each column's rows are one coset of the same subspace
+            (span,) = {frozenset((row ^ row[0]).tolist()) for row in basis.cols}
+            assert all(u ^ v in span for u in span for v in span)
             count += 1
         assert count == 32 + 16
 
     def test_identity_on_eight_qubits(self):
-        p = identity(256)
-        assert range_basis(p).rank == 256
+        p = stabilizer_projector(StabilizerSpec((), ()), n=8, max_n=8)
+        assert p.rank == 256
         assert check_error(p, (0,) * 8) == (True, Fraction(1), Fraction(0))
         for w in weight_words(8, 1):
             ok, _, _ = check_error(p, w)
@@ -559,10 +661,9 @@ class TestRangeColumns:
 def sequential_check(p, dmax):
     """(checked, passed, violations) of a word-by-word loop over
     ``check_error``: the reference for the batched ``detectability_check``."""
-    n = p.dim.bit_length() - 1
     checked, violations = 0, []
     for w in range(1, dmax):
-        for word in weight_words(n, w):
+        for word in weight_words(p.n, w):
             ok, _, _ = check_error(p, word)
             checked += 1
             if not ok:
@@ -600,7 +701,7 @@ class TestBatchedDetectability:
     def test_block_values_match_check_error(self, projs_8):
         words = [w for w in WORDS_8 if sum(1 for s in w if s) <= 2]
         for p in projs_8:
-            ok, tr_re, tr_im = pauli._decide(p, range_basis(p), np.array(words))
-            tr_p = int(p.trace()[0]) << p.den
+            ok, tr_re, tr_im = pauli._decide(p, np.array(words))
+            scale = p.rank << p.x_rank
             for k, w in enumerate(words):
-                assert check_error(p, w) == (ok[k], Fraction(int(tr_re[k]), tr_p), Fraction(int(tr_im[k]), tr_p))
+                assert check_error(p, w) == (ok[k], Fraction(int(tr_re[k]), scale), Fraction(int(tr_im[k]), scale))
