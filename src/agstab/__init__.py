@@ -73,7 +73,6 @@ from .symplectic import (
     QuantumCodeReport,
     SymplecticCode,
     make_symplectic,
-    pack_gf4,
     quantum_bound,
     quantum_params,
     steane_compose,

@@ -19,8 +19,8 @@ from .fields import Field, SelfDualBasis
 from .linear import (
     GF2,
     LinearCode,
-    binary_code_from_rref,
     code_from_matrix,
+    code_from_rref,
     combine,
     from_symbols,
     nullspace,
@@ -57,7 +57,7 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
     Tr(alpha_a * g_j * alpha_i), read from a q x k x k table.  They are
     already in RREF: at the pivot symbol p of g, g_p = 1 and
     Tr(alpha_a alpha_i) = delta_ai, while every other generator is 0
-    there.  So the pivots are p*k + a, which ``binary_code_from_rref``
+    there.  So the pivots are p*k + a, which ``code_from_rref``
     certifies without an elimination.
     """
     if code.field != emap.field:
@@ -75,7 +75,7 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
         bits = bits.transpose(0, 2, 1, 3).reshape(-1, k * code.n)
         blocks.append(from_symbols(GF2, bits))
     pivots = (np.array(code.pivots, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-    return binary_code_from_rref(k * code.n, np.concatenate(blocks), pivots)
+    return code_from_rref(GF2, k * code.n, np.concatenate(blocks), pivots)
 
 
 @dataclass(frozen=True)

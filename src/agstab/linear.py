@@ -9,12 +9,11 @@ matrix, pivots leftmost first, as a read-only numpy *kernel matrix*:
   scaled row from the field's multiplication table and XORs it in.
 
 The form is unique, so codes compare and hash by field, n, pivots and
-matrix.  Only ``code_from_matrix`` builds one, and
-``binary_code_from_rref`` from packed rows that it certifies to be in
-that form already.  ``bit_rows`` (ints, bit j = coordinate j) and
-``generators`` (symbol tuples) are derived views for artifacts and the
-symplectic layer's (a|b) surgery on Python ints; ``to_matrix``/``to_rows``
-are that GF(2) int boundary.
+matrix.  Only ``code_from_matrix`` builds one, and ``code_from_rref``
+from rows that it certifies to be in that form already.  ``bit_rows``
+(ints, bit j = coordinate j) and ``generators`` (symbol tuples) are
+derived views for artifacts and the symplectic layer's (a|b) surgery on
+Python ints; ``to_matrix``/``to_rows`` are that GF(2) int boundary.
 
 ``rref`` is the one elimination kernel for both, and ``reduce`` and
 ``nullspace`` work on its output.  ``rref`` and ``reduce`` update rows
@@ -24,6 +23,18 @@ Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
 over GF(2^k), each pivot row's q multiples are tabled once and gathered
 per row.  Their scratch beyond the output is two arrays at most the
 size of the trailing matrix, plus one such table.
+
+``LinearCode.dual`` eliminates min(k, n - k) rows, choosing by k and n
+alone.  When 2k >= n it eliminates the n - k rows of the nullspace.
+When 2k < n it eliminates the k rows from the right instead (``rref``
+of the reversed columns; GF(2) rows are reversed packed), and the
+nullspace of that right-RREF is already the dual's RREF, which
+``code_from_rref`` certifies: the lex-first information set of C^perp
+is the complement of the lex-last one of C (MacWilliams and Sloane,
+ch. 1: G = [I | A] gives H = [A^T | I]); the proof is in its
+docstring.  Beyond the two codes, that route's scratch is one copy of
+C's matrix, one k x trailing-width gather per elimination block, and
+blocks of rows.
 
 Codewords are enumerated by two primitives, both yielding blocks of rows:
 
@@ -53,13 +64,17 @@ GF2 = get_field(1)
 
 _ONE = np.uint64(1)
 _WORD = np.dtype("<u8")
-# Free columns per block when building a nullspace basis; bounds the
-# unpacked scratch of the binary case at 64 rows of n bytes.
+# Rows per block when building a nullspace basis (one per free column),
+# reversing columns or certifying an RREF; bounds their scratch at 64
+# rows, of n bytes where the binary case unpacks them.
 _NULL_BLOCK = 64
 # Columns per Four-Russians block in ``rref`` and pivots per group in
 # ``reduce``; a block's XOR table has 2^_BLOCK_COLS rows.  It divides 64,
 # so a block never straddles a word.
 _BLOCK_COLS = 8
+# Nonzero block values that ``_pivot_rows`` inserts one by one before it
+# switches to whole-column scans; a dense block fills within about 10.
+_PLAN_ROWS = 32
 # Cells per enumeration block: 2^16 words are 512 KB, and a consumer's
 # temporaries (XOR, popcount) stay within a few times that.
 _SPAN_BLOCK = 1 << 16
@@ -105,6 +120,51 @@ def to_symbols(field: Field, mat: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(mat.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+# Bit j of byte b of _BIT_REVERSE is bit 7 - j of b.
+_BIT_REVERSE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _reverse_columns(src: np.ndarray, dst: np.ndarray, field: Field, n: int) -> None:
+    """Write into ``dst`` the kernel matrix whose column j is column
+    n - 1 - j of ``src``; ``dst`` may be ``src``.
+
+    Rows go in blocks of ``_NULL_BLOCK``, so the scratch is one block.
+    GF(2) stays packed: reversing the bytes of a row and the bits of
+    each byte reverses all 64 * words bits of it, and a shift down by
+    the padding width, carried across words, puts bit n - 1 at bit 0.
+    """
+    for lo in range(0, len(src), _NULL_BLOCK):
+        rows = slice(lo, lo + _NULL_BLOCK)
+        if field.k > 1:
+            dst[rows] = src[rows, ::-1]
+        else:
+            dst[rows] = _BIT_REVERSE[src[rows].view(np.uint8)[:, ::-1]].view(_WORD)
+    pad = 64 * dst.shape[1] - n
+    if field.k == 1 and pad:
+        for w in range(dst.shape[1]):
+            dst[:, w] >>= np.uint64(pad)
+            if w + 1 < dst.shape[1]:
+                dst[:, w] |= dst[:, w + 1] << np.uint64(64 - pad)
+
+
+def _dual_rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, pivots) of the dual's RREF by the route of ``LinearCode.dual``
+    for 2k < n, not yet certified; ``mat`` is left as it is.
+
+    ``rref`` of the reversed columns, reversed back in place, is the RREF
+    taken from the right: row i is 1 at its pivot n - 1 - p_i and zero
+    right of it.  Its nullspace has the free columns as pivots.
+    """
+    rev = np.empty_like(mat)
+    _reverse_columns(mat, rev, field, n)
+    rr, pv = rref(rev, field, n)
+    _reverse_columns(rr, rr, field, n)
+    right = [n - 1 - p for p in pv]
+    free = np.ones(n, dtype=bool)
+    free[right] = False
+    return nullspace(rr, right, field, n), np.flatnonzero(free)
+
+
 def _columns(mat: np.ndarray, cols: np.ndarray, field: Field) -> np.ndarray:
     """uint8 symbol entries of the given columns, one row per matrix row."""
     if field.k > 1:
@@ -128,6 +188,67 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _xor_gathered(mat: np.ndarray, w: int, table: np.ndarray, idx: np.ndarray) -> None:
+    """mat[:, w:] ^= table[idx] in place, where table[0] is the zero row.
+
+    When more than a third of the rows have a nonzero index, one gather
+    over every row, one pass; otherwise the hit rows alone are read,
+    gathered and written back, about three passes over them.
+    """
+    hit = np.flatnonzero(idx)
+    if 3 * len(hit) > len(mat):
+        mat[:, w:] ^= table[idx]
+    else:
+        mat[hit, w:] ^= np.take(table, idx[hit], axis=0)
+
+
+def _pivot_rows(block: np.ndarray, r: int, width: int) -> tuple[list[int], list[int]]:
+    """The pivot rows of a Four-Russians block and their block values.
+
+    ``block`` holds every row's value in the block's ``width`` columns;
+    rows r and below are zero left of it.  A row is picked when its value
+    lies outside the span of the values of the rows above it (from r),
+    which is an XOR basis built by inserting the nonzero values in row
+    order, and the scan stops at ``width`` picks.  The first
+    ``_PLAN_ROWS`` nonzero values are inserted as Python ints, which
+    fills a dense block; past them, each further pick is the first row
+    whose value the boolean table of the span so far misses.
+    """
+    nonzero = r + np.flatnonzero(block[r:])
+    head = nonzero[:_PLAN_ROWS]
+    rows: list[int] = []
+    vals: list[int] = []
+    basis: list[tuple[int, int]] = []  # (leading bit, value), largest first
+    for i, v in zip(head.tolist(), block[head].tolist()):
+        x = v
+        for lead, b in basis:
+            if x & lead:
+                x ^= b
+        if x:
+            basis.append((1 << x.bit_length() - 1, x))
+            basis.sort(reverse=True)
+            rows.append(i)
+            vals.append(v)
+            if len(rows) == width:
+                return rows, vals
+    rest = nonzero[_PLAN_ROWS:]
+    if rest.size:
+        values = np.arange(1 << width)
+        span = values == 0
+        for v in vals:
+            span |= span[values ^ v]
+        while len(rows) < width:
+            outside = np.flatnonzero(~span[block[rest]])
+            if not outside.size:
+                break
+            i = int(rest[outside[0]])
+            rows.append(i)
+            vals.append(int(block[i]))
+            span |= span[values ^ vals[-1]]
+            rest = rest[outside[0] + 1 :]
+    return rows, vals
+
+
 def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a kernel matrix; returns (rows, pivots).
 
@@ -135,12 +256,13 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     table gather:
 
     - GF(2): columns go in blocks of ``_BLOCK_COLS`` inside one word
-      (Four Russians).  The block's pivots come from the distinct block
-      values of the rows not yet used as pivots; the chosen pivot rows
-      are brought into Gauss-Jordan form among themselves through the
-      table of their 2^j XOR combinations, and one gather of that table
-      clears the block from every row that has a bit in it, above and
-      below.
+      (Four Russians).  The block's pivot rows are those not yet used
+      whose block value lies outside the span of the values above them
+      (``_pivot_rows``); they are brought into Gauss-Jordan form among
+      themselves through the table of their 2^j XOR combinations, and
+      one gather of that table (``_xor_gathered``) clears the block
+      from every row that has a bit in it, above and below.  The RREF
+      is unique, so which rows are picked changes no output.
     - GF(2^k): per pivot row, the table of its q multiples (from the
       pivot onward) is built once, and each row is cleared by a gather
       of the multiple its pivot-column entry names.
@@ -163,19 +285,8 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
             break
         w, shift = c0 >> 6, np.uint64(c0 & 63)
         width = min(_BLOCK_COLS, n - c0)
-        mask = np.uint64((1 << width) - 1)
-        # Rows r and below are zero left of the block.  Their distinct
-        # block values (ints below 2^width), smallest first, pick the
-        # pivot rows: each value outside the span of those picked so far.
-        values, first = np.unique((mat[r:, w] >> shift) & mask, return_index=True)
-        span, vals, rows = {0}, [], []
-        for v, i in zip(values.tolist(), first.tolist()):
-            if v not in span:
-                span |= {u ^ v for u in span}
-                vals.append(v)
-                rows.append(r + i)
-                if len(rows) == width:
-                    break
+        block = (mat[:, w] >> shift) & np.uint64((1 << width) - 1)
+        rows, vals = _pivot_rows(block, r, width)
         if not rows:
             continue
         # Gauss-Jordan on the picked values: combs[t] is the combination
@@ -195,13 +306,14 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
                     combs[i] ^= combs[t]
             lows.append(low)
         # A block value selects the sum of the reduced rows at its pivot
-        # bits, which is the pivot-row combination lut[value].
-        at_pivot = np.arange(1 << width)[:, None] & np.array(lows) != 0
-        lut = np.bitwise_xor.reduce(at_pivot * np.array(combs), axis=1)
+        # bits, which is the pivot-row combination lut[value]; lut[0] = 0
+        # selects the zero row of the table.
+        comb_at = dict(zip(lows, combs))
+        lut = np.zeros(1 << width, dtype=np.intp)
+        for i in range(width):
+            lut[1 << i : 2 << i] = lut[: 1 << i] ^ comb_at.get(1 << i, 0)
         table = _xor_table(mat[rows, w:])
-        idx = lut[(mat[:, w] >> shift) & mask]
-        hit = np.flatnonzero(idx)
-        mat[hit, w:] ^= np.take(table, idx[hit], axis=0)
+        _xor_gathered(mat, w, table, lut[block])
         # The pivot rows are now zero: rows r.. take the reduced rows, and
         # the rows they held move into the freed slots.
         freed = [i for i in rows if i >= r + j]
@@ -273,15 +385,16 @@ def reduce(
         w = int(group[0]) >> 6
         bits = (out[:, group >> 6] >> (group & 63)) & _ONE
         idx = (bits << np.arange(len(group), dtype=np.uint64)).sum(axis=1)
-        hit = np.flatnonzero(idx)
-        out[hit, w:] ^= np.take(_xor_table(basis[lo : lo + len(group), w:]), idx[hit], axis=0)
+        _xor_gathered(out, w, _xor_table(basis[lo : lo + len(group), w:]), idx)
     return out
 
 
 def nullspace(
     basis: np.ndarray, pivots: Sequence[int], field: Field, n: int
 ) -> np.ndarray:
-    """Basis of {x : row . x = 0 for all rows}; ``basis`` must be in RREF.
+    """Basis of {x : row . x = 0 for all rows}; ``basis`` must be reduced:
+    row i is 1 at pivots[i] and no other row is nonzero there (an RREF
+    from the left, or from the right as in ``_dual_rref``).
 
     One vector per free column f, in increasing f: x_f = 1, x_p = row[f]
     at the pivot p of each row (characteristic 2, so no sign), zero at
@@ -389,8 +502,9 @@ class WeightVector:
 class LinearCode:
     """A linear code as its unique reduced-row-echelon kernel matrix.
 
-    ``matrix`` is read-only and built only by ``code_from_matrix``; row
-    i has its leading 1 at column ``pivots[i]``.
+    ``matrix`` is read-only and built only by ``code_from_matrix`` or
+    the certifier ``code_from_rref``; row i has its leading 1 at column
+    ``pivots[i]``.
     """
 
     field: Field
@@ -440,9 +554,35 @@ class LinearCode:
         return not reduce(other.matrix, self.matrix, self.pivots, self.field).any()
 
     def dual(self) -> "LinearCode":
-        """Euclidean dual; dim n - k, involutive on canonical forms."""
-        f = self.field
-        return code_from_matrix(f, self.n, nullspace(self.matrix, self.pivots, f, self.n))
+        """Euclidean dual; dim n - k, involutive on canonical forms.
+
+        One elimination, of min(k, n - k) rows; the route reads only k
+        and n:
+
+        - 2k >= n: ``nullspace`` of this RREF, whose n - k rows
+          ``code_from_matrix`` eliminates.
+        - 2k < n: the k rows are eliminated from the right
+          (``_dual_rref``): row i is 1 at its pivot p_i and zero right
+          of it, and no other row is nonzero at p_i.  The nullspace
+          vector of a free column f is 1 at f, zero at every other free
+          column, and row i's entry at f in place p_i, which is nonzero
+          only when f < p_i.  So its leftmost nonzero entry is the 1 at
+          f, and the vectors in increasing f are already the left RREF
+          of the dual, pivoted at the free columns: the lex-first
+          information set of the dual is the complement of the lex-last
+          one of this code.  ``code_from_rref`` certifies that with no
+          second elimination.
+
+        Scratch of the second route beyond the two codes: one copy of
+        this matrix (reversed, GF(2) still packed, reduced and reversed
+        back in place), one k x trailing-width gather per block of the
+        elimination, and the blocks of the reversal, the nullspace and
+        the certificate.
+        """
+        f, n, k = self.field, self.n, self.k_dim
+        if 2 * k >= n:
+            return code_from_matrix(f, n, nullspace(self.matrix, self.pivots, f, n))
+        return code_from_rref(f, n, *_dual_rref(self.matrix, f, n))
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
         """Dual under the w-weighted form sum(w_i x_i y_i), that is (w * C)^perp."""
@@ -521,30 +661,40 @@ def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
     return LinearCode(field, n, rr, tuple(pv))
 
 
-def binary_code_from_rref(n: int, mat: np.ndarray, pivots: Sequence[int]) -> LinearCode:
-    """The binary code of packed rows that are already in RREF with these
-    pivots, certified with no elimination, in O(rows x words).
+def code_from_rref(field: Field, n: int, mat: np.ndarray, pivots: Sequence[int]) -> LinearCode:
+    """The code of kernel rows that are already in RREF with these pivots,
+    certified with no elimination, in O(rows x row cells) and blocks of
+    ``_NULL_BLOCK`` rows of scratch.
 
-    Row i must have its lowest set bit at pivots[i], the pivots must
-    increase, and no other row may have a bit at pivots[i].  Raises
+    Row i must be zero left of pivots[i] and 1 there, the pivots must
+    increase, and no other row may be nonzero at pivots[i].  Raises
     CertificationError otherwise; ``mat`` becomes the read-only kernel.
     """
     pv = np.asarray(pivots, dtype=np.int64)
-    m, width = mat.shape
+    m = len(mat)
     if len(pv) != m or (np.diff(pv) <= 0).any() or (m and not 0 <= pv[0] <= pv[-1] < n):
         raise CertificationError(f"{len(pv)} pivots do not increase within n={n} for {m} rows")
-    rows, word = np.arange(m), pv >> 6
-    unit = np.zeros_like(mat)
-    unit[rows, word] = _ONE << (pv & 63).astype(np.uint64)
-    below = np.arange(width) < word[:, None]
-    if (
-        ((mat & np.bitwise_or.reduce(unit, axis=0)) != unit).any()
-        or mat[below].any()
-        or (mat[rows, word] & (unit[rows, word] - _ONE)).any()
-    ):
-        raise CertificationError("rows are not in reduced row echelon form with the given pivots")
+    # Row i's pivot is the value unit[i] in cell lead[i] (a word for GF(2)).
+    if field.k > 1:
+        lead, unit = pv, np.ones(m, dtype=mat.dtype)
+    else:
+        lead, unit = pv >> 6, _ONE << (pv & 63).astype(np.uint64)
+        at_pivots = np.zeros(mat.shape[1], dtype=mat.dtype)
+        np.bitwise_or.at(at_pivots, lead, unit)
+    for lo in range(0, m, _NULL_BLOCK):
+        block, own = mat[lo : lo + _NULL_BLOCK], slice(lo, lo + _NULL_BLOCK)
+        rows = np.arange(len(block))
+        # every pivot column's entries, less the row's own pivot: all zero
+        cells = block[:, pv] if field.k > 1 else block & at_pivots
+        cells[rows, rows + lo if field.k > 1 else lead[own]] ^= unit[own]
+        if (
+            cells.any()
+            or not np.array_equal((block != 0).argmax(axis=1), lead[own])
+            or (block[rows, lead[own]] & (unit[own] - 1)).any()
+        ):
+            raise CertificationError("rows are not in reduced row echelon form with the given pivots")
     mat.flags.writeable = False
-    return LinearCode(GF2, n, mat, tuple(pv.tolist()))
+    return LinearCode(field, n, mat, tuple(pv.tolist()))
 
 
 def make_code(field: Field, n: int, rows: Iterable[Sequence[int]]) -> LinearCode:

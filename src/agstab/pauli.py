@@ -84,8 +84,9 @@ lambda = tr(M) / (2^r rank), which is tr(E P) / tr(P) in every case.
 **Memory.**  A basis stores 2^n rows of an owner and a power of i, and
 its build and certificate hold a few arrays of 2^n cells at a time;
 ``HARD_MAX_N`` caps 2^n at 2^16 rows.  The kernel's temporaries have
-one cell per word and stored row, and a block of at most
-_SPAN_BLOCK / 2^n words keeps each within ``_SPAN_BLOCK`` cells.
+one cell per word and owned row (rank 2^r of them), and a block of at
+most _SPAN_BLOCK / (rank 2^r) words keeps each within ``_SPAN_BLOCK``
+cells.
 """
 
 from __future__ import annotations
@@ -346,7 +347,8 @@ def _decide(basis: RangeBasis, words: np.ndarray) -> tuple[np.ndarray, ...]:
     Row a of M = B^dagger (E B) is the sum of i^e over the rows of
     column a, at column t(a), the owner of E's image of the column's
     least row (module docstring).  Each temporary has len(words) cells
-    per stored row, which callers keep within ``_SPAN_BLOCK``.
+    per owned row (rank 2^x_rank of them), which callers keep within
+    ``_SPAN_BLOCK``.
     """
     count, rank = len(words), basis.rank
     y = basis.cols.ravel()
@@ -411,16 +413,17 @@ def detectability_check(p: RangeBasis, dmax: int) -> DetectabilityReport:
     """Verify P E P = lambda_E P for every Pauli error of weight < dmax.
 
     The words of each weight, in ``weight_words`` order, go through the
-    kernel of ``check_error`` in blocks of _SPAN_BLOCK / 2^n words, so
-    a block's temporaries hold at most _SPAN_BLOCK cells each.  The
-    check stops at the MAX_VIOLATIONS-th undetectable word, which is
-    the last one counted in ``checked``: the report is the one a
-    word-by-word loop over ``check_error`` gives.
+    kernel of ``check_error`` in blocks of _SPAN_BLOCK / (rank 2^r)
+    words, so a block's temporaries, one cell per word and owned row,
+    hold at most _SPAN_BLOCK cells each.  The check stops at the
+    MAX_VIOLATIONS-th undetectable word, which is the last one counted
+    in ``checked``: the report is the one a word-by-word loop over
+    ``check_error`` gives.
     """
     n = p.n
     if dmax > n + 1:
         raise ValueError("dmax exceeds the number of coordinates + 1")
-    step = max(1, _SPAN_BLOCK >> n)
+    step = max(1, _SPAN_BLOCK // p.cols.size)
     checked = 0
     violations: list[tuple[int, ...]] = []
     for w in range(1, dmax):

@@ -45,19 +45,6 @@ _SYMBOL_FROM_BITS = {(0, 0): 0, (0, 1): EPS, (1, 0): EPS_BAR, (1, 1): 1}
 _BITS_FROM_SYMBOL = {v: k for k, v in _SYMBOL_FROM_BITS.items()}
 
 
-def pack_gf4(symbols: tuple[int, ...] | list[int]) -> int:
-    """GF(4)^n symbol vector -> packed (a|b) binary vector of length 2n."""
-    n = len(symbols)
-    v = 0
-    for j, s in enumerate(symbols):
-        a, b = _BITS_FROM_SYMBOL[s]
-        if a:
-            v |= 1 << j
-        if b:
-            v |= 1 << (n + j)
-    return v
-
-
 def unpack_gf4(v: int, n: int) -> tuple[int, ...]:
     return tuple(
         _SYMBOL_FROM_BITS[((v >> j) & 1, (v >> (n + j)) & 1)] for j in range(n)

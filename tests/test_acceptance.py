@@ -38,13 +38,13 @@ from agstab.pauli import (
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
     make_symplectic,
-    pack_gf4,
     quantum_params,
     steane_compose,
     symplectic_dual,
     unpack_gf4,
 )
 
+from gf4_words import pack_gf4
 from test_pauli import dense_of, dense_projector
 
 EXT_HAMMING = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])

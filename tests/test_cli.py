@@ -4,7 +4,9 @@ from agstab import artifacts, pauli
 from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.fields import EPS, EPS_BAR
-from agstab.symplectic import make_symplectic, pack_gf4
+from agstab.symplectic import make_symplectic
+
+from gf4_words import pack_gf4
 
 
 def test_build_expand_steane_verify_round_trip(tmp_path, capsys):

@@ -16,13 +16,15 @@ from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR, SelfDualBasis, get_field, self_dual_basis
 from agstab.linear import (
     binary_code,
-    binary_code_from_rref,
     code_from_matrix,
+    code_from_rref,
     from_symbols,
     make_code,
     to_matrix,
+    to_symbols,
 )
 
+GF2 = get_field(1)
 GF4 = get_field(2)
 GF16 = get_field(4)
 
@@ -73,25 +75,53 @@ def test_expand_code_equals_the_elimination_of_its_rows(k, data):
 class TestRREFCertificate:
     def test_rref_rows_accepted(self):
         mat = to_matrix(70, [0b101, 0b110, 1 << 69])
-        assert binary_code_from_rref(70, mat.copy(), [0, 1, 69]) == code_from_matrix(get_field(1), 70, mat)
+        assert code_from_rref(GF2, 70, mat.copy(), [0, 1, 69]) == code_from_matrix(GF2, 70, mat)
 
     def test_pivot_column_set_in_another_row_rejected(self):
         with pytest.raises(CertificationError, match="reduced row echelon"):
-            binary_code_from_rref(8, to_matrix(8, [0b011, 0b010]), [0, 1])
+            code_from_rref(GF2, 8, to_matrix(8, [0b011, 0b010]), [0, 1])
 
     def test_bit_below_the_pivot_rejected(self):
         with pytest.raises(CertificationError, match="reduced row echelon"):
-            binary_code_from_rref(8, to_matrix(8, [0b110]), [2])
+            code_from_rref(GF2, 8, to_matrix(8, [0b110]), [2])
         with pytest.raises(CertificationError, match="reduced row echelon"):
-            binary_code_from_rref(70, to_matrix(70, [1 | 1 << 68]), [68])
+            code_from_rref(GF2, 70, to_matrix(70, [1 | 1 << 68]), [68])
 
     def test_missing_pivot_bit_rejected(self):
         with pytest.raises(CertificationError, match="reduced row echelon"):
-            binary_code_from_rref(8, to_matrix(8, [0b100]), [1])
+            code_from_rref(GF2, 8, to_matrix(8, [0b100]), [1])
 
     def test_pivots_must_increase(self):
         with pytest.raises(CertificationError, match="pivots"):
-            binary_code_from_rref(8, to_matrix(8, [0b10, 0b01]), [1, 0])
+            code_from_rref(GF2, 8, to_matrix(8, [0b10, 0b01]), [1, 0])
+
+    def test_symbol_rows_accepted(self):
+        mat = np.array([[0, 1, 0, EPS], [0, 0, 1, 3]], dtype=np.uint8)
+        assert code_from_rref(GF4, 4, mat.copy(), [1, 2]) == code_from_matrix(GF4, 4, mat)
+
+    @pytest.mark.parametrize(
+        "rows, pivots",
+        [
+            ([[1, EPS, 0], [0, 1, 0]], [0, 1]),  # pivot column nonzero in another row
+            ([[EPS, 1, 0]], [1]),  # nonzero left of the pivot
+            ([[0, EPS, 1]], [1]),  # pivot entry not 1
+        ],
+    )
+    def test_symbol_rows_not_in_rref_rejected(self, rows, pivots):
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            code_from_rref(GF4, 3, np.array(rows, dtype=np.uint8), pivots)
+
+    @pytest.mark.parametrize("field", [GF2, GF4])
+    def test_rows_past_the_first_block_are_checked(self, field):
+        rng = np.random.default_rng(7)
+        symbols = rng.integers(0, field.order, (150, 300), dtype=np.uint8)
+        code = code_from_matrix(field, 300, from_symbols(field, symbols))
+        assert code.k_dim == 150
+        assert code_from_rref(field, 300, code.matrix.copy(), code.pivots) == code
+        symbols = to_symbols(field, code.matrix, 300).copy()
+        symbols[140, code.pivots[10]] = 1  # another row's pivot column
+        with pytest.raises(CertificationError, match="reduced row echelon"):
+            code_from_rref(field, 300, from_symbols(field, symbols), code.pivots)
 
 
 def test_zero_code_expands_to_zero():

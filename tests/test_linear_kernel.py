@@ -23,12 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agstab import linear
 from agstab.artifacts import _HEX_BLOCK, code_from_obj, code_to_obj
+from agstab.errors import CertificationError
 from agstab.expansion import ExpansionMap, expand_code
 from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
+    _PLAN_ROWS,
     _SPAN_BLOCK,
     WeightVector,
+    _reverse_columns,
     binary_code,
     code_from_matrix,
     extend_basis,
@@ -236,6 +240,112 @@ def test_high_rank_reduce_matches_one_pivot_at_a_time(k, n, m, deficit):
     want = reference_reduce(vecs.tolist(), to_symbols(field, basis, n).tolist(), pivots, field)
     assert [tuple(row) for row in got.tolist()] == want
     assert not got[6:].any()  # members of the span reduce to zero
+
+
+def planned_block(n, m, later, seed):
+    """An m x n bit matrix whose first block's first _PLAN_ROWS + 13 nonzero
+    values are one value, 0b11, with zero rows among them.  The rows after
+    them hold the values ``later``, once each and in a row, then 0 or 0b11;
+    every other column is random."""
+    rng = np.random.default_rng(seed)
+    symbols = rng.integers(0, 2, (m, n), dtype=np.uint8)
+    head = _PLAN_ROWS + 13
+    block = rng.choice([0, 0b11], m)
+    block[:head] = 0b11
+    block[rng.choice(head, 4, replace=False)] = 0  # zero rows do not count
+    block[head : head + len(later)] = later
+    symbols[:, :8] = (block[:, None] >> np.arange(8)) & 1
+    return symbols
+
+
+@pytest.mark.parametrize("n", [64, 65, 200])
+@pytest.mark.parametrize("later", [(0b100,), (0b1, 0b100, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7)])
+def test_pivot_rows_past_a_repeated_head_match_the_reference(n, later):
+    # The first block is planned past _PLAN_ROWS values that fill no
+    # basis, from rows whose values occur once: to rank 2, scanning to
+    # the last row, or to full rank 8.
+    field = get_field(1)
+    symbols = planned_block(n, n + 11, later, seed=n + len(later))
+    rows = to_rows(from_symbols(field, symbols))
+    rr, pivots = rref(from_symbols(field, symbols), field, n)
+    ref_rows, ref_pivots = reference_rref_bits(rows, n)
+    assert pivots == ref_pivots
+    assert to_rows(rr) == ref_rows
+    assert len([p for p in pivots if p < 8]) == 1 + len(later)
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_reverse_columns_matches_the_unpacked_reversal(case):
+    field, n, symbols = case
+    for width in {n, 64 * ((n + 63) // 64)}:  # includes n % 64 == 0
+        wide = np.zeros((len(symbols), width), dtype=np.uint8)
+        wide[:, :n] = symbols
+        mat = from_symbols(field, wide)
+        got = np.empty_like(mat)
+        _reverse_columns(mat, got, field, width)
+        assert np.array_equal(to_symbols(field, got, width), wide[:, ::-1])
+        _reverse_columns(mat, mat, field, width)  # in place
+        assert np.array_equal(mat, got)
+
+
+def nullspace_dual(code):
+    """The route that always eliminates the n - k rows of the nullspace."""
+    f, n = code.field, code.n
+    return code_from_matrix(f, n, nullspace(code.matrix, code.pivots, f, n))
+
+
+def code_of_dimension(field, n, k_dim, rng):
+    """A random code of dimension exactly k_dim: random rows, with the
+    identity on k_dim random columns."""
+    symbols = rng.integers(0, field.order, (k_dim, n), dtype=np.uint8)
+    symbols[:, rng.choice(n, k_dim, replace=False)] = np.eye(k_dim, dtype=np.uint8)
+    return code_from_matrix(field, n, from_symbols(field, symbols))
+
+
+DUAL_KS = (1, 2, 3, 6, 8)
+DUAL_WIDTHS = (1, 63, 64, 65, 129, 200)
+
+
+@pytest.mark.parametrize("k", DUAL_KS)
+@pytest.mark.parametrize("n", DUAL_WIDTHS)
+@pytest.mark.parametrize("dim", ["0", "1", "n/2-1", "n/2", "n/2+1", "n"])
+@settings(deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dual_matches_the_nullspace_elimination(k, n, dim, seed):
+    # k_dim on both sides of the route rule 2k < n and at the tie
+    k_dim = {"0": 0, "1": 1, "n/2-1": n // 2 - 1, "n/2": n // 2, "n/2+1": n // 2 + 1, "n": n}[dim]
+    k_dim = min(max(k_dim, 0), n)
+    field = get_field(k)
+    code = code_of_dimension(field, n, k_dim, np.random.default_rng(seed))
+    eliminated = []
+
+    def counted_rref(mat, field, n):
+        eliminated.append(len(mat))
+        return rref(mat, field, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear, "rref", counted_rref)
+        dual = code.dual()
+    assert eliminated == [min(k_dim, n - k_dim)]
+    assert dual == nullspace_dual(code)
+    assert dual.k_dim == n - k_dim
+    assert not dual.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dual_certifies_the_nullspace_it_builds(k, monkeypatch):
+    # Below the tie the nullspace is taken as the dual's RREF; rows that
+    # are not (here, two swapped) must be refused, not stored.
+    field = get_field(k)
+    code = code_of_dimension(field, 20, 5, np.random.default_rng(k))
+
+    def swapped(basis, pivots, field, n):
+        return nullspace(basis, pivots, field, n)[[1, 0, *range(2, n - len(pivots))]]
+
+    monkeypatch.setattr(linear, "nullspace", swapped)
+    with pytest.raises(CertificationError, match="reduced row echelon"):
+        code.dual()
 
 
 @settings(deadline=None)

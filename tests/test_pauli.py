@@ -22,13 +22,14 @@ from agstab.pauli import (
 )
 from agstab.symplectic import (
     make_symplectic,
-    pack_gf4,
     quantum_params,
     steane_compose,
     symplectic_dual,
     symplectic_form,
     unpack_gf4,
 )
+
+from gf4_words import pack_gf4
 
 B422 = [(EPS,) * 4, (EPS_BAR,) * 4]
 # two extra isotropic vectors extending the four-qubit stabilizer to rank 4
@@ -690,7 +691,7 @@ class TestBatchedDetectability:
         p = stabilizer_projector(spec, max_n=n)
         expected = sequential_check(p, dmax)
         if per_block is not None:
-            monkeypatch.setattr(pauli, "_SPAN_BLOCK", per_block << n)
+            monkeypatch.setattr(pauli, "_SPAN_BLOCK", per_block * p.cols.size)
         rep = detectability_check(p, dmax)
         assert (rep.checked, rep.passed, rep.violations) == expected
         if dmax == 3 and n == 8:

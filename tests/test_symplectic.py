@@ -9,7 +9,6 @@ from agstab.linear import binary_code, gray_span, make_code
 from agstab.symplectic import (
     _halves,
     make_symplectic,
-    pack_gf4,
     quantum_bound,
     quantum_params,
     steane_compose,
@@ -17,6 +16,8 @@ from agstab.symplectic import (
     symplectic_form,
     unpack_gf4,
 )
+
+from gf4_words import pack_gf4
 
 GF2 = get_field(1)
 GF4 = get_field(2)
