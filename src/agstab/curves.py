@@ -10,10 +10,10 @@ polynomials.
 
 Dual containment is arranged through a twist vector w: an all-nonzero
 solution of the bilinear system  sum_i w_i f(P_i) g(P_i) = 0  over all
-basis pairs (f, g).  Its entrywise square root v converts the weighted
-self-orthogonality into true Euclidean dual containment, giving
-certified triples  C' > C >= C_perp  with one shared v for both divisor
-degrees.
+basis pairs (f, g).  With v its entrywise square root, the chain codes
+are the plain duals C = (v * ev_a)^perp and C' = (v * ev_a')^perp, so
+C_perp = v * ev_a is known from the construction, and one v serves both
+divisor degrees.
 """
 
 from __future__ import annotations
@@ -198,6 +198,7 @@ class TwistSolution:
     """An all-nonzero twist vector over the retained point set."""
 
     weights: WeightVector
+    c: LinearCode  # (sqrt(w) * ev_a)^perp, the code that certified w
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
     regime: str  # "standard" | "extended"
@@ -274,6 +275,12 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     from the point set and reported in the solution.  The divisor bound
     2a <= n' + g - 2 is enforced unless ``allow_extended`` is set, in
     which case the regime is recorded.
+
+    One containment certifies w and the chain code C alike.  With
+    v = sqrt(w) and U = v * ev_a, C = U^perp = v * (w * ev_a)^perp (x is
+    orthogonal to U iff x / v is w-orthogonal to ev_a), so C_perp = U with
+    no elimination; and <v e, v f> = sum_i w_i e_i f_i, so C >= U holds
+    exactly when ev_a is w-self-orthogonal.  C is returned with w.
     """
     n_full = curve.n_points
     standard = 2 * a <= n_full + curve.genus - 2
@@ -304,12 +311,14 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     weights = WeightVector(field, tuple(w))
 
     # Defining property, checked rather than assumed.
-    ev = evaluation_code(curve, a, kept)
-    if not ev.weighted_dual(weights).contains(ev):
+    u = evaluation_code(curve, a, kept).scale(weights.sqrt())
+    c = u.dual()
+    if not c.contains(u):
         raise CertificationError("twist vector fails the self-orthogonality check")
 
     return TwistSolution(
         weights=weights,
+        c=c,
         kept=kept,
         dropped=tuple(forced),
         regime="standard" if standard else "extended",
@@ -354,8 +363,9 @@ def build_dual_chain(
     """Construct and certify the triple for divisor degrees a' < a.
 
     One twist vector serves both degrees (the smaller basis is a subset
-    of the larger, so its constraints are a subset too).  Containments
-    and dimensions are verified exactly; failure raises.
+    of the larger, so its constraints are a subset too).  C >= C_perp
+    comes certified with the twist; C' = (v * ev_a')^perp, C' >= C and
+    both dimensions are verified exactly here; failure raises.
     """
     g = curve.genus
     if a_prime >= a:
@@ -364,20 +374,13 @@ def build_dual_chain(
         raise ValueError(f"need a' >= 2g-1 = {2 * g - 1}, got {a_prime}")
 
     tw = solve_twist_vector(curve, a, allow_extended=allow_extended)
-    n = len(tw.kept)
-    if a >= n:
-        raise ValueError(f"a={a} >= retained n={n}")
-
-    ev_a = evaluation_code(curve, a, tw.kept)
-    ev_ap = evaluation_code(curve, a_prime, tw.kept)
+    n = len(tw.kept)  # a < n: the twist's evaluation code checked it
     v = tw.weights.sqrt()
-    c = ev_a.weighted_dual(tw.weights).scale(v)
-    c_prime = ev_ap.weighted_dual(tw.weights).scale(v)
+    c = tw.c
+    c_prime = evaluation_code(curve, a_prime, tw.kept).scale(v).dual()
 
     if not c_prime.contains(c):
         raise CertificationError("C' does not contain C")
-    if not c.contains(c.dual()):
-        raise CertificationError("C does not contain its dual")
     if c.k_dim != n - a + g - 1:
         raise CertificationError(
             f"dim C = {c.k_dim} != n - a + g - 1 = {n - a + g - 1}"

@@ -89,11 +89,17 @@ class ExpandedPair:
 
 
 def expand_chain(triple: DualChainTriple, emap: ExpansionMap) -> ExpandedPair:
+    """D = expand(C) and D' = expand(C'), certified D' >= D >= D_perp.
+
+    D_perp = expand(C_perp), so no binary dual is eliminated: in the
+    self-dual basis (a_i), x = sum_i Tr(x a_i) a_i, so <expand x, expand y>
+    = Tr <x, y>, and both spaces have dimension k (n - dim C).
+    """
     d = expand_code(triple.c, emap)
     d_prime = expand_code(triple.c_prime, emap)
     if not d_prime.contains(d):
         raise CertificationError("expanded D' does not contain D")
-    if not d.contains(d.dual()):
+    if not d.contains(expand_code(triple.c.dual(), emap)):
         raise CertificationError("expanded D does not contain its dual")
     return ExpandedPair(d=d, d_prime=d_prime, basis=emap.basis, source=triple)
 

@@ -93,8 +93,15 @@ class SymplecticCode:
 def _certified(
     n: int, space: LinearCode, dual: LinearCode, bound: int | None = None
 ) -> SymplecticCode:
-    """Both flags decided by containment between F and F^omega."""
-    return SymplecticCode(n, space, dual, dual.contains(space), space.contains(dual), bound)
+    """Both flags, by containment wherever dim F^omega = 2n - k_F leaves them open.
+
+    k_F > n rules out F <= F^omega, and k_F < n rules out F >= F^omega;
+    both containments run when k_F = n.
+    """
+    k = space.k_dim
+    isotropic = k <= n and dual.contains(space)
+    large = k >= n and space.contains(dual)
+    return SymplecticCode(n, space, dual, isotropic, large, bound)
 
 
 def make_symplectic(
@@ -118,21 +125,6 @@ def make_symplectic(
 def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     """The form-dual, with flags recomputed; dim F + dim F^dual = 2n."""
     return _certified(code.n, code.dual_space, code.space)
-
-
-def _mixing_matrix_rows(r: int) -> list[list[int]]:
-    """Row-mixing map with no nonzero fixed vector (needs r >= 2).
-
-    Companion matrix of x^r + x + 1: det(A) = 1 and det(A + I) = 1 over
-    GF(2) for every r >= 2, so distinct enlargement-row combinations on
-    the two halves stay distinct modulo D.  A bare row permutation would
-    not do: every permutation fixes the all-ones combination.
-    """
-    if r < 2:
-        raise ValueError("mixing matrix needs at least 2 rows")
-    rows = [[1 if c == i + 1 else 0 for c in range(r)] for i in range(r - 1)]
-    rows.append([1 if c in (0, 1) else 0 for c in range(r)])
-    return rows
 
 
 def steane_compose(
@@ -166,14 +158,13 @@ def steane_compose(
     if r != k_prime - k:
         raise CertificationError(f"extension rank {r} != k' - k = {k_prime - k}")
 
-    mix = _mixing_matrix_rows(r)
-    mixed = []
-    for row in mix:
-        v = 0
-        for j, bit in enumerate(row):
-            if bit:
-                v ^= ext[j]
-        mixed.append(v)
+    # Mixing by the companion matrix A of x^r + x + 1 (r >= 2 here): row
+    # i < r - 1 is ext[i + 1], the last row ext[0] + ext[1].  det(A) = 1
+    # and det(A + I) = 1 over GF(2), so A has no nonzero fixed vector and
+    # distinct enlargement-row combinations on the two halves stay
+    # distinct modulo D.  A bare row permutation would not do: every
+    # permutation fixes the all-ones combination.
+    mixed = ext[1:] + [ext[0] ^ ext[1]]
 
     gens = list(d.bit_rows)
     gens += [g << n for g in gens]

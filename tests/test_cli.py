@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from agstab import artifacts, pauli
@@ -53,6 +54,19 @@ def test_verify_without_exact_distance_reports_bound(tmp_path):
     report = artifacts.report_from_obj(artifacts.load_json(tmp_path / "r.json"))
     assert not report.d_exact
     assert report.d_q == 2  # designed bound recorded at composition time
+
+
+def test_expand_refuses_a_triple_whose_c_misses_its_dual(tmp_path, capsys):
+    triple_path = tmp_path / "t.json"
+    main(["build", "--curve", "hermitian", "--q", "2", "--a", "3", "--a-prime", "1",
+          "--out", str(triple_path)])
+    triple = artifacts.triple_from_obj(artifacts.load_json(triple_path))
+    tampered = dataclasses.replace(triple, c=triple.c.dual())
+    artifacts.save_json(artifacts.triple_to_obj(tampered), triple_path)
+    pair_path = tmp_path / "p.json"
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
+    assert "expanded D does not contain its dual" in capsys.readouterr().err
+    assert not pair_path.exists()
 
 
 def test_bounds_csv_outputs(tmp_path):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from agstab import curves
 from agstab.curves import (
     _all_nonzero_combination,
     _monomial_values,
@@ -12,14 +13,31 @@ from agstab.curves import (
     rr_basis,
     solve_twist_vector,
 )
-from agstab.errors import TwistSearchError
-from agstab.fields import get_field
-from agstab.linear import WeightVector
+from agstab.errors import CertificationError, TwistSearchError
+from agstab.expansion import ExpansionMap, expand_chain
+from agstab.fields import get_field, self_dual_basis
+from agstab.linear import LinearCode, WeightVector
+
+# (curve, q, a, a') of the m=1, m=2 and line q=16 pipelines
+CHAINS = [("hermitian", 2, 3, 1), ("hermitian", 4, 34, 30), ("line", 16, 5, 3)]
 
 
 def squared(v):
     """The entrywise square of a weight vector."""
     return WeightVector(v.field, tuple(v.field.mul(e, e) for e in v.entries))
+
+
+def counting_duals(monkeypatch):
+    """Wrap LinearCode.dual; the returned list gets the field of each call."""
+    calls = []
+    plain = LinearCode.dual
+
+    def dual(self):
+        calls.append(self.field)
+        return plain(self)
+
+    monkeypatch.setattr(LinearCode, "dual", dual)
+    return calls
 
 
 def eval_monomial(field, mono, point):
@@ -191,6 +209,15 @@ class TestTwist:
         with pytest.raises(TwistSearchError):
             solve_twist_vector(cur, 8, allow_extended=True)
 
+    def test_twist_outside_the_solution_space_is_refused(self, monkeypatch):
+        cur = enumerate_curve("hermitian", 2)
+        bad = [2] + [1] * 7  # all nonzero, but not a solution
+        ev = evaluation_code(cur, 3)
+        assert not ev.weighted_dual(WeightVector(cur.field, tuple(bad))).contains(ev)
+        monkeypatch.setattr(curves, "_all_nonzero_combination", lambda *_: (bad, 1))
+        with pytest.raises(CertificationError, match="fails the self-orthogonality check"):
+            solve_twist_vector(cur, 3)
+
     def test_all_nonzero_search_odometer_and_greedy(self):
         f4 = get_field(2)
         basis = [(1, 0, 1), (0, 1, 1)]  # plain sum has a zero coordinate
@@ -249,3 +276,53 @@ class TestDualChain:
         assert (t.designed_d, t.designed_d_prime) == (46, 6)
         assert t.c_prime.contains(t.c)
         assert t.c.contains(t.c.dual())
+
+
+class TestChainFromConstruction:
+    """C = (v * ev_a)^perp against the weighted-dual route it replaced."""
+
+    @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
+    def test_matches_the_weighted_dual_route(self, kind, q, a, a_prime):
+        cur = enumerate_curve(kind, q)
+        t = build_dual_chain(cur, a, a_prime)
+        w, v = t.twist, t.scaling
+        ev_a = evaluation_code(cur, a, t.kept_points)
+        ev_ap = evaluation_code(cur, a_prime, t.kept_points)
+        assert t.c == ev_a.weighted_dual(w).scale(v)
+        assert t.c_prime == ev_ap.weighted_dual(w).scale(v)
+        assert t.c.dual() == ev_a.scale(v)
+
+    def test_a_non_constant_twist_is_certified_on_v_times_ev_a(self, monkeypatch):
+        # Every instance above solves with a constant w, for which v * ev_a
+        # spans ev_a.  w(x) = x^2 + x + c has no root in GF(16) for some c,
+        # and sum_x w(x) x^t = 0 for t <= 12, so it twists ev_5 and ev_3 too.
+        cur = enumerate_curve("line", 16)
+        f = cur.field
+        for c in range(f.order):
+            w = [f.add(f.mul(x, x), f.add(x, c)) for x, _ in cur.points]
+            if all(w):
+                break
+        weights = WeightVector(f, tuple(w))
+        ev_a, ev_ap = evaluation_code(cur, 5), evaluation_code(cur, 3)
+        assert len(set(w)) > 1 and ev_a.weighted_dual(weights).contains(ev_a)
+        monkeypatch.setattr(curves, "_all_nonzero_combination", lambda *_: (w, 1))
+        t = build_dual_chain(cur, 5, 3)
+        v = weights.sqrt()
+        assert t.c == ev_a.weighted_dual(weights).scale(v)
+        assert t.c_prime == ev_ap.weighted_dual(weights).scale(v)
+        assert t.c.dual() == ev_a.scale(v) != ev_a
+
+    @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
+    def test_one_dual_per_chain_code(self, kind, q, a, a_prime, monkeypatch):
+        cur = enumerate_curve(kind, q)
+        calls = counting_duals(monkeypatch)
+        build_dual_chain(cur, a, a_prime)
+        assert calls == [cur.field, cur.field]
+
+    @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
+    def test_descent_makes_no_binary_dual(self, kind, q, a, a_prime, monkeypatch):
+        t = build_dual_chain(enumerate_curve(kind, q), a, a_prime)
+        emap = ExpansionMap(field=t.field, basis=self_dual_basis(t.field))
+        calls = counting_duals(monkeypatch)
+        expand_chain(t, emap)
+        assert calls == [t.field]  # C.dual(), over the symbol field

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -178,6 +179,14 @@ def test_expand_chain_hermitian_instance():
     assert pair.d.contains(pair.d.dual())
     # the containment chain descends with the same dual relation
     assert pair.d.dual() == expand_code(triple.c.dual(), emap(GF4))
+
+
+def test_expand_chain_refuses_d_without_its_dual():
+    triple = build_dual_chain(enumerate_curve("hermitian", 2), 3, 1)
+    small = dataclasses.replace(triple, c=triple.c.dual())  # [8,3] < [8,5]
+    assert small.c_prime.contains(small.c)
+    with pytest.raises(CertificationError, match="expanded D does not contain its dual"):
+        expand_chain(small, emap(GF4))
 
 
 def test_field_mismatch_rejected():

@@ -182,6 +182,16 @@ class TestQuantumParams:
         rep = quantum_params(f, budget=16)
         assert rep.d_q == 3 and not rep.d_exact
 
+    def test_self_dual_tie_carries_both_flags(self):
+        # k_F = n = 1 and F = F^omega = <(1|0)>: dimension settles neither flag
+        f = make_symplectic(1, [0b01])
+        assert f.k_dim == f.n == 1
+        assert f.space == f.dual_space
+        assert f.is_isotropic and f.is_large
+        rep = quantum_params(f)
+        assert (rep.k_q, rep.d_q, rep.d_exact) == (0, None, False)
+        assert any("self-dual case" in line for line in rep.trace)
+
     def test_neither_flag_rejected(self):
         crooked = make_symplectic(2, [pack_gf4((EPS, 0)), pack_gf4((EPS_BAR, 0))])
         assert not crooked.is_isotropic and not crooked.is_large
