@@ -8,12 +8,16 @@ Riemann-Roch space, and evaluation at the affine points yields the
 codes.  The projective line (genus 0) is the same machinery with plain
 polynomials.
 
-Dual containment is arranged through a twist vector w: an all-nonzero
-solution of the bilinear system  sum_i w_i f(P_i) g(P_i) = 0  over all
-basis pairs (f, g).  With v its entrywise square root, the chain codes
-are the plain duals C = (v * ev_a)^perp and C' = (v * ev_a')^perp, so
-C_perp = v * ev_a is known from the construction, and one v serves both
-divisor degrees.
+Dual containment needs no twist.  The n points are all the affine
+points, the zeros of t = x^q - x on the line (t = x^(q^2) - x on the
+Hermitian curve), and the differential dt/t has residue 1 at each of
+them, so ev_a^perp = ev_(n+2g-2-a) (Stichtenoth, "A note on Hermitian
+codes over GF(q^2)", IEEE Trans. IT, 1988; *Algebraic Function Fields
+and Codes*, ch. 2).  The twist vector is therefore w = 1, ev_a is
+self-orthogonal whenever 2a <= n + 2g - 2, and the chain codes are the
+plain duals C = ev_a^perp and C' = ev_a'^perp, so C_perp = ev_a is
+known from the construction.  One containment, C >= ev_a, certifies
+it at every degree.
 """
 
 from __future__ import annotations
@@ -26,20 +30,9 @@ import numpy as np
 
 from .errors import CertificationError, TwistSearchError
 from .fields import Field, get_field, ordered_elements
-from .linear import (
-    LinearCode,
-    WeightVector,
-    code_from_matrix,
-    combine,
-    from_symbols,
-    nullspace,
-    odometer,
-    rref,
-    to_symbols,
-)
+from .linear import LinearCode, WeightVector, code_from_matrix, from_symbols
 
 _HERMITIAN_Q = (2, 4, 8)
-TWIST_SEARCH_LIMIT = 1 << 16  # combinations tried before the greedy repair
 
 LINE = "line"
 HERMITIAN = "hermitian"
@@ -168,13 +161,9 @@ def _monomial_values(
     return out
 
 
-def evaluation_code(
-    curve: Curve, a: int, kept: tuple[int, ...] | None = None
-) -> LinearCode:
-    """Image of evaluating the degree-a basis at the (kept) points."""
-    idx = tuple(range(curve.n_points)) if kept is None else kept
-    pts = [curve.points[i] for i in idx]
-    n = len(pts)
+def evaluation_code(curve: Curve, a: int) -> LinearCode:
+    """Image of evaluating the degree-a basis at every affine point."""
+    n = curve.n_points
     if a >= n:
         raise ValueError(f"a={a} >= n={n}: evaluation is not injective")
     if a < 2 * curve.genus - 1:
@@ -184,7 +173,7 @@ def evaluation_code(
         )
     basis = rr_basis(curve, a)
     field = curve.field
-    values = _monomial_values(field, basis.monomials, pts)
+    values = _monomial_values(field, basis.monomials, curve.points)
     code = code_from_matrix(field, n, from_symbols(field, values))
     if a >= 2 * curve.genus - 1 and code.k_dim != len(basis):
         raise CertificationError(
@@ -195,134 +184,58 @@ def evaluation_code(
 
 @dataclass(frozen=True)
 class TwistSolution:
-    """An all-nonzero twist vector over the retained point set."""
+    """The twist vector w = 1 over every point, with the code that certified it."""
 
     weights: WeightVector
-    c: LinearCode  # (sqrt(w) * ev_a)^perp, the code that certified w
+    c: LinearCode  # ev_a^perp, the code that certified w
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
     regime: str  # "standard" | "extended"
     attempts: int
 
 
-def _product_rows(curve: Curve, a: int) -> np.ndarray:
-    """Evaluations of the pairwise products of the degree-a basis, one row per product monomial."""
-    monos = rr_basis(curve, a).monomials
-    prods = sorted(
-        {(m1[0] + m2[0], m1[1] + m2[1]) for m1 in monos for m2 in monos}
-    )
-    return _monomial_values(curve.field, prods, curve.points)
-
-
-def _all_nonzero_combination(
-    basis: list[tuple[int, ...]], field: Field, limit: int
-) -> tuple[list[int], int]:
-    """Deterministic search for an all-nonzero vector in a spanned space.
-
-    In echelon form every coefficient must be nonzero (each pivot
-    coordinate equals its coefficient), so the search runs over the
-    (q-1)^r combinations in ``odometer`` order; attempts counts them up
-    to the first hit, the plain sum being the first.  Beyond ``limit``
-    combinations a greedy repair pass from the plain sum is used instead.
-    """
-    r = len(basis)
-    nz = list(field.exp)  # 1, g, g^2, ... in generator-power order
-    mat = np.array(basis, dtype=np.uint8)
-
-    if len(nz) ** r <= limit:
-        seen = 0
-        for coeffs in odometer(np.array(nz), r, mat.size):
-            words = combine(coeffs, mat, field)
-            hit = np.flatnonzero(words.all(axis=1))
-            if hit.size:
-                return words[hit[0]].tolist(), seen + int(hit[0]) + 1
-            seen += len(words)
-        raise TwistSearchError(
-            "no all-nonzero combination exists in the solution space"
-        )
-
-    w = combine([1] * r, mat, field).tolist()
-    attempts = 1
-    # Greedy repair: accept only strictly fewer zero coordinates, so the
-    # loop terminates within n steps; deterministic first-improvement.
-    zeros = sum(1 for e in w if e == 0)
-    while zeros:
-        target = next(i for i, e in enumerate(w) if e == 0)
-        improved = None
-        for b in basis:
-            if b[target] == 0:
-                continue
-            for c in nz:
-                cand = [e ^ field.mul(c, be) for e, be in zip(w, b)]
-                attempts += 1
-                zc = sum(1 for e in cand if e == 0)
-                if zc < zeros and (improved is None or zc < improved[0]):
-                    improved = (zc, cand)
-            if improved is not None and improved[0] == 0:
-                break
-        if improved is None:
-            raise TwistSearchError(
-                f"greedy search stalled with {zeros} zero coordinates"
-            )
-        zeros, w = improved
-    return w, attempts
-
-
 def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> TwistSolution:
-    """Find w (all entries nonzero) with the degree-a code w-self-orthogonal.
+    """The twist of the degree-a code: w = 1 on every point, certified.
 
-    Coordinates forced to zero by the constraint system are dropped
-    from the point set and reported in the solution.  The divisor bound
-    2a <= n' + g - 2 is enforced unless ``allow_extended`` is set, in
-    which case the regime is recorded.
+    The residue-1 differential dt/t gives ev_a^perp = ev_(n+2g-2-a), so
+    w = 1 makes ev_a self-orthogonal whenever 2a <= n + 2g - 2.  One
+    containment checks that rather than assuming it: C = ev_a^perp >= ev_a,
+    and C is returned with w.  A failed containment raises
+    TwistSearchError.  The divisor bound 2a <= n + g - 2 is enforced
+    unless ``allow_extended`` is set, in which case the regime is
+    recorded.
 
-    One containment certifies w and the chain code C alike.  With
-    v = sqrt(w) and U = v * ev_a, C = U^perp = v * (w * ev_a)^perp (x is
-    orthogonal to U iff x / v is w-orthogonal to ev_a), so C_perp = U with
-    no elimination; and <v e, v f> = sum_i w_i e_i f_i, so C >= U holds
-    exactly when ev_a is w-self-orthogonal.  C is returned with w.
+    A test checks this against the solution space of the bilinear system
+    sum_i w_i f(P_i) g(P_i) = 0 over all basis pairs (f, g), with
+    ``allow_extended``, at every a < n on the line for q = 4, 8, 16 and
+    the Hermitian curve for q = 2, 4, and at a = 269, 270, 283, 284 for
+    Hermitian q = 8.  There the space contains w = 1 exactly when the
+    containment holds and is {0} otherwise, so no other twist exists.
     """
-    n_full = curve.n_points
-    standard = 2 * a <= n_full + curve.genus - 2
+    n = curve.n_points
+    standard = 2 * a <= n + curve.genus - 2
     if not standard and not allow_extended:
         raise ValueError(
-            f"2a={2 * a} exceeds n'+g-2={n_full + curve.genus - 2}; "
+            f"2a={2 * a} exceeds n'+g-2={n + curve.genus - 2}; "
             "pass allow_extended to try anyway"
         )
 
-    field = curve.field
-    constraints = from_symbols(field, _product_rows(curve, a))
-    rr, pv = rref(constraints, field, n_full)
-    null = to_symbols(field, nullspace(rr, pv, field, n_full), n_full)
-    if not len(null):
-        raise TwistSearchError("constraint system has a trivial solution space")
-
-    support = null.any(axis=0)
-    forced = [int(i) for i in np.flatnonzero(~support)]
-    kept = tuple(int(i) for i in np.flatnonzero(support))
-    if not kept:
-        raise TwistSearchError("every coordinate is forced to zero")
-    if forced:
-        null, _ = rref(from_symbols(field, null[:, kept]), field, len(kept))
-        null = to_symbols(field, null, len(kept))
-
-    basis = [tuple(r) for r in null.tolist()]
-    w, attempts = _all_nonzero_combination(basis, field, TWIST_SEARCH_LIMIT)
-    weights = WeightVector(field, tuple(w))
-
     # Defining property, checked rather than assumed.
-    u = evaluation_code(curve, a, kept).scale(weights.sqrt())
-    c = u.dual()
-    if not c.contains(u):
-        raise CertificationError("twist vector fails the self-orthogonality check")
+    ev = evaluation_code(curve, a)
+    c = ev.dual()
+    if not c.contains(ev):
+        raise TwistSearchError(
+            f"ev_{a} is not self-orthogonal under w = 1 "
+            f"(2a={2 * a}, n+2g-2={n + 2 * curve.genus - 2})"
+        )
 
     return TwistSolution(
-        weights=weights,
+        weights=WeightVector(curve.field, (1,) * n),
         c=c,
-        kept=kept,
-        dropped=tuple(forced),
+        kept=tuple(range(n)),
+        dropped=(),
         regime="standard" if standard else "extended",
-        attempts=attempts,
+        attempts=1,
     )
 
 
@@ -362,10 +275,9 @@ def build_dual_chain(
 ) -> DualChainTriple:
     """Construct and certify the triple for divisor degrees a' < a.
 
-    One twist vector serves both degrees (the smaller basis is a subset
-    of the larger, so its constraints are a subset too).  C >= C_perp
-    comes certified with the twist; C' = (v * ev_a')^perp, C' >= C and
-    both dimensions are verified exactly here; failure raises.
+    The twist w = 1 serves both degrees, and its square root v is 1 too.
+    C >= C_perp comes certified with the twist; C' = ev_a'^perp, C' >= C
+    and both dimensions are verified exactly here; failure raises.
     """
     g = curve.genus
     if a_prime >= a:
@@ -374,10 +286,9 @@ def build_dual_chain(
         raise ValueError(f"need a' >= 2g-1 = {2 * g - 1}, got {a_prime}")
 
     tw = solve_twist_vector(curve, a, allow_extended=allow_extended)
-    n = len(tw.kept)  # a < n: the twist's evaluation code checked it
-    v = tw.weights.sqrt()
+    n = curve.n_points  # a < n: the twist's evaluation code checked it
     c = tw.c
-    c_prime = evaluation_code(curve, a_prime, tw.kept).scale(v).dual()
+    c_prime = evaluation_code(curve, a_prime).dual()
 
     if not c_prime.contains(c):
         raise CertificationError("C' does not contain C")
@@ -399,7 +310,7 @@ def build_dual_chain(
         a=a,
         a_prime=a_prime,
         twist=tw.weights,
-        scaling=v,
+        scaling=tw.weights,
         kept_points=tw.kept,
         dropped_points=tw.dropped,
         regime=tw.regime,

@@ -15,7 +15,11 @@ class CertificationError(RuntimeError):
 
 
 class TwistSearchError(RuntimeError):
-    """No all-nonzero twist vector exists in the solution space."""
+    """The twist w = 1 fails its containment: ev_a is not self-orthogonal.
+
+    Raised past the window 2a <= n + 2g - 2, where the twist system has
+    only the zero solution at every degree the tests sweep.
+    """
 
 
 class PipelineError(RuntimeError):

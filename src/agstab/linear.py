@@ -489,10 +489,6 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def sqrt(self) -> "WeightVector":
-        f = self.field
-        return WeightVector(f, tuple(f.sqrt(e) for e in self.entries))
-
 
 # ----------------------------------------------------------------------
 # the code type

@@ -97,7 +97,6 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
             f"C=[{triple.n},{triple.c.k_dim},>={triple.designed_d}], "
             f"C'=[{triple.n},{triple.c_prime.k_dim},>={triple.designed_d_prime}], "
             f"certified C' > C >= C^perp"
-            + (f", dropped points {triple.dropped_points}" if triple.dropped_points else "")
         )
 
     with _stage("descent"):

@@ -3,9 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from agstab import curves
 from agstab.curves import (
-    _all_nonzero_combination,
     _monomial_values,
     build_dual_chain,
     enumerate_curve,
@@ -13,10 +11,18 @@ from agstab.curves import (
     rr_basis,
     solve_twist_vector,
 )
-from agstab.errors import CertificationError, TwistSearchError
+from agstab.errors import TwistSearchError
 from agstab.expansion import ExpansionMap, expand_chain
-from agstab.fields import get_field, self_dual_basis
-from agstab.linear import LinearCode, WeightVector
+from agstab.fields import self_dual_basis
+from agstab.linear import (
+    LinearCode,
+    WeightVector,
+    code_from_matrix,
+    from_symbols,
+    make_code,
+    nullspace,
+    rref,
+)
 
 # (curve, q, a, a') of the m=1, m=2 and line q=16 pipelines
 CHAINS = [("hermitian", 2, 3, 1), ("hermitian", 4, 34, 30), ("line", 16, 5, 3)]
@@ -45,6 +51,27 @@ def eval_monomial(field, mono, point):
     i, j = mono
     x, y = point
     return field.mul(field.pow(x, i), field.pow(y, j))
+
+
+def twist_space(cur, a):
+    """Reference: the solutions w of sum_i w_i f(P_i) g(P_i) = 0 over all
+    pairs (f, g) of the degree-a basis, as a code over the curve's field."""
+    f, n = cur.field, cur.n_points
+    monos = rr_basis(cur, a).monomials
+    prods = sorted({(i1 + i2, j1 + j2) for i1, j1 in monos for i2, j2 in monos})
+    rr, pv = rref(from_symbols(f, _monomial_values(f, prods, cur.points)), f, n)
+    return code_from_matrix(f, n, nullspace(rr, pv, f, n))
+
+
+# (curve, q, degrees) of the twist oracle sweep
+TWIST_SWEEP = [
+    ("line", 4, range(4)),
+    ("line", 8, range(8)),
+    ("line", 16, range(16)),
+    ("hermitian", 2, range(8)),
+    ("hermitian", 4, range(64)),
+    ("hermitian", 8, (269, 270, 283, 284)),
+]
 
 
 def semigroup_gaps(q: int, bound: int) -> list[int]:
@@ -191,13 +218,13 @@ class TestTwist:
         assert tw.kept == tuple(range(8))
         assert tw.dropped == ()
         assert tw.regime == "standard"
-        ev = evaluation_code(cur, 3, tw.kept)
+        ev = evaluation_code(cur, 3)
         assert ev.weighted_dual(tw.weights).contains(ev)
 
     def test_line_full_length_small_a(self):
         cur = enumerate_curve("line", 16)
         tw = solve_twist_vector(cur, 5)
-        ev = evaluation_code(cur, 5, tw.kept)
+        ev = evaluation_code(cur, 5)
         assert ev.weighted_dual(tw.weights).contains(ev)
 
     def test_bound_guard_and_extended_flag(self):
@@ -209,22 +236,45 @@ class TestTwist:
         with pytest.raises(TwistSearchError):
             solve_twist_vector(cur, 8, allow_extended=True)
 
-    def test_twist_outside_the_solution_space_is_refused(self, monkeypatch):
-        cur = enumerate_curve("hermitian", 2)
-        bad = [2] + [1] * 7  # all nonzero, but not a solution
-        ev = evaluation_code(cur, 3)
-        assert not ev.weighted_dual(WeightVector(cur.field, tuple(bad))).contains(ev)
-        monkeypatch.setattr(curves, "_all_nonzero_combination", lambda *_: (bad, 1))
-        with pytest.raises(CertificationError, match="fails the self-orthogonality check"):
-            solve_twist_vector(cur, 3)
+    def test_twist_outside_the_solution_space_is_refused(self):
+        # one degree past the window 2a <= n + 2g - 2: w = 1 no longer solves
+        for q, a, a_prime in [(2, 5, 1), (4, 38, 30)]:
+            cur = enumerate_curve("hermitian", q)
+            window = cur.n_points + 2 * cur.genus - 2
+            assert 2 * a == window + 2
+            ev = evaluation_code(cur, a)
+            assert not ev.dual().contains(ev)
+            msg = rf"2a={2 * a}, n\+2g-2={window}"
+            with pytest.raises(TwistSearchError, match=msg):
+                solve_twist_vector(cur, a, allow_extended=True)
+            with pytest.raises(TwistSearchError, match=msg):
+                build_dual_chain(cur, a, a_prime, allow_extended=True)
 
-    def test_all_nonzero_search_odometer_and_greedy(self):
-        f4 = get_field(2)
-        basis = [(1, 0, 1), (0, 1, 1)]  # plain sum has a zero coordinate
-        w, attempts = _all_nonzero_combination(basis, f4, limit=1 << 16)
-        assert (w, attempts) == ([2, 1, 3], 2)
-        w2, _ = _all_nonzero_combination(basis, f4, limit=1)  # force greedy
-        assert all(w2)
+    @pytest.mark.parametrize("kind, q, degrees", TWIST_SWEEP)
+    def test_matches_the_solution_space_of_the_bilinear_system(self, kind, q, degrees):
+        # w = 1 exactly when the reference space holds it, a refusal
+        # exactly when that space is {0}, and never a third outcome
+        cur = enumerate_curve(kind, q)
+        n, window = cur.n_points, cur.n_points + 2 * cur.genus - 2
+        ones = make_code(cur.field, n, [[1] * n])
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # degrees below 2g - 1
+            for a in degrees:
+                space = twist_space(cur, a)
+                try:
+                    tw = solve_twist_vector(cur, a, allow_extended=True)
+                except TwistSearchError:
+                    assert space.k_dim == 0, a
+                    solved = False
+                else:
+                    assert tw.weights.entries == (1,) * n, a
+                    assert (tw.kept, tw.dropped, tw.attempts) == (tuple(range(n)), (), 1)
+                    assert space.contains(ones), a
+                    solved = True
+                assert solved == (2 * a <= window), a
+                outcomes.add(solved)
+        assert outcomes == {True, False}
 
 
 class TestDualChain:
@@ -279,38 +329,18 @@ class TestDualChain:
 
 
 class TestChainFromConstruction:
-    """C = (v * ev_a)^perp against the weighted-dual route it replaced."""
+    """C = ev_a^perp against the weighted-dual route it replaced."""
 
     @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
     def test_matches_the_weighted_dual_route(self, kind, q, a, a_prime):
         cur = enumerate_curve(kind, q)
         t = build_dual_chain(cur, a, a_prime)
         w, v = t.twist, t.scaling
-        ev_a = evaluation_code(cur, a, t.kept_points)
-        ev_ap = evaluation_code(cur, a_prime, t.kept_points)
+        ev_a = evaluation_code(cur, a)
+        ev_ap = evaluation_code(cur, a_prime)
         assert t.c == ev_a.weighted_dual(w).scale(v)
         assert t.c_prime == ev_ap.weighted_dual(w).scale(v)
         assert t.c.dual() == ev_a.scale(v)
-
-    def test_a_non_constant_twist_is_certified_on_v_times_ev_a(self, monkeypatch):
-        # Every instance above solves with a constant w, for which v * ev_a
-        # spans ev_a.  w(x) = x^2 + x + c has no root in GF(16) for some c,
-        # and sum_x w(x) x^t = 0 for t <= 12, so it twists ev_5 and ev_3 too.
-        cur = enumerate_curve("line", 16)
-        f = cur.field
-        for c in range(f.order):
-            w = [f.add(f.mul(x, x), f.add(x, c)) for x, _ in cur.points]
-            if all(w):
-                break
-        weights = WeightVector(f, tuple(w))
-        ev_a, ev_ap = evaluation_code(cur, 5), evaluation_code(cur, 3)
-        assert len(set(w)) > 1 and ev_a.weighted_dual(weights).contains(ev_a)
-        monkeypatch.setattr(curves, "_all_nonzero_combination", lambda *_: (w, 1))
-        t = build_dual_chain(cur, 5, 3)
-        v = weights.sqrt()
-        assert t.c == ev_a.weighted_dual(weights).scale(v)
-        assert t.c_prime == ev_ap.weighted_dual(weights).scale(v)
-        assert t.c.dual() == ev_a.scale(v) != ev_a
 
     @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
     def test_one_dual_per_chain_code(self, kind, q, a, a_prime, monkeypatch):

@@ -109,6 +109,25 @@ def test_binary_expansion_keeps_the_enlargement_wide_enough():
     assert run.fcode.is_large
 
 
+@pytest.mark.parametrize(
+    "m, q, a, a_prime, params",
+    [(1, 2, 4, 1, "[[16, 6, 4]]"), (2, 4, 37, 30, "[[256, 28, >=27]]")],
+)
+def test_extended_regime_end_to_end(m, q, a, a_prime, params):
+    # the last degree of the window 2a <= n + 2g - 2, past n + g - 2
+    run = pipeline_build(
+        PipelineConfig(
+            m=m, curve_kind="hermitian", q=q, a=a, a_prime=a_prime, allow_extended=True
+        )
+    )
+    t = run.triple
+    assert 2 * a == t.n + 2 * t.genus - 2
+    assert t.regime == "extended"
+    assert run.report.params() == params
+    assert run.report.d_exact == (m == 1)
+    assert "(extended)" in "\n".join(run.report.trace)
+
+
 def test_stage_labels_on_failure():
     with pytest.raises(PipelineError) as err:
         pipeline_build(PipelineConfig(m=1, curve_kind="hermitian", q=2, a=4, a_prime=1))
