@@ -13,8 +13,7 @@ bit-identical across runs and machines:
     k=7 : x^7 + x + 1
     k=8 : x^8 + x^4 + x^3 + x^2 + 1
 
-`trace` maps to GF(2), `sqrt` is total (squaring is a bijection in
-characteristic 2), and `self_dual_basis` finds a trace-orthonormal
+`trace` maps to GF(2), and `self_dual_basis` finds a trace-orthonormal
 basis by deterministic backtracking; such a basis exists for every
 GF(2^k) over GF(2).
 """
@@ -126,10 +125,6 @@ class Field:
     def trace(self, x: int) -> int:
         """Tr(x) = x + x^2 + x^4 + ... + x^(2^(k-1)), landing in {0, 1}."""
         return self.trace_table[x]
-
-    def sqrt(self, x: int) -> int:
-        """The unique square root x^(2^(k-1)); total in characteristic 2."""
-        return self.pow(x, 1 << (self.k - 1))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.k == self.k

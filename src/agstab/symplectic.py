@@ -13,12 +13,18 @@ dimension and, within budget, the exact minimum weight over the large
 code minus its symplectic dual, by iterating cosets of the dual and
 skipping the subgroup itself.
 
-That coset search splits each 2n-bit vector into packed a-part and
-b-part words, so the GF(4) weight is one OR and popcount at every n.
-It holds the subgroup span whole (2^k_small rows of 2 ceil(n/64) words)
-and walks the transversal span with ``linear.gray_span`` in blocks whose
-XOR against the subgroup stays within ``linear._SPAN_BLOCK`` cells,
-or one representative per block when the subgroup alone is larger.
+That coset search splits each 2n-bit vector into an a-part and a
+b-part, so the GF(4) weight is one OR and popcount at every n.  A half
+is one word of the narrowest unsigned dtype holding n bits (uint8, 16,
+32 or 64) when n <= 64, else ceil(n/64) uint64 words; a cell below is
+one such word.  Each representative of the transversal span (walked
+with ``linear.gray_span``) meets the subgroup span in a block of
+2 * words * R * S cells for R representatives and S subgroup elements,
+at most ``linear._SPAN_BLOCK``.  When one representative against the
+whole subgroup fits, the subgroup span is held whole (2^k_small
+elements) and R grows to fill the block; otherwise R = 1 and the
+subgroup is streamed in ``gray_span`` blocks, so memory stays within
+the ceiling at any subgroup size.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .linear import (
     DEFAULT_BUDGET,
     GF2,
     LinearCode,
+    _SPAN_BLOCK,
     binary_code,
     extend_basis,
     gray_span,
@@ -216,12 +223,38 @@ class QuantumCodeReport:
         return f"[[{self.n}, {self.k_q}, {rel}{self.d_q}]]"
 
 
+def _word_dtype(n: int) -> type:
+    """The narrowest unsigned dtype holding n bits, or uint64 words past 64."""
+    for t in (np.uint8, np.uint16, np.uint32):
+        if n <= np.iinfo(t).bits:
+            return t
+    return np.uint64
+
+
 def _halves(rows, n: int) -> np.ndarray:
-    """Packed rows of 2n-bit vectors, the a-part words then the b-part words."""
+    """Packed rows of 2n-bit vectors, the a-part words then the b-part words.
+
+    A half is one word of ``_word_dtype(n)`` when n <= 64, else
+    ceil(n/64) uint64 words.
+    """
     mask = (1 << n) - 1
     a = to_matrix(n, [r & mask for r in rows])
     b = to_matrix(n, [r >> n for r in rows])
-    return np.hstack([a, b])
+    return np.hstack([a, b]).astype(_word_dtype(n), copy=False)
+
+
+def _block_weights(reps: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """(R, S) GF(4) weights of representative r XOR subgroup element s.
+
+    ``reps`` and ``sub`` hold their R and S vectors word-major, as
+    (2W, R) and (2W, S) with the a-part words first; the two XOR
+    arrays hold the block's 2W R S cells.
+    """
+    half = len(sub) // 2
+    v = reps[:half, :, None] ^ sub[:half, None, :]
+    v |= reps[half:, :, None] ^ sub[half:, None, :]
+    w = np.bitwise_count(v)
+    return w[0] if half == 1 else w.sum(axis=0)
 
 
 def _min_weight_difference(
@@ -230,29 +263,41 @@ def _min_weight_difference(
     """(weight, witness) minimizing GF(4) weight over big minus small.
 
     Iterates cosets of the subgroup: the transversal span in Gray order,
-    each representative against the whole subgroup span (materialized,
-    also in Gray order), the zero representative (the subgroup itself)
-    skipped.  The witness is the first minimum in that order.
+    each representative against the subgroup span, also in Gray order,
+    the zero representative (the subgroup itself) skipped.  The witness
+    is the first minimum in that order.  Vectors are ``_halves`` words:
+    one ``_word_dtype(n)`` word per half when n <= 64, else uint64
+    words.  When one representative against the whole subgroup fits in
+    ``_SPAN_BLOCK`` cells, the span is held whole and each block takes
+    as many representatives as fit; otherwise each representative walks
+    the subgroup's ``gray_span`` blocks.  Either way a block holds at
+    most ``_SPAN_BLOCK`` cells, and ``argmin`` runs only on a block
+    whose minimum beats the best so far.
     """
     trans = extend_basis(small, big)
     if not trans:
         raise ValueError("the two spaces coincide; the difference set is empty")
 
-    # words on the first axis, so the XOR below runs along whole rows
-    sub = np.concatenate(list(gray_span(_halves(small.bit_rows, n)))).T.copy()
-    half = len(sub) // 2
+    basis = _halves(small.bit_rows, n)
+    row_cells = basis.shape[1] << basis.shape[0]  # one representative, whole subgroup
+    # Words on the first axis, so the XOR runs along whole rows.  The
+    # subgroup span is one gray_span block, kept, when it fits; else it
+    # is streamed afresh for each representative.
+    whole = [g.T.copy() for g in gray_span(basis)] if row_cells <= _SPAN_BLOCK else None
     best = n + 1
     witness = 0
-    for i, reps in enumerate(gray_span(_halves(trans, n), sub.size)):
-        v = reps.T.copy()[:, :, None] ^ sub[:, None, :]
-        w = np.bitwise_count(v[:half] | v[half:]).sum(axis=0)
-        if i == 0:
-            w[0] = n + 1  # the subgroup itself
-        r, s = np.unravel_index(np.argmin(w), w.shape)
-        if w[r, s] < best:
-            best = int(w[r, s])
-            a, b = to_rows(v[:, r, s].reshape(2, half))
-            witness = a | (b << n)
+    for i, block in enumerate(gray_span(_halves(trans, n), min(row_cells, _SPAN_BLOCK))):
+        reps = block.T
+        for sub in whole or (g.T.copy() for g in gray_span(basis)):
+            w = _block_weights(reps, sub)
+            if i == 0:
+                w[0] = n + 1  # the subgroup itself
+            low = w.min()
+            if low < best:
+                best = int(low)
+                r, s = divmod(int(w.argmin()), w.shape[1])
+                a, b = to_rows((reps[:, r] ^ sub[:, s]).astype(np.uint64).reshape(2, -1))
+                witness = a | (b << n)
     return best, witness
 
 

@@ -182,7 +182,9 @@ class TestScale:
             # seed rows made w-self-orthogonal by construction:
             # (a, b, 0, ...) with w1 a^2 + w2 b^2 = 0
             a = rng.randrange(1, 4)
-            b = GF4.sqrt(GF4.mul(GF4.mul(w.entries[0], GF4.mul(a, a)), GF4.inv(w.entries[1])))
+            # b = sqrt(w1 a^2 / w2), the square root being x^(2^(k-1))
+            b2 = GF4.mul(GF4.mul(w.entries[0], GF4.mul(a, a)), GF4.inv(w.entries[1]))
+            b = GF4.pow(b2, 1 << (GF4.k - 1))
             seed = make_code(GF4, 6, [[a, b, 0, 0, 0, 0]])
             c = seed.weighted_dual(w)
             assert c.contains(c.weighted_dual(w))  # c is w-dual-containing

@@ -3,11 +3,17 @@ import random
 import numpy as np
 import pytest
 
+import agstab.linear as linear_module
+import agstab.symplectic as symplectic_module
 from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR, get_field
-from agstab.linear import binary_code, gray_span, make_code
+from agstab.linear import binary_code, extend_basis, gray_span, make_code
+from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
+    _block_weights,
     _halves,
+    _min_weight_difference,
+    _word_dtype,
     make_symplectic,
     quantum_bound,
     quantum_params,
@@ -233,14 +239,12 @@ def test_witness_lies_outside_the_dual():
 
 def test_coset_enumeration_python_fallback_matches_numpy():
     # n=40 puts each 2n-bit vector across two packed words; the search
-    # must agree with the n=4 instance of the same structure
-    from agstab.symplectic import _min_weight_difference
-
+    # must agree with the n=4 instance of the same structure, witness too
     small_rows = [pack_gf4((EPS,) * 4)]
     big_rows = small_rows + [pack_gf4((EPS_BAR,) * 4), pack_gf4((1, 1, 0, 0))]
     small8 = binary_code(8, small_rows)
     big8 = binary_code(8, big_rows)
-    w8, _ = _min_weight_difference(big8, small8, 4)
+    w8, wit8 = _min_weight_difference(big8, small8, 4)
 
     def widen(v):  # re-embed (a|b) at n=4 into n=40 with zero padding
         a, b = v & 0xF, v >> 4
@@ -248,8 +252,123 @@ def test_coset_enumeration_python_fallback_matches_numpy():
 
     small80 = binary_code(80, [widen(r) for r in small_rows])
     big80 = binary_code(80, [widen(r) for r in big_rows])
-    w80, _ = _min_weight_difference(big80, small80, 40)
+    w80, wit80 = _min_weight_difference(big80, small80, 40)
     assert w8 == w80
+    assert widen(wit8) == wit80
+
+
+def _gray(rows):
+    """The span of ``rows`` as Python ints, in the Gray order of ``gray_span``."""
+    out = [0]
+    for t in range(1, 1 << len(rows)):
+        out.append(out[-1] ^ rows[(t & -t).bit_length() - 1])
+    return out
+
+
+def _reference_min_weight_difference(big, small, n):
+    """(weight, witness) by the coset order of ``_min_weight_difference``, in ints.
+
+    Transversal span in Gray order, each representative against the
+    subgroup span in Gray order, the zero representative skipped; the
+    first strict minimum wins.
+    """
+    mask = (1 << n) - 1
+    sub = _gray(small.bit_rows)
+    best, witness = n + 1, 0
+    for rep in _gray(extend_basis(small, big))[1:]:
+        for s in sub:
+            v = rep ^ s
+            w = ((v & mask) | (v >> n)).bit_count()
+            if w < best:
+                best, witness = w, v
+    return best, witness
+
+
+def _oracle_case(n, seed):
+    """small < big of 2n-bit sparse rows, the top bit of each half in play.
+
+    Rows of three random bits make weight ties common, so the witness
+    pins the tie rule; one extension row sets bits n-1 and 2n-1.
+    """
+    rng = random.Random(1000 * n + seed)
+
+    def sparse():
+        v = 0
+        for _ in range(3):
+            v |= 1 << rng.randrange(2 * n)
+        return v
+
+    small_rows = [sparse() for _ in range(4 + seed)]
+    extra = [(1 << (n - 1)) | (1 << (2 * n - 1)) | sparse()]
+    extra += [sparse() for _ in range(5 - seed)]
+    small = binary_code(2 * n, small_rows)
+    big = binary_code(2 * n, small_rows + extra)
+    assert big.k_dim > small.k_dim
+    return big, small
+
+
+ORACLE_NS = (4, 8, 9, 16, 17, 32, 33, 64, 65)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_coset_enumeration_matches_int_reference(n, seed):
+    # every word dtype (uint8/16/32/64) and the two-word halves past 64
+    big, small = _oracle_case(n, seed)
+    assert _halves(small.bit_rows, n).dtype == _word_dtype(n)
+    assert _min_weight_difference(big, small, n) == _reference_min_weight_difference(
+        big, small, n
+    )
+
+
+def test_word_dtype_is_the_narrowest_holding_n_bits():
+    widths = {n: np.dtype(_word_dtype(n)).itemsize for n in ORACLE_NS}
+    assert widths == {4: 1, 8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 8}
+    assert _halves([1 << 129], 65).shape == (1, 4)  # two uint64 words per half
+
+
+def _streamed(monkeypatch, block, big, small, n):
+    """The search with ``_SPAN_BLOCK = block``, and the largest block it built."""
+    cells = []
+
+    def recording(reps, sub):
+        cells.append(reps.shape[1] * sub.size)  # the two XOR arrays
+        return _block_weights(reps, sub)
+
+    for mod in (linear_module, symplectic_module):
+        monkeypatch.setattr(mod, "_SPAN_BLOCK", block)
+    monkeypatch.setattr(symplectic_module, "_block_weights", recording)
+    out = _min_weight_difference(big, small, n)
+    monkeypatch.undo()
+    return out, max(cells)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("desk", 8, 16)] + [("oracle", n, 8) for n in (9, 17, 33, 65)],
+)
+def test_streamed_subgroup_keeps_weight_witness_and_ceiling(monkeypatch, case):
+    kind, n, block = case
+    if kind == "desk":
+        f = steane_compose(EXT_HAMMING, EVEN)
+        big, small = f.space, f.dual_space
+    else:
+        big, small = _oracle_case(n, 0)
+    whole_cells = _halves(small.bit_rows, n).shape[1] << small.k_dim
+    assert whole_cells > block  # one representative exceeds the block: streamed
+    unstreamed = _min_weight_difference(big, small, n)
+    streamed, largest = _streamed(monkeypatch, block, big, small, n)
+    assert streamed == unstreamed
+    assert largest <= block
+
+
+def test_m1_witness_is_pinned():
+    run = pipeline_build(PipelineConfig(m=1, curve_kind="hermitian", q=2, a=3, a_prime=1))
+    f = run.fcode
+    pinned = (0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1)
+    assert run.report.params() == "[[16, 8, 3]]" and run.report.d_exact
+    assert run.report.d_witness == pinned
+    assert _min_weight_difference(f.space, f.dual_space, 16) == (3, pack_gf4(pinned))
 
 
 def test_make_symplectic_rejects_wide_vectors():
