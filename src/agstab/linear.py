@@ -486,9 +486,6 @@ class WeightVector:
             if not 0 < e < self.field.order:
                 raise ValueError(f"weight entries must be nonzero field elements, got {e}")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ----------------------------------------------------------------------
 # the code type
@@ -585,13 +582,14 @@ class LinearCode:
         return self.scale(w).dual()
 
     def scale(self, v: WeightVector) -> "LinearCode":
-        """Coordinatewise multiplication by v; same dimension."""
-        if v.field != self.field or len(v) != self.n:
+        """Coordinatewise multiplication by v; pivots stay, so v_j / v_pivot scales row i to RREF."""
+        if v.field != self.field or len(v.entries) != self.n:
             raise ValueError("weight vector does not match the code")
         if self.is_binary:
             return self  # GF(2)* = {1}
         f = self.field
-        return code_from_matrix(f, self.n, f.mul_table[np.array(v.entries), self.matrix])
+        ratio = f.mul_table[f.inv_table[np.take(v.entries, self.pivots), None], v.entries]
+        return code_from_rref(f, self.n, f.mul_table[ratio, self.matrix], self.pivots)
 
     def min_distance_exact(self, budget: int = DEFAULT_BUDGET) -> int:
         """Exact minimum Hamming weight over nonzero codewords.

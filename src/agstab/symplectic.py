@@ -10,8 +10,16 @@ of x times the conjugate of y.
 ``steane_compose`` builds the enlarged code from a dual-containing
 binary chain D' > D >= D_perp; ``quantum_params`` extracts the quantum
 dimension and, within budget, the exact minimum weight over the large
-code minus its symplectic dual, by iterating cosets of the dual and
-skipping the subgroup itself.
+code minus its symplectic dual (the stabilizer side).
+
+The exact distance has two certificates.  The weight distribution B
+of the stabilizer side (2^k_small words in ``gray_span`` blocks within
+``linear._SPAN_BLOCK`` cells) fixes the large side's A by the quantum
+MacWilliams identity W_A(x, y) = 2^-k_small W_B(x + 3y, x - y) (Shor
+and Laflamme 1997; Calderbank, Rains, Shor and Sloane 1998).  A is
+checked by ``_distance_floor``, and min{w >= 1 : A_w > B_w} bounds d_Q
+from below; the coset search below stops at its first word of that
+weight, the witness.
 
 That coset search splits each 2n-bit vector into an a-part and a
 b-part, so the GF(4) weight is one OR and popcount at every n.  A half
@@ -30,6 +38,8 @@ the ceiling at any subgroup size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -257,15 +267,69 @@ def _block_weights(reps: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return w[0] if half == 1 else w.sum(axis=0)
 
 
+def _weight_distribution(code: LinearCode, n: int) -> list[int]:
+    """B_0..B_n: the GF(4) weights of all 2^k words, in ``gray_span`` blocks."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for block in gray_span(_halves(code.bit_rows, n)):
+        half = block.shape[1] // 2
+        w = np.bitwise_count(block[:, :half] | block[:, half:]).sum(axis=1)
+        counts += np.bincount(w.astype(np.intp), minlength=n + 1)
+    return counts.tolist()
+
+
+def _macwilliams(b: list[int], n: int, size: int) -> list[Fraction]:
+    """The weight distribution of the form-dual of a code of ``size`` words.
+
+    A_j = sum_w b_w K_j(w) / size, with K_j(w) = [y^j] (1 + 3y)^(n-w) (1 - y)^w
+    the quaternary Krawtchouk polynomial, in exact arithmetic.
+    """
+    total = [0] * (n + 1)
+    for w, bw in enumerate(b):
+        if bw:
+            for j in range(n + 1):
+                total[j] += bw * sum(
+                    (-1) ** s * comb(w, s) * comb(n - w, j - s) * 3 ** (j - s)
+                    for s in range(max(0, j - n + w), min(j, w) + 1)
+                )
+    return [Fraction(t, size) for t in total]
+
+
+def _distance_floor(b: list[int], n: int, k_big: int) -> int:
+    """min{w >= 1 : A_w > B_w}, A the distribution of the form-dual (dim k_big).
+
+    Raises CertificationError unless A = ``_macwilliams(b)`` is integral
+    and nonnegative, B and A sum to 2^(2n - k_big) and 2^k_big,
+    A_w >= B_w, and size * W_A(1, t) = W_B(1 + 3t, 1 - t) at the n + 1
+    points t = 0..n, which determines A from B however A was computed.
+    """
+    size = 1 << (2 * n - k_big)
+    a = _macwilliams(b, n, size)
+    if any(x.denominator != 1 or x < 0 for x in a):
+        raise CertificationError("transformed weight distribution is not a nonnegative integer one")
+    a = [int(x) for x in a]
+    if sum(b) != size or sum(a) != 1 << k_big:
+        raise CertificationError(f"weight distributions do not sum to {size} and 2^{k_big}")
+    if any(x < y for x, y in zip(a, b)):
+        raise CertificationError("transformed weight distribution is below the code's")
+    for t in range(n + 1):
+        lhs = size * sum(x * t**w for w, x in enumerate(a))
+        if lhs != sum(y * (1 + 3 * t) ** (n - w) * (1 - t) ** w for w, y in enumerate(b)):
+            raise CertificationError(f"weight distributions break the MacWilliams identity at y={t}")
+    return next(w for w in range(1, n + 1) if a[w] > b[w])
+
+
 def _min_weight_difference(
-    big: LinearCode, small: LinearCode, n: int
+    big: LinearCode, small: LinearCode, n: int, floor: int
 ) -> tuple[int, int]:
     """(weight, witness) minimizing GF(4) weight over big minus small.
 
     Iterates cosets of the subgroup: the transversal span in Gray order,
     each representative against the subgroup span, also in Gray order,
     the zero representative (the subgroup itself) skipped.  The witness
-    is the first minimum in that order.  Vectors are ``_halves`` words:
+    is the first minimum in that order.  ``floor`` is a lower bound on
+    that minimum (1 holds for any pair): the search stops at the first
+    block whose minimum is at most ``floor``, which holds the first
+    minimum when the bound is right.  Vectors are ``_halves`` words:
     one ``_word_dtype(n)`` word per half when n <= 64, else uint64
     words.  When one representative against the whole subgroup fits in
     ``_SPAN_BLOCK`` cells, the span is held whole and each block takes
@@ -298,6 +362,8 @@ def _min_weight_difference(
                 r, s = divmod(int(w.argmin()), w.shape[1])
                 a, b = to_rows((reps[:, r] ^ sub[:, s]).astype(np.uint64).reshape(2, -1))
                 witness = a | (b << n)
+                if best <= floor:
+                    return best, witness
     return best, witness
 
 
@@ -307,8 +373,15 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
     For a large code the stabilizer side is the form-dual, so
     k_Q = k_F - n and the distance enumerates F minus F-dual; for a
     small (isotropic) code the roles swap symmetrically.  When the
-    enumeration exceeds ``budget`` the recorded ``code.distance_bound``
+    2^k_big states exceed ``budget`` the recorded ``code.distance_bound``
     is reported with d_exact = False.
+
+    Within budget, the module's two certificates give d_Q: a search
+    weight other than the MacWilliams floor raises CertificationError.
+    They enumerate 2^k_small states plus the search's prefix up to the
+    witness, at most a quarter more than the full 2^k_big when k_Q >= 1,
+    in blocks within ``_SPAN_BLOCK`` cells.  The trace's "enumerated
+    over 2^k_big states" holds since their distribution is exact.
     """
     n = code.n
     trace = []
@@ -338,7 +411,12 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
         )
 
     if (1 << big_bits) <= budget:
-        d_q, wit = _min_weight_difference(big, small, n)
+        floor = _distance_floor(_weight_distribution(small, n), n, big_bits)
+        d_q, wit = _min_weight_difference(big, small, n, floor)
+        if d_q != floor:
+            raise CertificationError(
+                f"coset search found weight {d_q}, the weight distributions d_Q = {floor}"
+            )
         trace.append(
             f"distance enumerated over 2^{big_bits} states minus "
             f"2^{small.k_dim} (subgroup skipped): d_Q = {d_q}"

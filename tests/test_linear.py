@@ -171,6 +171,21 @@ class TestScale:
         with pytest.raises(ValueError):
             WeightVector(GF4, (1, 0, 1))
 
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_matches_the_elimination_of_the_scaled_rows(self, k):
+        # scale certifies its rows with code_from_rref; eliminating them
+        # afresh must give the same matrix and pivots, zero code included
+        field, rng = get_field(k), random.Random(k)
+        for _ in range(40):
+            n = rng.randrange(1, 12)
+            c = random_code(field, n, rng.randrange(0, n + 1), rng)
+            v = WeightVector(field, tuple(rng.randrange(1, field.order) for _ in range(n)))
+            scaled = field.mul_table[np.array(v.entries), c.matrix]
+            ref = code_from_matrix(field, n, scaled)
+            out = c.scale(v)
+            assert out.pivots == ref.pivots == c.pivots
+            assert np.array_equal(out.matrix, ref.matrix) and out.matrix.dtype == ref.matrix.dtype
+
     def test_weighted_self_orthogonality_scales_to_dual_containment(self):
         # If C contains its v^2-weighted dual, the v-scaled code contains
         # its plain dual (the scaling is an isometry between the forms).

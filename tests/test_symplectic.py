@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from agstab.linear import binary_code, extend_basis, gray_span, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
     _block_weights,
+    _distance_floor,
     _halves,
+    _macwilliams,
     _min_weight_difference,
+    _weight_distribution,
     _word_dtype,
     make_symplectic,
     quantum_bound,
@@ -244,7 +248,7 @@ def test_coset_enumeration_python_fallback_matches_numpy():
     big_rows = small_rows + [pack_gf4((EPS_BAR,) * 4), pack_gf4((1, 1, 0, 0))]
     small8 = binary_code(8, small_rows)
     big8 = binary_code(8, big_rows)
-    w8, wit8 = _min_weight_difference(big8, small8, 4)
+    w8, wit8 = _min_weight_difference(big8, small8, 4, 1)
 
     def widen(v):  # re-embed (a|b) at n=4 into n=40 with zero padding
         a, b = v & 0xF, v >> 4
@@ -252,7 +256,7 @@ def test_coset_enumeration_python_fallback_matches_numpy():
 
     small80 = binary_code(80, [widen(r) for r in small_rows])
     big80 = binary_code(80, [widen(r) for r in big_rows])
-    w80, wit80 = _min_weight_difference(big80, small80, 40)
+    w80, wit80 = _min_weight_difference(big80, small80, 40, 1)
     assert w8 == w80
     assert widen(wit8) == wit80
 
@@ -316,7 +320,7 @@ def test_coset_enumeration_matches_int_reference(n, seed):
     # every word dtype (uint8/16/32/64) and the two-word halves past 64
     big, small = _oracle_case(n, seed)
     assert _halves(small.bit_rows, n).dtype == _word_dtype(n)
-    assert _min_weight_difference(big, small, n) == _reference_min_weight_difference(
+    assert _min_weight_difference(big, small, n, 1) == _reference_min_weight_difference(
         big, small, n
     )
 
@@ -338,7 +342,7 @@ def _streamed(monkeypatch, block, big, small, n):
     for mod in (linear_module, symplectic_module):
         monkeypatch.setattr(mod, "_SPAN_BLOCK", block)
     monkeypatch.setattr(symplectic_module, "_block_weights", recording)
-    out = _min_weight_difference(big, small, n)
+    out = _min_weight_difference(big, small, n, 1)
     monkeypatch.undo()
     return out, max(cells)
 
@@ -356,7 +360,7 @@ def test_streamed_subgroup_keeps_weight_witness_and_ceiling(monkeypatch, case):
         big, small = _oracle_case(n, 0)
     whole_cells = _halves(small.bit_rows, n).shape[1] << small.k_dim
     assert whole_cells > block  # one representative exceeds the block: streamed
-    unstreamed = _min_weight_difference(big, small, n)
+    unstreamed = _min_weight_difference(big, small, n, 1)
     streamed, largest = _streamed(monkeypatch, block, big, small, n)
     assert streamed == unstreamed
     assert largest <= block
@@ -368,9 +372,162 @@ def test_m1_witness_is_pinned():
     pinned = (0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1)
     assert run.report.params() == "[[16, 8, 3]]" and run.report.d_exact
     assert run.report.d_witness == pinned
-    assert _min_weight_difference(f.space, f.dual_space, 16) == (3, pack_gf4(pinned))
+    assert _min_weight_difference(f.space, f.dual_space, 16, 1) == (3, pack_gf4(pinned))
 
 
 def test_make_symplectic_rejects_wide_vectors():
     with pytest.raises(ValueError):
         make_symplectic(2, [1 << 4])
+
+
+# -- the weight-enumerator certificate of d_Q ---------------------------
+
+
+def _distribution(code, n):
+    """GF(4) weight counts over the span of ``code``, in Python ints."""
+    counts = [0] * (n + 1)
+    for v in _gray(list(code.bit_rows)):
+        counts[gf4_weight(v, n)] += 1
+    return counts
+
+
+def _random_isotropic(n, r, rng):
+    """r independent, pairwise form-orthogonal random 2n-bit rows."""
+    rows = []
+    while len(rows) < r:
+        v = rng.randrange(1, 1 << (2 * n))
+        if all(symplectic_form(v, u, n) == 0 for u in rows):
+            if binary_code(2 * n, rows + [v]).k_dim > len(rows):
+                rows.append(v)
+    return rows
+
+
+def _random_codes():
+    """Seeded ``make_symplectic`` codes, n <= 9, isotropic and large alike."""
+    rng = random.Random(7)
+    codes = []
+    for n in range(2, 10):
+        for _ in range(3):
+            r = rng.randrange(max(1, n - 5), n)  # k_Q = n - r >= 1, 2^(2n - r) <= 2^14
+            iso = make_symplectic(n, _random_isotropic(n, r, rng))
+            large = make_symplectic(n, iso.dual_space.bit_rows)
+            assert iso.is_isotropic and large.is_large and not large.is_isotropic
+            codes += [iso, large]
+    return codes
+
+
+def _sides(f):
+    """(big, small): the code and its stabilizer side, as ``quantum_params`` takes them."""
+    return (f.space, f.dual_space) if f.is_large else (f.dual_space, f.space)
+
+
+def _m1():
+    return pipeline_build(PipelineConfig(m=1, curve_kind="hermitian", q=2, a=3, a_prime=1)).fcode
+
+
+def _extended():
+    config = PipelineConfig(
+        m=1, curve_kind="hermitian", q=2, a=4, a_prime=1, allow_extended=True
+    )
+    return pipeline_build(config).fcode
+
+
+RANDOM_CODES = _random_codes()
+
+
+@pytest.mark.parametrize("f", RANDOM_CODES, ids=repr)
+def test_transform_of_the_small_side_is_the_big_sides_distribution(f):
+    n = f.n
+    big, small = _sides(f)
+    b = _weight_distribution(small, n)
+    assert b == _distribution(small, n)
+    a = _distribution(big, n)
+    assert _macwilliams(b, n, 1 << small.k_dim) == a
+    assert _macwilliams(a, n, 1 << big.k_dim) == b  # the identity is an involution
+
+
+@pytest.mark.parametrize("build", [_m1, lambda: steane_compose(EXT_HAMMING, EVEN)])
+def test_transform_matches_enumeration_on_the_shipped_codes(build):
+    # m=1's 2^24 words are counted by ``_weight_distribution``, which the
+    # random cases check against Python ints
+    f = build()
+    big, small = f.space, f.dual_space
+    b = _weight_distribution(small, f.n)
+    assert _macwilliams(b, f.n, 1 << small.k_dim) == _weight_distribution(big, f.n)
+
+
+def test_tampered_distributions_are_refused():
+    f = steane_compose(EXT_HAMMING, EVEN)
+    n, big, small = f.n, f.space, f.dual_space
+    b = _weight_distribution(small, n)
+    assert _distance_floor(b, n, big.k_dim) == 3
+    extra = list(b)
+    extra[4] += 1  # A_0 = 17/16
+    with pytest.raises(CertificationError, match="integer"):
+        _distance_floor(extra, n, big.k_dim)
+    # the roles swapped: the transform of A is B, integral but below A
+    with pytest.raises(CertificationError, match="below"):
+        _distance_floor(_weight_distribution(big, n), n, small.k_dim)
+    # B sums to 2^k_small, not to the form-dual size of a wrong k_big
+    with pytest.raises(CertificationError, match="sum"):
+        _distance_floor(b, n, big.k_dim + 2)
+
+
+@pytest.mark.parametrize(
+    "build", [_m1, lambda: steane_compose(EXT_HAMMING, EVEN), _extended] + [
+        lambda f=f: f for f in RANDOM_CODES[::3]
+    ],
+)
+def test_certified_distance_keeps_the_full_searchs_witness(build):
+    f = build()
+    big, small = _sides(f)
+    weight, witness = _min_weight_difference(big, small, f.n, 1)
+    rep = quantum_params(f)
+    assert rep.d_exact
+    assert (rep.d_q, rep.d_witness) == (weight, unpack_gf4(witness, f.n))
+
+
+def test_m1_search_stops_in_its_first_block(monkeypatch):
+    # the full search takes all 512 blocks; the witness is in block 0
+    calls = []
+
+    def counting(reps, sub):
+        calls.append(reps.shape[1])
+        return _block_weights(reps, sub)
+
+    f = _m1()
+    monkeypatch.setattr(symplectic_module, "_block_weights", counting)
+    assert quantum_params(f).params() == "[[16, 8, 3]]"
+    assert len(calls) == 1
+
+
+def _moved(a, to):
+    """The distribution ``a`` with A_3's words beyond B's moved to weight ``to``."""
+    def transform(b, n, size):
+        out = list(a)
+        out[to] += out[3] - b[3]
+        out[3] = Fraction(b[3])
+        return out
+    return transform
+
+
+@pytest.mark.parametrize("to", [4, 2])
+def test_a_wrong_floor_is_refused(monkeypatch, to):
+    # A plausible transform (integral, >= B, right sum) with m=1's d_Q = 3
+    # words moved up or down fails the identity at y = 0..n.
+    f = _m1()
+    a = _macwilliams(_weight_distribution(f.dual_space, 16), 16, 1 << f.dual_space.k_dim)
+    monkeypatch.setattr(symplectic_module, "_macwilliams", _moved(a, to))
+    with pytest.raises(CertificationError, match="MacWilliams identity"):
+        quantum_params(f)
+
+
+@pytest.mark.parametrize("floor", [2, 4])
+def test_search_disagreeing_with_the_floor_is_refused(monkeypatch, floor):
+    # above the true minimum the search stops on a lighter word in block
+    # 0; below it, the full search finds none that light
+    f = _m1()
+    monkeypatch.setattr(symplectic_module, "_distance_floor", lambda b, n, k: floor)
+    message = f"found weight 3, the weight distributions d_Q = {floor}"
+    with pytest.raises(CertificationError, match=message):
+        quantum_params(f)
