@@ -28,7 +28,6 @@ from .bounds import (
 from .curves import (
     Curve,
     DualChainTriple,
-    RRBasis,
     TwistSolution,
     build_dual_chain,
     enumerate_curve,

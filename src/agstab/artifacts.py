@@ -19,8 +19,8 @@ from typing import Any
 
 from .curves import DualChainTriple
 from .expansion import ExpandedPair
-from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
-from .linear import LinearCode, WeightVector, code_from_matrix, from_symbols, to_symbols
+from .fields import Field, SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
+from .linear import LinearCode, code_from_matrix, from_symbols, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
 
@@ -48,13 +48,10 @@ def code_from_obj(obj: dict[str, Any]) -> LinearCode:
     return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
 
 
-def weights_to_obj(w: WeightVector) -> list[str]:
-    return [element_to_hex(w.field, e) for e in w.entries]
-
-
-def weights_from_obj(field_k: int, entries: list[str]) -> WeightVector:
-    field = get_field(field_k)
-    return WeightVector(field, tuple(int(e, 16) for e in entries))
+def _fixed_provenance(field: Field, n: int) -> dict[str, Any]:
+    """The twist, scaling and point lists of every chain: w = v = 1, all n points kept."""
+    one = [element_to_hex(field, 1)] * n
+    return {"twist_w": one, "scaling_v": list(one), "kept_points": list(range(n)), "dropped_points": []}
 
 
 def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
@@ -68,10 +65,7 @@ def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
             "curve": {"kind": t.curve_kind, "q": t.q, "genus": t.genus},
             "a": t.a,
             "a_prime": t.a_prime,
-            "twist_w": weights_to_obj(t.twist),
-            "scaling_v": weights_to_obj(t.scaling),
-            "kept_points": list(t.kept_points),
-            "dropped_points": list(t.dropped_points),
+            **_fixed_provenance(t.field, t.n),
             "regime": t.regime,
             "designed_d": t.designed_d,
             "designed_d_prime": t.designed_d_prime,
@@ -82,19 +76,19 @@ def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
 def triple_from_obj(obj: dict[str, Any]) -> DualChainTriple:
     _expect_kind(obj, "dual_chain_triple")
     prov = obj["provenance"]
-    field_k = obj["field_k"]
+    c = code_from_obj(obj["c"])
+    # The code checks no other twist, so a file may not claim one.
+    for key, value in _fixed_provenance(c.field, c.n).items():
+        if prov[key] != value:
+            raise ValueError(f"provenance {key!r} differs from the fixed w = v = 1 on all {c.n} points")
     return DualChainTriple(
-        c=code_from_obj(obj["c"]),
+        c=c,
         c_prime=code_from_obj(obj["c_prime"]),
         curve_kind=prov["curve"]["kind"],
         q=prov["curve"]["q"],
         genus=prov["curve"]["genus"],
         a=prov["a"],
         a_prime=prov["a_prime"],
-        twist=weights_from_obj(field_k, prov["twist_w"]),
-        scaling=weights_from_obj(field_k, prov["scaling_v"]),
-        kept_points=tuple(prov["kept_points"]),
-        dropped_points=tuple(prov["dropped_points"]),
         regime=prov["regime"],
         designed_d=prov["designed_d"],
         designed_d_prime=prov["designed_d_prime"],

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CertificationError, TwistSearchError
 from .fields import Field, get_field, ordered_elements
-from .linear import LinearCode, WeightVector, code_from_matrix, from_symbols
+from .linear import LinearCode, code_from_matrix, from_symbols
 
 _HERMITIAN_Q = (2, 4, 8)
 
@@ -97,18 +97,6 @@ def enumerate_curve(kind: str, q: int) -> Curve:
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class RRBasis:
-    """Monomial basis x^i y^j of the functions with pole order <= a at infinity."""
-
-    curve: Curve
-    a: int
-    monomials: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
 def pole_order(curve: Curve, monomial: tuple[int, int]) -> int:
     i, j = monomial
     if curve.kind == LINE:
@@ -116,8 +104,8 @@ def pole_order(curve: Curve, monomial: tuple[int, int]) -> int:
     return curve.q * i + (curve.q + 1) * j
 
 
-def rr_basis(curve: Curve, a: int) -> RRBasis:
-    """Monomials with pole order <= a, sorted by pole order.
+def rr_basis(curve: Curve, a: int) -> tuple[tuple[int, int], ...]:
+    """Monomials x^i y^j with pole order <= a at infinity, sorted by pole order.
 
     For a >= 2g - 1 the count is exactly a - g + 1.
     """
@@ -138,7 +126,7 @@ def rr_basis(curve: Curve, a: int) -> RRBasis:
         raise CertificationError(
             f"basis size {len(monos)} != a - g + 1 = {a - curve.genus + 1}"
         )
-    return RRBasis(curve=curve, a=a, monomials=tuple(monos))
+    return tuple(monos)
 
 
 def _monomial_values(
@@ -173,7 +161,7 @@ def evaluation_code(curve: Curve, a: int) -> LinearCode:
         )
     basis = rr_basis(curve, a)
     field = curve.field
-    values = _monomial_values(field, basis.monomials, curve.points)
+    values = _monomial_values(field, basis, curve.points)
     code = code_from_matrix(field, n, from_symbols(field, values))
     if a >= 2 * curve.genus - 1 and code.k_dim != len(basis):
         raise CertificationError(
@@ -184,14 +172,11 @@ def evaluation_code(curve: Curve, a: int) -> LinearCode:
 
 @dataclass(frozen=True)
 class TwistSolution:
-    """The twist vector w = 1 over every point, with the code that certified it."""
+    """The code that certified the twist w = 1 over every point."""
 
-    weights: WeightVector
-    c: LinearCode  # ev_a^perp, the code that certified w
-    kept: tuple[int, ...]
-    dropped: tuple[int, ...]
+    c: LinearCode  # ev_a^perp
     regime: str  # "standard" | "extended"
-    attempts: int
+    attempts: int  # always 1: w = 1 is the only candidate
 
 
 def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> TwistSolution:
@@ -200,7 +185,7 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     The residue-1 differential dt/t gives ev_a^perp = ev_(n+2g-2-a), so
     w = 1 makes ev_a self-orthogonal whenever 2a <= n + 2g - 2.  One
     containment checks that rather than assuming it: C = ev_a^perp >= ev_a,
-    and C is returned with w.  A failed containment raises
+    and C is returned.  A failed containment raises
     TwistSearchError.  The divisor bound 2a <= n + g - 2 is enforced
     unless ``allow_extended`` is set, in which case the regime is
     recorded.
@@ -229,19 +214,16 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
             f"(2a={2 * a}, n+2g-2={n + 2 * curve.genus - 2})"
         )
 
-    return TwistSolution(
-        weights=WeightVector(curve.field, (1,) * n),
-        c=c,
-        kept=tuple(range(n)),
-        dropped=(),
-        regime="standard" if standard else "extended",
-        attempts=1,
-    )
+    return TwistSolution(c=c, regime="standard" if standard else "extended", attempts=1)
 
 
 @dataclass(frozen=True)
 class DualChainTriple:
-    """Certified chain C' > C >= C_perp over one field, with provenance."""
+    """Certified chain C' > C >= C_perp over one field, with provenance.
+
+    The twist and scaling are w = v = 1 on all n points, none dropped,
+    on every chain, so they are not stored.
+    """
 
     c: LinearCode
     c_prime: LinearCode
@@ -250,10 +232,6 @@ class DualChainTriple:
     genus: int
     a: int
     a_prime: int
-    twist: WeightVector
-    scaling: WeightVector
-    kept_points: tuple[int, ...]
-    dropped_points: tuple[int, ...]
     regime: str
     designed_d: int
     designed_d_prime: int
@@ -275,9 +253,9 @@ def build_dual_chain(
 ) -> DualChainTriple:
     """Construct and certify the triple for divisor degrees a' < a.
 
-    The twist w = 1 serves both degrees, and its square root v is 1 too.
-    C >= C_perp comes certified with the twist; C' = ev_a'^perp, C' >= C
-    and both dimensions are verified exactly here; failure raises.
+    The twist w = 1 serves both degrees.  C >= C_perp comes certified
+    with the twist; C' = ev_a'^perp, C' >= C and both dimensions are
+    verified exactly here; failure raises.
     """
     g = curve.genus
     if a_prime >= a:
@@ -309,10 +287,6 @@ def build_dual_chain(
         genus=g,
         a=a,
         a_prime=a_prime,
-        twist=tw.weights,
-        scaling=tw.weights,
-        kept_points=tw.kept,
-        dropped_points=tw.dropped,
         regime=tw.regime,
         designed_d=max(1, a - 2 * g + 2),
         designed_d_prime=max(1, a_prime - 2 * g + 2),

@@ -194,28 +194,27 @@ def self_dual_basis(field: Field) -> SelfDualBasis:
         ok.append(mask)
 
     chosen: list[int] = []
-
-    def rec(avail: int, start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        need = k - len(chosen)
-        i = start
-        while i < m:
-            bit = 1 << i
-            if avail & bit:
-                rest = avail >> i
-                if rest.bit_count() < need:
-                    return False
-                chosen.append(i)
-                if rec(avail & ok[i], i + 1):
-                    return True
-                chosen.pop()
-            i += 1
-        return False
-
-    if not rec((1 << m) - 1, 0):
+    if not _extend_orthonormal(ok, k, (1 << m) - 1, 0, chosen):
         raise RuntimeError(f"internal: no self-dual basis found for GF(2^{k})")
     return SelfDualBasis(field=f, elements=tuple(cand[i] for i in chosen))
+
+
+def _extend_orthonormal(ok: list[int], k: int, avail: int, start: int, chosen: list[int]) -> bool:
+    """Extend ``chosen`` depth first to the lexicographically first k
+    pairwise-orthogonal indices from ``start`` in ``avail``; module-level,
+    unlike a closure, so a search leaves no reference cycle."""
+    if len(chosen) == k:
+        return True
+    need = k - len(chosen)
+    for i in range(start, len(ok)):
+        if avail >> i & 1:
+            if (avail >> i).bit_count() < need:
+                return False
+            chosen.append(i)
+            if _extend_orthonormal(ok, k, avail & ok[i], i + 1, chosen):
+                return True
+            chosen.pop()
+    return False
 
 
 def element_hex_width(field: Field) -> int:

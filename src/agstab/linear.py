@@ -36,13 +36,10 @@ docstring.  Beyond the two codes, that route's scratch is one copy of
 C's matrix, one k x trailing-width gather per elimination block, and
 blocks of rows.
 
-Codewords are enumerated by two primitives, both yielding blocks of rows:
-
-- ``gray_span``: the 2^k XOR combinations of packed rows in Gray-code
-  order from 0, step t flipping row (t & -t).bit_length() - 1;
-- ``odometer``: the a^r coefficient vectors over an alphabet of size a
-  in counting order, digit 0 fastest, from (alphabet[0],) * r.
-
+Codewords are enumerated by one primitive, ``gray_span``: the 2^r XOR
+combinations of r kernel rows in blocks, in Gray-code order from 0,
+step t flipping row (t & -t).bit_length() - 1.  Over GF(2^k) the rows
+are the symbol rows alpha^i * g (i < k), which span the code over GF(2).
 A block and what its caller builds from it hold at most ``_SPAN_BLOCK``
 cells (8-byte words or symbols), unless one row alone is larger; the
 memory of an enumeration is that, plus whatever the caller keeps whole.
@@ -426,7 +423,7 @@ def combine(coeffs, mat: np.ndarray, field: Field) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def gray_span(mat: np.ndarray, row_cells: int | None = None) -> Iterator[np.ndarray]:
-    """All 2^k XOR combinations of the k packed rows of ``mat``, in blocks.
+    """All 2^k XOR combinations of the k kernel rows of ``mat``, in blocks.
 
     Gray-code order from 0: step t flips row (t & -t).bit_length() - 1.
     The low L rows give a reflected table of 2^L words; block h is that
@@ -449,25 +446,6 @@ def gray_span(mat: np.ndarray, row_cells: int | None = None) -> Iterator[np.ndar
         if h:
             high ^= mat[low + (h & -h).bit_length() - 1]
         yield (table[::-1] if h & 1 else table) ^ high
-
-
-def odometer(
-    alphabet: np.ndarray, r: int, row_cells: int | None = None
-) -> Iterator[np.ndarray]:
-    """All a^r coefficient vectors over ``alphabet`` (size a), in blocks of rows.
-
-    Counting order with digit 0 fastest, from (alphabet[0],) * r: digit
-    i of row t is alphabet[(t // a^i) % a].  ``row_cells`` is what the
-    caller holds per yielded row (by default r); a block has at most
-    _SPAN_BLOCK // row_cells rows, and at least 1.  Callers bound a^r.
-    """
-    a = len(alphabet)
-    total = a**r
-    step = max(1, _SPAN_BLOCK // (row_cells or r or 1))
-    place = a ** np.arange(r, dtype=np.int64)
-    for lo in range(0, total, step):
-        t = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        yield alphabet[t[:, None] // place % a]
 
 
 # ----------------------------------------------------------------------
@@ -603,14 +581,12 @@ class LinearCode:
         f = self.field
         if f.order**k > budget:
             raise BudgetExceeded(f"{f.order}^{k} codewords exceed budget {budget}")
-        mat = self.matrix
         if self.is_binary:
-            weights = (np.bitwise_count(b).sum(axis=1) for b in gray_span(mat))
-        else:
-            weights = (
-                np.count_nonzero(combine(c, mat, f), axis=1)
-                for c in odometer(np.arange(f.order), k, k * self.n)
-            )
+            weights = (np.bitwise_count(b).sum(axis=1) for b in gray_span(self.matrix))
+        else:  # alpha^i * g_j, i < f.k, span over GF(2) what the g_j span over GF(2^k)
+            alphas = np.array(f.exp[: f.k], dtype=np.uint8)[:, None, None]
+            mat = f.mul_table[alphas, self.matrix].reshape(-1, self.n)
+            weights = (np.count_nonzero(b, axis=1) for b in gray_span(mat))
         best = self.n + 1
         for w in weights:  # only the zero message gives weight 0
             best = int(np.min(w, initial=best, where=w > 0))

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 
+import pytest
+
 from agstab import artifacts, pauli
 from agstab.bounds import parse_csv
 from agstab.cli import main
+from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.fields import EPS, EPS_BAR
 from agstab.symplectic import make_symplectic
 
@@ -67,6 +70,37 @@ def test_expand_refuses_a_triple_whose_c_misses_its_dual(tmp_path, capsys):
     assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
     assert "expanded D does not contain its dual" in capsys.readouterr().err
     assert not pair_path.exists()
+
+
+def _tamper_twist(prov):
+    prov["twist_w"][3] = "2"
+
+
+def _drop_a_kept_point(prov):
+    del prov["kept_points"][5]
+
+
+@pytest.mark.parametrize("tamper, key", [
+    (_tamper_twist, "twist_w"),
+    (_drop_a_kept_point, "kept_points"),
+])
+def test_expand_refuses_a_triple_that_claims_another_twist(tmp_path, capsys, tamper, key):
+    triple_path = tmp_path / "t.json"
+    assert main(["build", "--curve", "hermitian", "--q", "2", "--a", "3", "--a-prime", "1",
+                 "--out", str(triple_path)]) == 0
+    obj = artifacts.load_json(triple_path)
+    tamper(obj["provenance"])
+    artifacts.save_json(obj, triple_path)
+    pair_path = tmp_path / "p.json"
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not pair_path.exists()
+
+
+@pytest.mark.parametrize("kind, q, a, a_prime", [("hermitian", 2, 3, 1), ("line", 16, 5, 3)])
+def test_triple_round_trips(kind, q, a, a_prime):
+    obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve(kind, q), a, a_prime))
+    assert artifacts.triple_to_obj(artifacts.triple_from_obj(obj)) == obj
 
 
 def test_bounds_csv_outputs(tmp_path):

@@ -28,9 +28,9 @@ from agstab.linear import (
 CHAINS = [("hermitian", 2, 3, 1), ("hermitian", 4, 34, 30), ("line", 16, 5, 3)]
 
 
-def squared(v):
-    """The entrywise square of a weight vector."""
-    return WeightVector(v.field, tuple(v.field.mul(e, e) for e in v.entries))
+def ones(field, n):
+    """The twist and scaling of every chain: 1 on all n points."""
+    return WeightVector(field, (1,) * n)
 
 
 def counting_duals(monkeypatch):
@@ -57,7 +57,7 @@ def twist_space(cur, a):
     """Reference: the solutions w of sum_i w_i f(P_i) g(P_i) = 0 over all
     pairs (f, g) of the degree-a basis, as a code over the curve's field."""
     f, n = cur.field, cur.n_points
-    monos = rr_basis(cur, a).monomials
+    monos = rr_basis(cur, a)
     prods = sorted({(i1 + i2, j1 + j2) for i1, j1 in monos for i2, j2 in monos})
     rr, pv = rref(from_symbols(f, _monomial_values(f, prods, cur.points)), f, n)
     return code_from_matrix(f, n, nullspace(rr, pv, f, n))
@@ -134,12 +134,12 @@ class TestEnumerate:
 class TestRRBasis:
     def test_constants_only(self):
         cur = enumerate_curve("hermitian", 2)
-        assert rr_basis(cur, 0).monomials == ((0, 0),)
+        assert rr_basis(cur, 0) == ((0, 0),)
 
     def test_pole_orders_0_2_3(self):
         cur = enumerate_curve("hermitian", 2)
-        assert rr_basis(cur, 3).monomials == ((0, 0), (1, 0), (0, 1))
-        assert rr_basis(cur, 4).monomials == ((0, 0), (1, 0), (0, 1), (2, 0))
+        assert rr_basis(cur, 3) == ((0, 0), (1, 0), (0, 1))
+        assert rr_basis(cur, 4) == ((0, 0), (1, 0), (0, 1), (2, 0))
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_size_matches_gap_counting_oracle(self, q):
@@ -152,7 +152,7 @@ class TestRRBasis:
 
     def test_line_is_polynomials(self):
         cur = enumerate_curve("line", 4)
-        assert rr_basis(cur, 2).monomials == ((0, 0), (1, 0), (2, 0))
+        assert rr_basis(cur, 2) == ((0, 0), (1, 0), (2, 0))
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestTwist:
         # oracle: all 9 basis-pair sums vanish with unit weights
         cur = enumerate_curve("hermitian", 2)
         f = cur.field
-        monos = rr_basis(cur, 3).monomials
+        monos = rr_basis(cur, 3)
         for i1, j1 in monos:
             for i2, j2 in monos:
                 total = 0
@@ -214,18 +214,17 @@ class TestTwist:
     def test_solver_result_certified(self):
         cur = enumerate_curve("hermitian", 2)
         tw = solve_twist_vector(cur, 3)
-        assert all(tw.weights.entries)
-        assert tw.kept == tuple(range(8))
-        assert tw.dropped == ()
-        assert tw.regime == "standard"
+        assert (tw.regime, tw.attempts) == ("standard", 1)
         ev = evaluation_code(cur, 3)
-        assert ev.weighted_dual(tw.weights).contains(ev)
+        assert tw.c == ev.weighted_dual(ones(cur.field, 8))
+        assert tw.c.contains(ev)
 
     def test_line_full_length_small_a(self):
         cur = enumerate_curve("line", 16)
         tw = solve_twist_vector(cur, 5)
         ev = evaluation_code(cur, 5)
-        assert ev.weighted_dual(tw.weights).contains(ev)
+        assert tw.c == ev.weighted_dual(ones(cur.field, 16))
+        assert tw.c.contains(ev)
 
     def test_bound_guard_and_extended_flag(self):
         cur = enumerate_curve("line", 16)
@@ -268,8 +267,7 @@ class TestTwist:
                     assert space.k_dim == 0, a
                     solved = False
                 else:
-                    assert tw.weights.entries == (1,) * n, a
-                    assert (tw.kept, tw.dropped, tw.attempts) == (tuple(range(n)), (), 1)
+                    assert tw.attempts == 1, a
                     assert space.contains(ones), a
                     solved = True
                 assert solved == (2 * a <= window), a
@@ -289,10 +287,6 @@ class TestDualChain:
         assert t.c.min_distance_exact() == 3
         assert t.c_prime.min_distance_exact() == 2
         assert t.c_prime.k_dim - t.c.k_dim == t.a - t.a_prime
-
-    def test_one_twist_serves_both_degrees(self):
-        t = build_dual_chain(enumerate_curve("hermitian", 2), 3, 1)
-        assert t.twist is squared(t.scaling) or t.twist.entries == squared(t.scaling).entries
 
     def test_line_gf4_mds(self):
         t = build_dual_chain(enumerate_curve("line", 4), 1, 0)
@@ -335,7 +329,7 @@ class TestChainFromConstruction:
     def test_matches_the_weighted_dual_route(self, kind, q, a, a_prime):
         cur = enumerate_curve(kind, q)
         t = build_dual_chain(cur, a, a_prime)
-        w, v = t.twist, t.scaling
+        w = v = ones(cur.field, cur.n_points)
         ev_a = evaluation_code(cur, a)
         ev_ap = evaluation_code(cur, a_prime)
         assert t.c == ev_a.weighted_dual(w).scale(v)

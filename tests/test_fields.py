@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +179,26 @@ class TestSelfDualBasis:
 
     def test_deterministic(self):
         assert self_dual_basis(get_field(6)).elements == self_dual_basis(get_field(6)).elements
+
+    @pytest.mark.parametrize("k, elements", [
+        (1, (1,)),
+        (2, (2, 3)),
+        (3, (3, 7, 5)),
+        (4, (8, 11, 15, 13)),
+        (5, (8, 5, 7, 21, 30)),
+        (6, (32, 35, 59, 55, 63, 49)),
+        (7, (3, 67, 101, 85, 93, 77, 97)),
+        (8, (32, 58, 45, 37, 127, 182, 241, 43)),
+    ])
+    def test_pinned_lexicographic_first_bases(self, k, elements):
+        # the pair artifacts store these bases
+        assert self_dual_basis(get_field(k)).elements == elements
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        f = get_field(6)
+        gc.collect()
+        self_dual_basis(f)
+        assert gc.collect() == 0
 
     def test_bad_basis_rejected(self):
         f = get_field(2)

@@ -11,16 +11,14 @@ from agstab.linear import (
     WeightVector,
     binary_code,
     code_from_matrix,
-    combine,
     from_symbols,
-    gray_span,
     make_code,
-    odometer,
-    to_symbols,
 )
 
 GF2 = get_field(1)
 GF4 = get_field(2)
+GF8 = get_field(3)
+GF16 = get_field(4)
 
 
 def ones(field, n):
@@ -65,16 +63,26 @@ def brute_force_dual(code: LinearCode) -> set[int]:
     }
 
 
-def codeword_set(code: LinearCode) -> set[tuple[int, ...]]:
-    """All q^k codewords as symbol tuples, through the enumeration primitives."""
+def brute_force_words(code: LinearCode) -> list[tuple[int, ...]]:
+    """Oracle: all q^k codewords as symbol tuples, one message at a time in
+    scalar field arithmetic, with no kernel matrix or enumeration primitive."""
     f = code.field
-    mat = code.matrix
-    if code.is_binary:
-        words = to_symbols(f, np.concatenate(list(gray_span(mat))), code.n)
-    else:
-        coeffs = np.concatenate(list(odometer(np.arange(f.order), code.k_dim)))
-        words = combine(coeffs, mat, f)
-    return {tuple(w) for w in words.tolist()}
+    words = []
+    for msg in itertools.product(range(f.order), repeat=code.k_dim):
+        word = [0] * code.n
+        for c, row in zip(msg, code.generators):
+            for j, x in enumerate(row):
+                word[j] ^= f.mul(c, x)
+        words.append(tuple(word))
+    return words
+
+
+def brute_force_distance(code: LinearCode) -> int:
+    return min(sum(x != 0 for x in w) for w in brute_force_words(code) if any(w))
+
+
+def codeword_set(code: LinearCode) -> set[tuple[int, ...]]:
+    return set(brute_force_words(code))
 
 
 def random_code(field, n, k, rng) -> LinearCode:
@@ -266,6 +274,31 @@ class TestMinDistance:
     def test_zero_code(self):
         with pytest.raises(ValueError):
             zero_code(GF2, 4).min_distance_exact()
+
+    @pytest.mark.parametrize("field", [GF4, GF8, GF16], ids=str)
+    def test_matches_brute_force_over_extension_fields(self, field):
+        rng = random.Random(field.k)
+        done = 0
+        while done < 30:
+            n = rng.randint(1, 9)
+            c = random_code(field, n, rng.randint(1, n), rng)
+            if field.order**c.k_dim > 1 << 12:
+                continue
+            assert c.min_distance_exact() == brute_force_distance(c), c.generators
+            done += 1
+
+    @pytest.mark.parametrize("field", [GF2, GF4, GF8, GF16], ids=str)
+    def test_budget_is_refused_exactly_past_q_to_the_k(self, field):
+        c = random_code(field, 6, 3, random.Random(field.k))
+        words = field.order**3
+        assert c.min_distance_exact(budget=words) == brute_force_distance(c)
+        with pytest.raises(BudgetExceeded, match=f"{field.order}\\^3 codewords exceed budget {words - 1}"):
+            c.min_distance_exact(budget=words - 1)
+
+    @pytest.mark.parametrize("field", [GF4, GF8, GF16], ids=str)
+    def test_zero_code_over_extension_fields(self, field):
+        with pytest.raises(ValueError, match="zero code"):
+            zero_code(field, 5).min_distance_exact()
 
     def test_invariant_under_scaling(self):
         rng = random.Random(6)

@@ -10,12 +10,11 @@ grouped ``reduce`` through many pivot blocks.  A code's
 one stored form is checked to compare and hash canonically, to be
 read-only, to round-trip through its int and tuple views, to
 serialize to the per-symbol hex rows of a local ``row_to_hex``, and to
-parse back from them.  The two
-enumeration primitives are checked against plain Python loops in the
-orders they promise, whole and in blocks.
+parse back from them.  The
+enumeration primitive is checked against a plain Python loop in the
+order it promises, whole and in blocks.
 """
 
-import itertools
 import random
 
 import numpy as np
@@ -40,7 +39,6 @@ from agstab.linear import (
     gray_span,
     make_code,
     nullspace,
-    odometer,
     reduce,
     rref,
     to_matrix,
@@ -519,18 +517,3 @@ def test_gray_span_matches_the_gray_loop(k, n, row_cells, seed):
         assert len(block) == len(blocks[0])
     assert len(blocks[0]) == 1 or len(blocks[0]) * cells <= _SPAN_BLOCK
     assert to_rows(np.concatenate(blocks)) == gray_loop(rows)
-
-
-@settings(deadline=None)
-@given(
-    st.lists(st.integers(0, 255), min_size=1, max_size=5, unique=True),
-    st.integers(0, 6),
-    st.sampled_from((None, 1, 7, _SPAN_BLOCK // 3, _SPAN_BLOCK)),
-)
-def test_odometer_matches_product_order(alphabet, r, row_cells):
-    want = [tuple(reversed(p)) for p in itertools.product(alphabet, repeat=r)]
-    blocks = list(odometer(np.array(alphabet, dtype=np.uint8), r, row_cells))
-    cells = row_cells or r or 1
-    for block in blocks:
-        assert len(block) == 1 or len(block) * cells <= _SPAN_BLOCK
-    assert [tuple(row) for row in np.concatenate(blocks).tolist()] == want
