@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .curves import DualChainTriple
+from .curves import DualChainTriple, curve_genus, designed_distance
 from .expansion import ExpandedPair
 from .fields import Field, SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
 from .linear import LinearCode, code_from_matrix, from_symbols, to_symbols
@@ -81,12 +81,22 @@ def triple_from_obj(obj: dict[str, Any]) -> DualChainTriple:
     for key, value in _fixed_provenance(c.field, c.n).items():
         if prov[key] != value:
             raise ValueError(f"provenance {key!r} differs from the fixed w = v = 1 on all {c.n} points")
+    curve = prov["curve"]
+    g = curve_genus(curve["kind"], curve["q"])
+    # Checked, never trusted: the designed distances become the recorded bound.
+    for key, got, want in (
+        ("genus", curve["genus"], g),
+        ("designed_d", prov["designed_d"], designed_distance(prov["a"], g)),
+        ("designed_d_prime", prov["designed_d_prime"], designed_distance(prov["a_prime"], g)),
+    ):
+        if got != want:
+            raise ValueError(f"provenance {key!r} = {got} differs from {want}, derived from the curve and degrees")
     return DualChainTriple(
         c=c,
         c_prime=code_from_obj(obj["c_prime"]),
-        curve_kind=prov["curve"]["kind"],
-        q=prov["curve"]["q"],
-        genus=prov["curve"]["genus"],
+        curve_kind=curve["kind"],
+        q=curve["q"],
+        genus=g,
         a=prov["a"],
         a_prime=prov["a_prime"],
         regime=prov["regime"],

@@ -61,6 +61,20 @@ class Curve:
         return f"{self.kind}(q={self.q}, genus={self.genus}, points={self.n_points})"
 
 
+def curve_genus(kind: str, q: int) -> int:
+    """q(q-1)/2 for the Hermitian curve over GF(q^2), 0 for the line."""
+    if kind == LINE:
+        return 0
+    if kind == HERMITIAN:
+        return q * (q - 1) // 2
+    raise ValueError(f"unknown curve kind {kind!r}")
+
+
+def designed_distance(a: int, genus: int) -> int:
+    """max(1, a - 2g + 2): the designed distance of ev_a^perp."""
+    return max(1, a - 2 * genus + 2)
+
+
 def enumerate_curve(kind: str, q: int) -> Curve:
     """Build a curve with deterministic point order.
 
@@ -74,7 +88,7 @@ def enumerate_curve(kind: str, q: int) -> Curve:
             raise ValueError(f"line needs a field size 2^k, got {q}")
         field = get_field(k)
         pts = [(x, 0) for x in ordered_elements(field)]
-        return Curve(kind=LINE, field=field, q=q, genus=0, points=tuple(pts))
+        return Curve(kind=LINE, field=field, q=q, genus=curve_genus(LINE, q), points=tuple(pts))
     if kind == HERMITIAN:
         if q not in _HERMITIAN_Q:
             raise ValueError(f"hermitian q must be one of {_HERMITIAN_Q}, got {q}")
@@ -92,7 +106,7 @@ def enumerate_curve(kind: str, q: int) -> Curve:
                 f"hermitian point count {len(pts)} != q^3 = {q ** 3}"
             )
         return Curve(
-            kind=HERMITIAN, field=field, q=q, genus=q * (q - 1) // 2, points=tuple(pts)
+            kind=HERMITIAN, field=field, q=q, genus=curve_genus(HERMITIAN, q), points=tuple(pts)
         )
     raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -288,6 +302,6 @@ def build_dual_chain(
         a=a,
         a_prime=a_prime,
         regime=tw.regime,
-        designed_d=max(1, a - 2 * g + 2),
-        designed_d_prime=max(1, a_prime - 2 * g + 2),
+        designed_d=designed_distance(a, g),
+        designed_d_prime=designed_distance(a_prime, g),
     )

@@ -7,10 +7,17 @@ GF(4) generator.  The form is then the plain binary pairing
 sum_j (a_j b'_j + a'_j b_j), which agrees with the coordinatewise trace
 of x times the conjugate of y.
 
-``steane_compose`` builds the enlarged code from a dual-containing
-binary chain D' > D >= D_perp; ``quantum_params`` extracts the quantum
-dimension and, within budget, the exact minimum weight over the large
-code minus its symplectic dual (the stabilizer side).
+``steane_compose`` builds the enlarged code F from a dual-containing
+binary chain D' > D >= D_perp, and F^omega in closed form: the words of
+D^perp + D^perp that meet r = k' - k linear conditions.  Both canonical
+RREFs are assembled from the chain's, eliminating r rows of 2n bits for
+F and r rows of 2(n - k) bits for F^omega, and both flags follow from
+D >= D_perp (the proof is in its docstring).  ``make_symplectic``
+eliminates any generators over 2n bits and checks the flags by
+containment; ``verify`` and the tests keep it as the independent route.
+``quantum_params`` extracts the quantum dimension and, within budget,
+the exact minimum weight over the large code minus its symplectic dual
+(the stabilizer side).
 
 The exact distance has two certificates.  The weight distribution B
 of the stabilizer side (2^k_small words in ``gray_span`` blocks within
@@ -50,10 +57,16 @@ from .linear import (
     GF2,
     LinearCode,
     _SPAN_BLOCK,
+    _columns,
+    _dual_rref,
     binary_code,
+    code_from_rref,
     extend_basis,
+    from_symbols,
     gray_span,
     nullspace,
+    reduce,
+    rref,
     to_matrix,
     to_rows,
 )
@@ -144,6 +157,73 @@ def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     return _certified(code.n, code.dual_space, code.space)
 
 
+def _doubled(code: LinearCode) -> tuple[np.ndarray, list[int]]:
+    """C + C in 2n bits, (g|0) then (0|g): C's RREF on each half is its RREF.
+
+    The b-half is C's packed matrix shifted up n bits, carried across words.
+    """
+    n, k, mat = code.n, code.k_dim, code.matrix
+    w, s = divmod(n, 64)
+    out = np.zeros((2 * k, (2 * n + 63) // 64), dtype=mat.dtype)
+    out[:k, : mat.shape[1]] = mat
+    out[k:, w : w + mat.shape[1]] = mat << np.uint64(s)
+    if s:
+        out[k:, w + 1 :] |= (mat >> np.uint64(64 - s))[:, : out.shape[1] - w - 1]
+    return out, [*code.pivots, *(p + n for p in code.pivots)]
+
+
+def _grown_rref(base: LinearCode, extra: list[int]) -> LinearCode:
+    """base + base plus the 2n-bit rows ``extra``, which vanish at its pivots.
+
+    ``rref`` of the extra rows keeps that, and reducing the base rows by
+    them keeps each zero left of and 1 at its pivot: merged by pivot, the
+    rows are the RREF.  ``code_from_rref`` certifies it, so a dependent
+    extra row or one with a bit at a base pivot raises CertificationError.
+    """
+    n = base.n
+    x, x_piv = rref(to_matrix(2 * n, extra), GF2, 2 * n)
+    if len(x_piv) < len(extra):
+        raise CertificationError(f"{len(extra) - len(x_piv)} extension rows are dependent")
+    mat, pivots = _doubled(base)
+    pivots += x_piv
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    mat = np.concatenate([reduce(mat, x, x_piv, GF2), x])[order]
+    return code_from_rref(GF2, 2 * n, mat, [pivots[i] for i in order])
+
+
+def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
+    """The words (a G | b G) of base + base, G its RREF rows, with (a|b) in
+    the nullspace of the uint8 bit matrix ``system`` (2k columns).
+
+    ``_dual_rref`` eliminates only the system's rows and returns the
+    nullspace's RREF K, pivoted at the free columns (certified).  Through
+    G + G it stays an RREF, pivoted at the matching pivots of G + G,
+    since a word holds its coefficients there.  Word f is row f of G + G
+    plus the rows at the system's pivots that K's row f names: their
+    bits are marked at those pivots and reduced away.  Raises
+    CertificationError below full row rank.
+    """
+    k2 = 2 * base.k_dim
+    coeffs, free = _dual_rref(from_symbols(GF2, system), GF2, k2)
+    is_bound = np.ones(k2, dtype=bool)
+    is_bound[free] = False
+    bound = np.flatnonzero(is_bound)
+    if len(bound) != len(system):
+        raise CertificationError(f"the form-dual system has rank {len(bound)} < r = {len(system)}")
+    code_from_rref(GF2, k2, coeffs, free)
+    mat, pivots = _doubled(base)
+    marks = np.zeros((len(free), mat.shape[1]), dtype=mat.dtype)
+    for c, bits in zip(bound.tolist(), _columns(coeffs, bound, GF2).T):
+        marks[:, pivots[c] >> 6] |= bits.astype(mat.dtype) << np.uint64(pivots[c] & 63)
+    words = reduce(mat[free] ^ marks, mat[bound], [pivots[c] for c in bound], GF2) ^ marks
+    return code_from_rref(GF2, 2 * base.n, words, [pivots[f] for f in free])
+
+
+def _pairings(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """uint8 bits <v_j, row_i> of packed binary rows, one row j per vector."""
+    return np.array([np.bitwise_count(rows & v).sum(axis=1) & 1 for v in vecs], dtype=np.uint8)
+
+
 def steane_compose(
     d: LinearCode,
     d_prime: LinearCode,
@@ -152,10 +232,28 @@ def steane_compose(
 ) -> SymplecticCode:
     """Enlarge the chain D' > D >= D_perp into a certified large code.
 
-    Generators: (g|0) and (0|g) for g spanning D, plus (g'|g'') where
-    the g' extend D to D' and the g'' are a fixed-point-free mixing of
-    the g'.  Records min(d(D), or-weight2(D')) as the distance bound
-    when both are enumerable within budget, otherwise ``designed_bound``.
+    F is spanned by (g|0) and (0|g) for g in D, plus r = k' - k rows
+    (e_j|m_j), where the e_j extend D to D' and the m_j are a
+    fixed-point-free mixing of the e_j.  Records min(d(D),
+    or-weight2(D')) as the distance bound when both are enumerable
+    within budget, otherwise ``designed_bound``.
+
+    F^omega in closed form.  (x|y) pairs to zero with every (g|0) and
+    (0|g) iff x and y lie in D^perp; write x = a G and y = b G for the
+    rows G of D^perp's RREF.  With (e_j|m_j) it pairs to
+    <x, m_j> + <y, e_j>, so F^omega is the set of (a G | b G) for (a|b)
+    in the nullspace of the r x 2(n - k) system
+    [<G_l, m_j> | <G_l, e_j>]: D'^perp + D'^perp and r more dimensions.
+    D'/D and D^perp/D'^perp pair perfectly, so [<G_l, e_j>] alone has
+    rank r, and dim F^omega = 2(n - k) - r = 2n - k - k' = 2n - k_F.
+
+    Both RREFs are assembled, not eliminated over 2n bits: F by
+    ``_grown_rref`` (the e_j are ``extend_basis`` remainders, so they and
+    the m_j vanish at D's pivots), F^omega by ``_cut_rref``.  The flags
+    follow: F^omega <= D^perp + D^perp <= D + D <= F since D >= D^perp,
+    and k_F = k + k' >= n + 2 rules out isotropy.  A system below rank
+    r, or a failed RREF certificate, raises CertificationError.
+    ``make_symplectic`` is the 2n-bit route to the same code.
     """
     if not d.is_binary or not d_prime.is_binary:
         raise ValueError("composition takes binary codes")
@@ -164,7 +262,8 @@ def steane_compose(
     n = d.n
     if not d_prime.contains(d):
         raise ValueError("D' does not contain D")
-    if not d.contains(d.dual()):
+    d_perp = d.dual()
+    if not d.contains(d_perp):
         raise ValueError("D does not contain its dual")
     k, k_prime = d.k_dim, d_prime.k_dim
     if k_prime < k + 2:
@@ -183,10 +282,6 @@ def steane_compose(
     # permutation fixes the all-ones combination.
     mixed = ext[1:] + [ext[0] ^ ext[1]]
 
-    gens = list(d.bit_rows)
-    gens += [g << n for g in gens]
-    gens += [e | (m << n) for e, m in zip(ext, mixed)]
-
     bound = designed_bound
     try:
         d_val = d.min_distance_exact(budget)
@@ -195,12 +290,12 @@ def steane_compose(
     except BudgetExceeded:
         pass
 
-    out = make_symplectic(n, gens, distance_bound=bound)
-    if out.k_dim != k + k_prime:
-        raise CertificationError(f"k_F = {out.k_dim} != k + k' = {k + k_prime}")
-    if not out.is_large:
-        raise CertificationError("composed code does not contain its form-dual")
-    return out
+    space = _grown_rref(d, [e | (m << n) for e, m in zip(ext, mixed)])
+    if space.k_dim != k + k_prime:
+        raise CertificationError(f"k_F = {space.k_dim} != k + k' = {k + k_prime}")
+    pairs = _pairings(d_perp.matrix, to_matrix(n, mixed + ext))
+    dual = _cut_rref(d_perp, np.hstack([pairs[:r], pairs[r:]]))
+    return SymplecticCode(n, space, dual, is_isotropic=False, is_large=True, distance_bound=bound)
 
 
 def quantum_bound(d: int, d2: int) -> int:

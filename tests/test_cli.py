@@ -85,6 +85,32 @@ def _drop_a_kept_point(prov):
     (_drop_a_kept_point, "kept_points"),
 ])
 def test_expand_refuses_a_triple_that_claims_another_twist(tmp_path, capsys, tamper, key):
+    _assert_expand_refuses(tmp_path, capsys, tamper, key)
+
+
+def _claim_designed_99(prov):
+    prov["designed_d"] = prov["designed_d_prime"] = 99
+
+
+def _claim_designed_prime_2(prov):
+    prov["designed_d_prime"] = 2
+
+
+def _claim_genus_0(prov):
+    prov["curve"]["genus"] = 0
+
+
+@pytest.mark.parametrize("tamper, key", [
+    (_claim_designed_99, "designed_d"),
+    (_claim_designed_prime_2, "designed_d_prime"),
+    (_claim_genus_0, "genus"),
+])
+def test_expand_refuses_a_triple_whose_bounds_disagree_with_its_parameters(tmp_path, capsys, tamper, key):
+    # the designed distances become the recorded d_Q bound downstream
+    _assert_expand_refuses(tmp_path, capsys, tamper, key)
+
+
+def _assert_expand_refuses(tmp_path, capsys, tamper, key):
     triple_path = tmp_path / "t.json"
     assert main(["build", "--curve", "hermitian", "--q", "2", "--a", "3", "--a-prime", "1",
                  "--out", str(triple_path)]) == 0

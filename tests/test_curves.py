@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from agstab.curves import (
+    curve_genus,
+    designed_distance,
     _monomial_values,
     build_dual_chain,
     enumerate_curve,
@@ -118,6 +120,13 @@ class TestEnumerate:
         assert cur.n_points == 512
         assert cur.genus == 28
         assert len(rr_basis(cur, 55)) == 55 - 28 + 1
+
+    def test_genus_formula(self):
+        # the Hermitian genus also matches the gap counts above
+        assert [curve_genus("hermitian", q) for q in (2, 4, 8)] == [1, 6, 28]
+        assert curve_genus("line", 16) == 0
+        with pytest.raises(ValueError, match="unknown curve kind"):
+            curve_genus("elliptic", 4)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
@@ -307,6 +316,11 @@ class TestDualChain:
             build_dual_chain(cur, 3, 0)  # a' below 2g - 1
         with pytest.raises(ValueError):
             build_dual_chain(cur, 4, 1)  # a beyond the divisor bound
+
+    def test_designed_distance_floors_at_one(self):
+        # a - 2g + 2 for ev_a^perp, and 1 where that is not positive
+        assert [designed_distance(a, 1) for a in (1, 3, 5)] == [1, 3, 5]
+        assert designed_distance(30, 28) == 1
 
     def test_exact_distance_meets_designed_bound(self):
         for q, a, a_prime in [(2, 3, 1)]:

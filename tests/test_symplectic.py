@@ -6,7 +6,9 @@ import pytest
 
 import agstab.linear as linear_module
 import agstab.symplectic as symplectic_module
-from agstab.errors import CertificationError
+from agstab import artifacts
+from agstab.errors import BudgetExceeded, CertificationError
+from agstab.expansion import random_dual_containing_code
 from agstab.fields import EPS, EPS_BAR, get_field
 from agstab.linear import binary_code, extend_basis, gray_span, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
@@ -18,6 +20,7 @@ from agstab.symplectic import (
     _min_weight_difference,
     _weight_distribution,
     _word_dtype,
+    designed_quantum_bound,
     make_symplectic,
     quantum_bound,
     quantum_params,
@@ -148,16 +151,16 @@ class TestSteaneCompose:
 
     def test_thin_enlargement_rejected(self):
         bigger = binary_code(8, list(EXT_HAMMING.bit_rows) + [0b00000011])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need k' >= k \+ 2"):
             steane_compose(EXT_HAMMING, bigger)
 
     def test_chain_violations_rejected(self):
         not_contained = binary_code(8, [1, 2, 4, 8, 16, 32])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="D' does not contain D"):
             steane_compose(EXT_HAMMING, not_contained)
         no_dual = binary_code(8, [0b00000001, 0b00000010])
         sup = binary_code(8, [1, 2, 4, 8])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="D does not contain its dual"):
             steane_compose(no_dual, sup)
 
     def test_dimension_bookkeeping(self):
@@ -531,3 +534,143 @@ def test_search_disagreeing_with_the_floor_is_refused(monkeypatch, floor):
     message = f"found weight 3, the weight distributions d_Q = {floor}"
     with pytest.raises(CertificationError, match=message):
         quantum_params(f)
+
+
+# -- steane_compose's chain route against the 2n-bit route ----------------
+
+def _two_n_bit_route(d, d_prime, budget, designed):
+    """The composition as ``make_symplectic`` on all (g|0), (0|g), (e|m) generators."""
+    n = d.n
+    ext = extend_basis(d, d_prime)
+    mixed = ext[1:] + [ext[0] ^ ext[1]]
+    gens = [*d.bit_rows, *(g << n for g in d.bit_rows), *(e | m << n for e, m in zip(ext, mixed))]
+    bound = designed
+    try:
+        bound = quantum_bound(d.min_distance_exact(budget), d_prime.second_or_weight(budget))
+    except BudgetExceeded:
+        pass
+    return make_symplectic(n, gens, distance_bound=bound)
+
+
+def _assert_routes_agree(d, d_prime, budget=1 << 26, designed=None):
+    got = steane_compose(d, d_prime, budget=budget, designed_bound=designed)
+    want = _two_n_bit_route(d, d_prime, budget, designed)
+    assert (got.space, got.dual_space) == (want.space, want.dual_space)
+    assert (got.is_isotropic, got.is_large, got.distance_bound) == (
+        want.is_isotropic, want.is_large, want.distance_bound
+    )
+    assert want.is_large and not want.is_isotropic
+
+
+SHIPPED_CHAINS = {
+    "hermitian-m1": dict(m=1, curve_kind="hermitian", q=2, a=3, a_prime=1),
+    "hermitian-m2": dict(m=2, curve_kind="hermitian", q=4, a=34, a_prime=30),
+    "line-q16": dict(m=2, curve_kind="line", q=16, a=5, a_prime=3),
+    "extended-16-6-4": dict(m=1, curve_kind="hermitian", q=2, a=4, a_prime=1, allow_extended=True),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_CHAINS)
+def test_compose_matches_the_2n_bit_route_on_shipped_chains(name):
+    run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS[name]))
+    designed = designed_quantum_bound(run.triple.designed_d, run.triple.designed_d_prime)
+    _assert_routes_agree(run.pair.d, run.pair.d_prime, designed=designed)
+    assert run.fcode.space == steane_compose(run.pair.d, run.pair.d_prime).space
+
+
+def test_compose_matches_the_2n_bit_route_on_the_desk_code():
+    _assert_routes_agree(EXT_HAMMING, EVEN, designed=2)
+
+
+def _random_chain(n, seed):
+    """D >= D_perp from ``random_dual_containing_code`` and D' = D plus random rows, k' >= k + 2."""
+    rng = random.Random(seed)
+    while True:
+        d = random_dual_containing_code(GF2, n, rng)
+        if d.k_dim > n - 2:
+            continue
+        d_prime = binary_code(n, [*d.bit_rows, *(rng.getrandbits(n) for _ in range(rng.randint(2, 6)))])
+        if d_prime.k_dim >= d.k_dim + 2:
+            return d, d_prime
+
+
+# 18 lengths x 6 seeds; 64 and 65 put the b-half's start on and past a word boundary.
+RANDOM_CHAINS = [
+    (n, 1000 * n + s)
+    for n in (6, 7, 8, 10, 13, 16, 21, 27, 31, 32, 33, 40, 47, 56, 63, 64, 65, 70)
+    for s in range(6)
+]
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_CHAINS)
+def test_compose_matches_the_2n_bit_route_on_random_chains(n, seed):
+    d, d_prime = _random_chain(n, seed)
+    # budget 2^12: small codes record the enumerated bound, larger ones the designed one
+    _assert_routes_agree(d, d_prime, budget=1 << 12, designed=1)
+
+
+@pytest.mark.parametrize("chain", [(EXT_HAMMING, EVEN), _random_chain(65, 1)], ids=["desk", "n65"])
+def test_an_extension_row_at_a_pivot_is_refused(monkeypatch, chain):
+    # F's span is unchanged, but e_0 is no longer a remainder modulo D, so
+    # the assembled rows are no RREF; the certificate must catch it.
+    real = symplectic_module.extend_basis
+
+    def crooked(sub, sup):
+        rows = real(sub, sup)
+        rows[0] ^= sub.bit_rows[0]  # a bit at D's first pivot
+        return rows
+
+    monkeypatch.setattr(symplectic_module, "extend_basis", crooked)
+    with pytest.raises(CertificationError, match="reduced row echelon|pivots do not increase"):
+        steane_compose(*chain)
+
+
+@pytest.mark.parametrize("chain", [(EXT_HAMMING, EVEN), _random_chain(65, 1)], ids=["desk", "n65"])
+def test_form_dual_coefficients_out_of_rref_are_refused(monkeypatch, chain):
+    # the same span of coefficients, but row 1 has row 0's leading one
+    real = symplectic_module._dual_rref
+
+    def crooked(mat, field, n):
+        rows, free = real(mat, field, n)
+        rows[1] ^= rows[0]
+        return rows, free
+
+    monkeypatch.setattr(symplectic_module, "_dual_rref", crooked)
+    with pytest.raises(CertificationError, match="reduced row echelon"):
+        steane_compose(*chain)
+
+
+def test_a_form_dual_system_below_rank_r_is_refused(monkeypatch):
+    monkeypatch.setattr(
+        symplectic_module, "_pairings", lambda rows, vecs: np.zeros((len(vecs), len(rows)), np.uint8)
+    )
+    with pytest.raises(CertificationError, match="rank 0 < r = 3"):
+        steane_compose(EXT_HAMMING, EVEN)
+
+
+def test_m2_compose_eliminates_no_more_than_r_rows_of_2n_bits(monkeypatch):
+    made, eliminated = [], []
+    real_make, real_rref = symplectic_module.make_symplectic, linear_module.rref
+
+    def counting_make(*args, **kwargs):
+        made.append(args[0])
+        return real_make(*args, **kwargs)
+
+    def counting_rref(mat, field, n):
+        eliminated.append((field.k, n, len(mat)))
+        return real_rref(mat, field, n)
+
+    for module in (symplectic_module, artifacts):
+        monkeypatch.setattr(module, "make_symplectic", counting_make)
+    for module in (symplectic_module, linear_module):
+        monkeypatch.setattr(module, "rref", counting_rref)
+    run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS["hermitian-m2"]))
+    n, r = run.fcode.n, run.pair.d_prime.k_dim - run.pair.d.k_dim
+    assert (n, r) == (256, 16)
+    assert made == []
+    wide = [rows for k, width, rows in eliminated if k == 1 and width == 2 * n]
+    assert wide == [r]  # F's extension rows
+    assert (1, 2 * (n - run.pair.d.k_dim), r) in eliminated  # F^omega's system
+    # verify's route still eliminates over 2n bits
+    artifacts.fcode_from_obj(artifacts.fcode_to_obj(run.fcode))
+    assert made == [n]
