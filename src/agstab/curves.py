@@ -148,19 +148,20 @@ def _monomial_values(
 ) -> np.ndarray:
     """uint8 matrix of x^i y^j, one row per monomial (i, j) and one column per point (x, y).
 
-    Powers go through the field's exp/log tables, with 0^0 = 1.
+    Each coordinate's powers v^0 = 1, v^1, ... up to the largest
+    exponent are tabled by repeated ``mul_table`` products (so 0^0 = 1),
+    and a monomial's row is the product of its two gathered power rows.
     """
-    exp = np.array(field.exp, dtype=np.uint8)
-    log = np.array(field.log, dtype=np.int64)
-    exponents = np.array(monomials, dtype=np.int64).reshape(-1, 2)
-    coords = np.array(points, dtype=np.int64).reshape(-1, 2)
-    out = np.ones((len(exponents), len(coords)), dtype=np.uint8)
+    exponents = np.array(monomials, dtype=np.intp).reshape(-1, 2)
+    coords = np.array(points, dtype=np.uint8).reshape(-1, 2)
+    rows = []
     for axis in range(2):
-        e = exponents[:, axis, None]
-        v = coords[None, :, axis]
-        power = np.where(v == 0, e == 0, exp[log[v] * e % (field.order - 1)])
-        out = field.mul_table[out, power]
-    return out
+        e = exponents[:, axis]
+        powers = np.ones((e.max(initial=0) + 1, len(coords)), dtype=np.uint8)
+        for t in range(1, len(powers)):
+            powers[t] = field.mul_table[powers[t - 1], coords[:, axis]]
+        rows.append(powers[e])
+    return field.mul_table[rows[0], rows[1]]
 
 
 def evaluation_code(curve: Curve, a: int) -> LinearCode:

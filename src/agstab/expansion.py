@@ -9,6 +9,7 @@ contiguous and artifacts are bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -59,6 +60,10 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
     Tr(alpha_a alpha_i) = delta_ai, while every other generator is 0
     there.  So the pivots are p*k + a, which ``code_from_rref``
     certifies without an elimination.
+
+    The image records (code, basis) as ``expanded_from``, so its
+    ``dual`` and ``contains`` run over GF(2^k): in a self-dual basis,
+    <expand x, expand y> = Tr <x, y>, so expand(C)^perp = expand(C^perp).
     """
     if code.field != emap.field:
         raise ValueError("code and expansion map use different fields")
@@ -75,7 +80,8 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
         bits = bits.transpose(0, 2, 1, 3).reshape(-1, k * code.n)
         blocks.append(from_symbols(GF2, bits))
     pivots = (np.array(code.pivots, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-    return code_from_rref(GF2, k * code.n, np.concatenate(blocks), pivots)
+    image = code_from_rref(GF2, k * code.n, np.concatenate(blocks), pivots)
+    return dataclasses.replace(image, expanded_from=(code, emap.basis))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,9 @@ is the complement of the lex-last one of C (MacWilliams and Sloane,
 ch. 1: G = [I | A] gives H = [A^T | I]); the proof is in its
 docstring.  Beyond the two codes, that route's scratch is one copy of
 C's matrix, one k x trailing-width gather per elimination block, and
-blocks of rows.
+blocks of rows.  A binary code that ``expansion.expand_code`` made
+remembers its GF(2^k) source, and ``dual`` and ``contains`` work on
+that source instead, on n / k symbols.
 
 Codewords are enumerated by one primitive, ``gray_span``: the 2^r XOR
 combinations of r kernel rows in blocks, in Gray-code order from 0,
@@ -47,13 +49,14 @@ memory of an enumeration is that, plus whatever the caller keeps whole.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, CertificationError
-from .fields import Field, get_field
+from .fields import Field, SelfDualBasis, get_field
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -321,8 +324,21 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     return mat[:r], pivots
 
 
+def _multiples(field: Field, row: np.ndarray) -> np.ndarray:
+    """The q x len(row) table whose row x is x * row, each row contiguous.
+
+    ``mul_table`` is symmetric, so this is ``mul_table[row]`` transposed;
+    the copy lays each multiple out in one run, so that a gather of
+    table rows copies whole rows.  Gathering from ``mul_table[:, row]``,
+    whose rows are strided, took about five times as long.
+    """
+    return field.mul_table[row].T.copy()
+
+
 def _rref_symbols(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
-    """``rref`` over GF(2^k), k > 1: one pivot column at a time."""
+    """``rref`` over GF(2^k), k > 1: one pivot column at a time, each
+    cleared from every other row by one ``_xor_gathered`` of the pivot
+    row's multiples."""
     m = len(mat)
     mul, inv = field.mul_table, field.inv_table
     pivots: list[int] = []
@@ -341,8 +357,7 @@ def _rref_symbols(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, li
         if col[r] != 1:
             mat[r, c:] = mul[inv[col[r]], mat[r, c:]]
         col[r] = 0
-        hit = np.flatnonzero(col)
-        mat[hit, c:] ^= mul[:, mat[r, c:]][col[hit]]
+        _xor_gathered(mat, c, _multiples(field, mat[r, c:]), col)
         pivots.append(c)
         r += 1
     return mat[:r], pivots
@@ -370,11 +385,10 @@ def reduce(
     """
     out = vecs.copy()
     if field.k > 1:
-        mul = field.mul_table
         for row, p in zip(basis, pivots):
             f = out[:, p]
             hit = np.flatnonzero(f)
-            out[hit, p:] ^= mul[:, row[p:]][f[hit]]
+            out[hit, p:] ^= _multiples(field, row[p:])[f[hit]]
         return out
     piv = np.asarray(pivots, dtype=np.uint64)
     for lo in range(0, len(piv), _BLOCK_COLS):
@@ -475,13 +489,19 @@ class LinearCode:
 
     ``matrix`` is read-only and built only by ``code_from_matrix`` or
     the certifier ``code_from_rref``; row i has its leading 1 at column
-    ``pivots[i]``.
+    ``pivots[i]``.  ``expanded_from`` is (C, basis) when this binary
+    code is the expansion of C in that self-dual basis; only
+    ``expansion.expand_code`` sets it, and ``dual`` and ``contains``
+    then work on C.  It takes no part in equality.
     """
 
     field: Field
     n: int
     matrix: np.ndarray
     pivots: tuple[int, ...]
+    expanded_from: tuple["LinearCode", SelfDualBasis] | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -520,8 +540,17 @@ class LinearCode:
     # -- operations -----------------------------------------------------
 
     def contains(self, other: "LinearCode") -> bool:
-        """True iff every generator of ``other`` lies in this row space."""
+        """True iff every generator of ``other`` lies in this row space.
+
+        Two expansions in the same basis compare their sources over
+        GF(2^k): expansion is an injective GF(2)-linear map, so
+        expand(A) >= expand(B) iff A >= B.  Any other pair is reduced
+        over its own field.
+        """
         self._check_compatible(other)
+        mine, theirs = self.expanded_from, other.expanded_from
+        if mine is not None and theirs is not None and mine[1] == theirs[1]:
+            return mine[0].contains(theirs[0])
         return not reduce(other.matrix, self.matrix, self.pivots, self.field).any()
 
     def dual(self) -> "LinearCode":
@@ -549,7 +578,22 @@ class LinearCode:
         back in place), one k x trailing-width gather per block of the
         elimination, and the blocks of the reversal, the nullspace and
         the certificate.
+
+        An expansion of C, a length-m code over GF(2^s), in a self-dual
+        basis (a_i) is dualized over GF(2^s) instead, as expand(C^perp):
+        one elimination on m symbols in place of one on n = s m bits.
+        Since y = sum_i Tr(y a_i) a_i, <expand x, expand y> =
+        sum_j sum_i Tr(x_j a_i) Tr(y_j a_i) = Tr <x, y>, so
+        expand(C^perp) is orthogonal to expand(C), and its dimension
+        s(m - dim C) = n - k is the dual's.  ``SelfDualBasis`` validated
+        the basis's trace-Gram matrix, and ``code_from_rref`` certifies
+        the result, which is an expansion again.
         """
+        if self.expanded_from is not None:
+            from .expansion import ExpansionMap, expand_code
+
+            source, basis = self.expanded_from
+            return expand_code(source.dual(), ExpansionMap(basis.field, basis))
         f, n, k = self.field, self.n, self.k_dim
         if 2 * k >= n:
             return code_from_matrix(f, n, nullspace(self.matrix, self.pivots, f, n))

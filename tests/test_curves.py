@@ -55,6 +55,21 @@ def eval_monomial(field, mono, point):
     return field.mul(field.pow(x, i), field.pow(y, j))
 
 
+def log_exp_values(field, monomials, points):
+    """Reference: x^i y^j through the exp/log tables, x^e = exp[log x * e mod (q - 1)], 0^0 = 1."""
+    exp = np.array(field.exp, dtype=np.uint8)
+    log = np.array(field.log, dtype=np.int64)
+    exponents = np.array(monomials, dtype=np.int64).reshape(-1, 2)
+    coords = np.array(points, dtype=np.int64).reshape(-1, 2)
+    out = np.ones((len(exponents), len(coords)), dtype=np.uint8)
+    for axis in range(2):
+        e = exponents[:, axis, None]
+        v = coords[None, :, axis]
+        power = np.where(v == 0, e == 0, exp[log[v] * e % (field.order - 1)])
+        out = field.mul_table[out, power]
+    return out
+
+
 def twist_space(cur, a):
     """Reference: the solutions w of sum_i w_i f(P_i) g(P_i) = 0 over all
     pairs (f, g) of the degree-a basis, as a code over the curve's field."""
@@ -202,6 +217,24 @@ class TestEvaluationCode:
         want = [[eval_monomial(f, m, p) for p in cur.points] for m in monos]
         assert got.dtype == np.uint8
         assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "kind, q", [*(("line", 1 << k) for k in range(1, 9)), *(("hermitian", q) for q in (2, 4, 8))]
+    )
+    def test_power_tables_match_the_log_exp_formula_at_every_degree(self, kind, q):
+        cur = enumerate_curve(kind, q)
+        f, n = cur.field, cur.n_points
+        assert any(x == 0 for x, _ in cur.points) and any(y == 0 for _, y in cur.points)
+        # Pole orders are distinct, so every degree's basis is a prefix of
+        # the largest one, and rows are computed independently.
+        full = rr_basis(cur, n - 1)
+        want = log_exp_values(f, full, cur.points)
+        for a in range(n):
+            monos = rr_basis(cur, a)
+            assert monos == full[: len(monos)]
+            got = _monomial_values(f, monos, cur.points)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want[: len(monos)])
 
 
 class TestTwist:

@@ -1,12 +1,16 @@
 import dataclasses
 import random
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.curves import build_dual_chain, enumerate_curve
+import agstab.linear as linear_module
+from agstab.artifacts import code_from_obj, code_to_obj
+from agstab.curves import build_dual_chain, enumerate_curve, evaluation_code
 from agstab.expansion import (
     ExpansionMap,
     expand_chain,
@@ -16,14 +20,19 @@ from agstab.expansion import (
 from agstab.errors import CertificationError
 from agstab.fields import EPS, EPS_BAR, SelfDualBasis, get_field, self_dual_basis
 from agstab.linear import (
+    LinearCode,
     binary_code,
     code_from_matrix,
     code_from_rref,
     from_symbols,
     make_code,
+    nullspace,
+    reduce,
     to_matrix,
     to_symbols,
 )
+from agstab.pipeline import PipelineConfig, pipeline_build
+from agstab.symplectic import make_symplectic
 
 GF2 = get_field(1)
 GF4 = get_field(2)
@@ -160,7 +169,8 @@ def test_dual_commutes_with_expansion(field):
     for _ in range(40):
         n = rng.randint(2, 10)
         c = random_dual_containing_code(field, n, rng)
-        assert expand_code(c, m).dual() == expand_code(c.dual(), m)
+        # the binary route, since dual() of an expansion is expand(C^perp) itself
+        assert binary_twin(expand_code(c, m)).dual() == expand_code(c.dual(), m)
 
 
 def test_random_generator_produces_dual_containing_codes():
@@ -178,7 +188,7 @@ def test_expand_chain_hermitian_instance():
     assert pair.d_prime.contains(pair.d)
     assert pair.d.contains(pair.d.dual())
     # the containment chain descends with the same dual relation
-    assert pair.d.dual() == expand_code(triple.c.dual(), emap(GF4))
+    assert binary_twin(pair.d).dual() == expand_code(triple.c.dual(), emap(GF4))
 
 
 def test_expand_chain_refuses_d_without_its_dual():
@@ -193,3 +203,175 @@ def test_field_mismatch_rejected():
     c = make_code(GF4, 2, [[1, 1]])
     with pytest.raises(ValueError):
         expand_code(c, emap(GF16))
+
+
+# --- dual() and contains() of an expansion run over GF(2^k) ---------------
+
+SYMBOL_FIELDS = [get_field(k) for k in (2, 3, 4, 6)]
+
+
+def full_code(field, n):
+    return code_from_matrix(field, n, from_symbols(field, np.eye(n, dtype=np.uint8)))
+
+
+def binary_twin(code):
+    """The same binary code with no provenance, so it takes the binary route."""
+    twin = code_from_rref(GF2, code.n, code.matrix.copy(), code.pivots)
+    assert twin.expanded_from is None and twin == code
+    return twin
+
+
+def binary_dual(code):
+    """Oracle: the binary nullspace of the code, eliminated."""
+    return code_from_matrix(GF2, code.n, nullspace(code.matrix, code.pivots, GF2, code.n))
+
+
+def binary_contains(big, small):
+    """Oracle: every row of ``small`` reduces to zero modulo ``big``, over GF(2)."""
+    return not reduce(small.matrix, big.matrix, big.pivots, GF2).any()
+
+
+def seeded_codes(field, n, rng):
+    """The zero code, the full code, random codes of every dimension and
+    the subcodes spanned by leading rows of a random code, all of length n."""
+    codes = [zero_code(field, n), full_code(field, n)]
+    for k in range(1, n + 1):
+        symbols = rng.integers(0, field.order, (k, n), dtype=np.uint8)
+        codes.append(code_from_matrix(field, n, from_symbols(field, symbols)))
+    top = codes[-1]
+    codes += [code_from_matrix(field, n, top.matrix[:j].copy()) for j in range(1, top.k_dim)]
+    return codes
+
+
+@pytest.mark.parametrize("field", SYMBOL_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_dual_of_an_expansion_matches_the_binary_route(field, n):
+    m = emap(field)
+    for c in seeded_codes(field, n, np.random.default_rng(100 * field.k + n)):
+        d = expand_code(c, m)
+        assert d.expanded_from == (c, m.basis)
+        dual = d.dual()
+        assert dual.expanded_from == (c.dual(), m.basis)
+        assert dual == binary_dual(d) == binary_twin(d).dual()
+        assert dual.dual() == d
+
+
+@pytest.mark.parametrize("field", SYMBOL_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_contains_of_two_expansions_matches_the_binary_route(field, n):
+    m = emap(field)
+    images = [expand_code(c, m) for c in seeded_codes(field, n, np.random.default_rng(7 * field.k + n))]
+    answers = []
+    for big in images:
+        for small in images:
+            want = binary_contains(big, small)
+            assert big.contains(small) == want
+            assert binary_twin(big).contains(small) == want  # one side without provenance
+            assert big.contains(binary_twin(small)) == want
+            answers.append(want)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("field", SYMBOL_FIELDS, ids=repr)
+def test_expansions_in_different_bases_are_compared_bitwise(field):
+    m = emap(field)
+    flipped = ExpansionMap(field=field, basis=SelfDualBasis(field, m.basis.elements[::-1]))
+    codes = seeded_codes(field, 5, np.random.default_rng(field.k))
+    missed = 0
+    for big in codes:
+        for small in codes:
+            a, b = expand_code(big, m), expand_code(small, flipped)
+            want = binary_contains(a, b)
+            assert a.contains(b) == want
+            missed += big.contains(small) and not want
+    assert missed  # comparing the sources would have answered wrongly
+
+
+def test_expansions_over_different_fields_are_compared_bitwise():
+    # 12 bits: 6 symbols of GF(4), 4 of GF(8), 3 of GF(16), 2 of GF(64)
+    rng = np.random.default_rng(12)
+    images = [
+        expand_code(c, emap(f))
+        for f in SYMBOL_FIELDS
+        for c in seeded_codes(f, 12 // f.k, rng)
+    ]
+    answers = set()
+    for big in images:
+        for small in images:
+            if big.expanded_from[1].field != small.expanded_from[1].field:
+                want = binary_contains(big, small)
+                assert big.contains(small) == want
+                answers.add(want)
+    assert answers == {True, False}
+
+
+def test_only_expand_code_records_provenance():
+    c = random_dual_containing_code(GF4, 8, random.Random(3))
+    d = expand_code(c, emap(GF4))
+    assert d.expanded_from == (c, emap(GF4).basis)
+    assert binary_code(d.n, d.bit_rows).expanded_from is None
+    assert code_from_obj(code_to_obj(d)).expanded_from is None
+    assert code_from_matrix(GF2, d.n, d.matrix.copy()).expanded_from is None
+    assert code_from_rref(GF2, d.n, d.matrix.copy(), d.pivots).expanded_from is None
+    rows = d.bit_rows
+    sym = make_symplectic(d.n, [g for g in rows] + [g << d.n for g in rows])
+    assert sym.space.expanded_from is None and sym.dual_space.expanded_from is None
+
+
+def recording_kernels(monkeypatch):
+    """Wrap rref and reduce wherever a module binds them, and LinearCode.dual
+    and contains.  The returned list gets (field degree, row width in
+    bits or symbols, whether inside dual() or contains()) per kernel call."""
+    calls, depth = [], [0]
+
+    def recorded(kernel, shape):
+        def run(*args):
+            calls.append((*shape(*args), depth[0] > 0))
+            return kernel(*args)
+
+        return run
+
+    def inside(method):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+
+        return run
+
+    shapes = {
+        "rref": lambda mat, field, n: (field.k, n),
+        "reduce": lambda vecs, basis, pivots, field: (
+            field.k, vecs.shape[1] * (64 if field.k == 1 else 1)
+        ),
+    }
+    for name, shape in shapes.items():
+        kernel = getattr(linear_module, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("agstab")]:
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, recorded(kernel, shape))
+    for name in ("dual", "contains"):
+        monkeypatch.setattr(LinearCode, name, inside(getattr(LinearCode, name)))
+    return calls
+
+
+def test_herm_m3_duality_runs_no_3072_bit_elimination(monkeypatch):
+    cur = enumerate_curve("hermitian", 8)
+    d_ev = expand_code(evaluation_code(cur, 250), emap(cur.field))
+    calls = recording_kernels(monkeypatch)
+    d_prime = d_ev.dual()
+    assert d_prime.contains(d_ev)
+    assert (d_prime.n, d_prime.k_dim) == (3072, 1734)
+    assert [call for call in calls if call[0] == 1] == []
+    assert calls == [(6, 512, True), (6, 512, True)]  # E's dual, then E^perp >= E
+
+
+def test_m2_pipeline_runs_no_binary_elimination_in_dual_or_contains(monkeypatch):
+    calls = recording_kernels(monkeypatch)
+    run = pipeline_build(PipelineConfig(m=2, curve_kind="hermitian", q=4, a=34, a_prime=30))
+    assert run.pair.d.n == 256
+    inside = {(k, width) for k, width, within in calls if within}
+    assert inside == {(4, 64)}  # over GF(16) on 64 symbols, never on 256 bits
+    assert (1, 256) in {(k, width) for k, width, _ in calls}  # compose's extend_basis

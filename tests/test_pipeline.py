@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from agstab import artifacts
 from agstab.errors import PipelineError
 from agstab.pipeline import PipelineConfig, pipeline_build
+from agstab.symplectic import designed_quantum_bound, steane_compose
 
 
 class TestConfig:
@@ -100,6 +102,23 @@ def test_line_pipeline_small():
     rep = run.report
     assert (rep.n, rep.k_q) == (8, 2)
     assert rep.d_exact
+
+
+def test_m3_compose_of_the_reloaded_pair_matches_the_pipeline():
+    # The loaded pair carries no provenance, so steane_compose dualizes and
+    # compares D and D' over 3072 bits; the pipeline's pair goes over GF(64).
+    cfg = PipelineConfig(m=3, curve_kind="hermitian", q=8, a=269, a_prime=250)
+    run = pipeline_build(cfg)
+    assert run.pair.d.expanded_from is not None
+    pair = artifacts.pair_from_obj(artifacts.pair_to_obj(run.pair))
+    assert pair.d.expanded_from is None and pair.d_prime.expanded_from is None
+    designed = designed_quantum_bound(run.triple.designed_d, run.triple.designed_d_prime)
+    fcode = steane_compose(pair.d, pair.d_prime, budget=cfg.distance_budget, designed_bound=designed)
+    assert fcode.space == run.fcode.space
+    assert fcode.dual_space == run.fcode.dual_space
+    got = (fcode.is_isotropic, fcode.is_large, fcode.distance_bound)
+    assert got == (run.fcode.is_isotropic, run.fcode.is_large, run.fcode.distance_bound)
+    assert (run.report.params(), run.fcode.k_dim, run.fcode.is_large) == ("[[3072, 282, >=215]]", 3354, True)
 
 
 def test_binary_expansion_keeps_the_enlargement_wide_enough():
