@@ -9,6 +9,9 @@ Formats (all deterministic, lowercase hex symbol rows):
   pair:   the binary descent D' > D >= D^perp of a triple.
   fcode:  a symplectic code as a binary length-2n code plus flags.
   report: quantum code parameters with the construction trace.
+
+A triple or pair is rebuilt from its construction on load and must
+serialize to exactly the file, apart from the CLI's ``provenance.flags``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .curves import DualChainTriple, curve_genus, designed_distance
-from .expansion import ExpandedPair
-from .fields import Field, SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
+from .curves import DualChainTriple, build_dual_chain, enumerate_curve
+from .expansion import ExpandedPair, ExpansionMap, expand_chain
+from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
 from .linear import LinearCode, code_from_matrix, from_symbols, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
@@ -48,12 +51,6 @@ def code_from_obj(obj: dict[str, Any]) -> LinearCode:
     return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
 
 
-def _fixed_provenance(field: Field, n: int) -> dict[str, Any]:
-    """The twist, scaling and point lists of every chain: w = v = 1, all n points kept."""
-    one = [element_to_hex(field, 1)] * n
-    return {"twist_w": one, "scaling_v": list(one), "kept_points": list(range(n)), "dropped_points": []}
-
-
 def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
     return {
         "kind": "dual_chain_triple",
@@ -65,7 +62,11 @@ def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
             "curve": {"kind": t.curve_kind, "q": t.q, "genus": t.genus},
             "a": t.a,
             "a_prime": t.a_prime,
-            **_fixed_provenance(t.field, t.n),
+            # w = v = 1 with all n points kept, the same on every chain
+            "twist_w": [element_to_hex(t.field, 1)] * t.n,
+            "scaling_v": [element_to_hex(t.field, 1)] * t.n,
+            "kept_points": list(range(t.n)),
+            "dropped_points": [],
             "regime": t.regime,
             "designed_d": t.designed_d,
             "designed_d_prime": t.designed_d_prime,
@@ -74,35 +75,15 @@ def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
 
 
 def triple_from_obj(obj: dict[str, Any]) -> DualChainTriple:
+    """The triple rebuilt, and so certified, by ``build_dual_chain`` from the file's parameters."""
     _expect_kind(obj, "dual_chain_triple")
     prov = obj["provenance"]
-    c = code_from_obj(obj["c"])
-    # The code checks no other twist, so a file may not claim one.
-    for key, value in _fixed_provenance(c.field, c.n).items():
-        if prov[key] != value:
-            raise ValueError(f"provenance {key!r} differs from the fixed w = v = 1 on all {c.n} points")
-    curve = prov["curve"]
-    g = curve_genus(curve["kind"], curve["q"])
-    # Checked, never trusted: the designed distances become the recorded bound.
-    for key, got, want in (
-        ("genus", curve["genus"], g),
-        ("designed_d", prov["designed_d"], designed_distance(prov["a"], g)),
-        ("designed_d_prime", prov["designed_d_prime"], designed_distance(prov["a_prime"], g)),
-    ):
-        if got != want:
-            raise ValueError(f"provenance {key!r} = {got} differs from {want}, derived from the curve and degrees")
-    return DualChainTriple(
-        c=c,
-        c_prime=code_from_obj(obj["c_prime"]),
-        curve_kind=curve["kind"],
-        q=curve["q"],
-        genus=g,
-        a=prov["a"],
-        a_prime=prov["a_prime"],
-        regime=prov["regime"],
-        designed_d=prov["designed_d"],
-        designed_d_prime=prov["designed_d_prime"],
+    curve = enumerate_curve(prov["curve"]["kind"], prov["curve"]["q"])
+    triple = build_dual_chain(
+        curve, prov["a"], prov["a_prime"], allow_extended=prov["regime"] == "extended"
     )
+    _expect_rebuilt(obj, triple_to_obj(triple))
+    return triple
 
 
 def pair_to_obj(p: ExpandedPair) -> dict[str, Any]:
@@ -121,18 +102,30 @@ def pair_to_obj(p: ExpandedPair) -> dict[str, Any]:
 
 
 def pair_from_obj(obj: dict[str, Any]) -> ExpandedPair:
+    """The pair rebuilt from the file's source triple and basis, as ``triple_from_obj``."""
     _expect_kind(obj, "binary_pair")
     prov = obj["provenance"]
     field = get_field(prov["basis_field_k"])
-    basis = SelfDualBasis(
-        field=field, elements=tuple(int(e, 16) for e in prov["basis"])
-    )
-    return ExpandedPair(
-        d=code_from_obj(obj["d"]),
-        d_prime=code_from_obj(obj["d_prime"]),
-        basis=basis,
-        source=triple_from_obj(prov["source"]),
-    )
+    basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in prov["basis"]))
+    pair = expand_chain(triple_from_obj(prov["source"]), ExpansionMap(field=field, basis=basis))
+    _expect_rebuilt(obj, pair_to_obj(pair))
+    return pair
+
+
+def _expect_rebuilt(obj: dict[str, Any], want: dict[str, Any]) -> None:
+    """Raise ValueError unless ``obj``, less the CLI's ``provenance.flags``, equals ``want``."""
+    got = {**obj, "provenance": {k: v for k, v in obj["provenance"].items() if k != "flags"}}
+    if got != want:
+        raise ValueError(f"{obj['kind']} differs from its rebuilt construction at {_difference(got, want)}")
+
+
+def _difference(got: Any, want: Any, path: str = "") -> str:
+    """The key path, as [repr(key)]..., of the first dict entry where unequal JSON values differ."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            if got.get(key) != want.get(key):
+                return _difference(got.get(key), want.get(key), f"{path}[{key!r}]")
+    return path
 
 
 def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) -> dict[str, Any]:

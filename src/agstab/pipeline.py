@@ -1,6 +1,9 @@
 """End-to-end driver: curve -> dual chain -> binary descent -> enlargement -> quantum code.
 
-Each stage's certificates are checked where they are produced; the
+Each fact is certified once, where the value carrying it is built or
+loaded: C' > C >= C^perp by ``build_dual_chain``, which the descent
+keeps (expansion in a self-dual basis preserves containment and
+duality), and the enlargement's flags by ``steane_compose``.  The
 driver aggregates a human-readable trace, carries the designed distance
 bound alongside any enumerated exact value, and labels failures with
 the stage that raised them.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from agstab import artifacts, pauli
 from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.curves import build_dual_chain, enumerate_curve
-from agstab.fields import EPS, EPS_BAR
+from agstab.fields import EPS, EPS_BAR, get_field
+from agstab.linear import binary_code, make_code
 from agstab.symplectic import make_symplectic
 
 from gf4_words import pack_gf4
@@ -68,8 +70,68 @@ def test_expand_refuses_a_triple_whose_c_misses_its_dual(tmp_path, capsys):
     artifacts.save_json(artifacts.triple_to_obj(tampered), triple_path)
     pair_path = tmp_path / "p.json"
     assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
-    assert "expanded D does not contain its dual" in capsys.readouterr().err
+    assert "differs from its rebuilt construction at ['c']" in capsys.readouterr().err
     assert not pair_path.exists()
+
+
+def _build_m2(tmp_path):
+    triple_path, pair_path = tmp_path / "t.json", tmp_path / "p.json"
+    assert main(["build", "--curve", "hermitian", "--q", "4", "--a", "34", "--a-prime", "30",
+                 "--out", str(triple_path)]) == 0
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 0
+    return triple_path, pair_path
+
+
+def test_expand_refuses_an_m2_triple_whose_codes_are_another_chain(tmp_path, capsys):
+    # C = ones^perp = [64,63] and C' = GF(16)^64 form a chain C' > C >= C^perp,
+    # but not the AG chain of the provenance; its code has weight-2 logicals.
+    triple_path, _ = _build_m2(tmp_path)
+    gf16 = get_field(4)
+    obj = artifacts.load_json(triple_path)
+    obj["c"] = artifacts.code_to_obj(make_code(gf16, 64, [[1] * 64]).dual())
+    identity = [[int(i == j) for j in range(64)] for i in range(64)]
+    obj["c_prime"] = artifacts.code_to_obj(make_code(gf16, 64, identity))
+    artifacts.save_json(obj, triple_path)
+    pair_path = tmp_path / "tampered_pair.json"
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
+    assert "differs from its rebuilt construction at ['c']" in capsys.readouterr().err
+    assert not pair_path.exists()
+
+
+def test_steane_refuses_an_m2_pair_whose_codes_are_another_chain(tmp_path, capsys):
+    # D = {x : x.u = x.v = 0} = [256,254] for u = 1^256 and v = 1^128 0^128, and
+    # D' = GF(2)^256: D' > D >= D^perp = <u, v>, beside a valid source triple.
+    _, pair_path = _build_m2(tmp_path)
+    u, v = (1 << 256) - 1, (1 << 128) - 1
+    obj = artifacts.load_json(pair_path)
+    obj["d"] = artifacts.code_to_obj(binary_code(256, [u, v]).dual())
+    obj["d_prime"] = artifacts.code_to_obj(binary_code(256, [1 << j for j in range(256)]))
+    artifacts.save_json(obj, pair_path)
+    fcode_path = tmp_path / "f.json"
+    assert main(["steane", "--d", str(pair_path), "--out", str(fcode_path)]) == 1
+    assert "differs from its rebuilt construction at ['d']" in capsys.readouterr().err
+    assert not fcode_path.exists()
+
+
+def test_a_triple_is_rebuilt_in_the_regime_it_names(tmp_path, capsys):
+    # a = 4 on the q = 2 Hermitian curve is past n + g - 2 = 7: extended only
+    triple_path, pair_path = tmp_path / "t.json", tmp_path / "p.json"
+    assert main(["build", "--curve", "hermitian", "--q", "2", "--a", "4", "--a-prime", "1",
+                 "--allow-extended-a", "--out", str(triple_path)]) == 0
+    assert artifacts.triple_from_obj(artifacts.load_json(triple_path)).regime == "extended"
+    obj = artifacts.load_json(triple_path)
+    obj["provenance"]["regime"] = "standard"
+    artifacts.save_json(obj, triple_path)
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
+    assert "allow_extended" in capsys.readouterr().err
+    assert not pair_path.exists()
+
+
+def test_a_standard_triple_claiming_the_extended_regime_is_refused():
+    obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1))
+    obj["provenance"]["regime"] = "extended"
+    with pytest.raises(ValueError, match=re.escape("['provenance']['regime']")):
+        artifacts.triple_from_obj(obj)
 
 
 def _tamper_twist(prov):

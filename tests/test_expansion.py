@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import random
+import re
 
 import sys
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agstab.linear as linear_module
-from agstab.artifacts import code_from_obj, code_to_obj
+from agstab.artifacts import code_from_obj, code_to_obj, load_json, save_json, triple_from_obj, triple_to_obj
 from agstab.curves import build_dual_chain, enumerate_curve, evaluation_code
 from agstab.expansion import (
     ExpansionMap,
@@ -191,12 +193,14 @@ def test_expand_chain_hermitian_instance():
     assert binary_twin(pair.d).dual() == expand_code(triple.c.dual(), emap(GF4))
 
 
-def test_expand_chain_refuses_d_without_its_dual():
+def test_a_chain_whose_c_misses_its_dual_is_refused_on_load(tmp_path):
+    # expand_chain trusts its triple, so the loader must not hand it this one
     triple = build_dual_chain(enumerate_curve("hermitian", 2), 3, 1)
     small = dataclasses.replace(triple, c=triple.c.dual())  # [8,3] < [8,5]
-    assert small.c_prime.contains(small.c)
-    with pytest.raises(CertificationError, match="expanded D does not contain its dual"):
-        expand_chain(small, emap(GF4))
+    assert small.c_prime.contains(small.c) and not small.c.contains(small.c.dual())
+    path = save_json(triple_to_obj(small), tmp_path / "t.json")
+    with pytest.raises(ValueError, match=re.escape("construction at ['c']")):
+        triple_from_obj(load_json(path))
 
 
 def test_field_mismatch_rejected():
@@ -375,3 +379,18 @@ def test_m2_pipeline_runs_no_binary_elimination_in_dual_or_contains(monkeypatch)
     inside = {(k, width) for k, width, within in calls if within}
     assert inside == {(4, 64)}  # over GF(16) on 64 symbols, never on 256 bits
     assert (1, 256) in {(k, width) for k, width, _ in calls}  # compose's extend_basis
+
+
+def test_m2_pipeline_certifies_each_chain_fact_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("dual", "contains"):
+
+        def counted(self, *args, name=name, plain=getattr(LinearCode, name)):
+            calls[self.field.k, name] += 1
+            return plain(self, *args)
+
+        monkeypatch.setattr(LinearCode, name, counted)
+    pipeline_build(PipelineConfig(m=2, curve_kind="hermitian", q=4, a=34, a_prime=30))
+    # The chain: ev_a^perp, ev_a'^perp, C >= ev_a and C' >= C.  Compose:
+    # D^perp, D' >= D and D >= D^perp, each on its GF(16) source.
+    assert calls == {(4, "dual"): 3, (4, "contains"): 4, (1, "dual"): 1, (1, "contains"): 2}

@@ -4,6 +4,7 @@ import pytest
 
 from agstab import artifacts
 from agstab.errors import PipelineError
+from agstab.linear import GF2, code_from_rref
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import designed_quantum_bound, steane_compose
 
@@ -105,15 +106,17 @@ def test_line_pipeline_small():
 
 
 def test_m3_compose_of_the_reloaded_pair_matches_the_pipeline():
-    # The loaded pair carries no provenance, so steane_compose dualizes and
-    # compares D and D' over 3072 bits; the pipeline's pair goes over GF(64).
+    # The loaded pair is rebuilt from its source, so, like the pipeline's, it
+    # is compared over GF(64).  Its provenance-free twins make steane_compose
+    # dualize and compare D and D' over 3072 bits instead.
     cfg = PipelineConfig(m=3, curve_kind="hermitian", q=8, a=269, a_prime=250)
     run = pipeline_build(cfg)
-    assert run.pair.d.expanded_from is not None
     pair = artifacts.pair_from_obj(artifacts.pair_to_obj(run.pair))
-    assert pair.d.expanded_from is None and pair.d_prime.expanded_from is None
+    assert pair.d.expanded_from is not None and pair.d_prime.expanded_from is not None
+    d, d_prime = (code_from_rref(GF2, c.n, c.matrix.copy(), c.pivots) for c in (pair.d, pair.d_prime))
+    assert d.expanded_from is None and d_prime.expanded_from is None
     designed = designed_quantum_bound(run.triple.designed_d, run.triple.designed_d_prime)
-    fcode = steane_compose(pair.d, pair.d_prime, budget=cfg.distance_budget, designed_bound=designed)
+    fcode = steane_compose(d, d_prime, budget=cfg.distance_budget, designed_bound=designed)
     assert fcode.space == run.fcode.space
     assert fcode.dual_space == run.fcode.dual_space
     got = (fcode.is_isotropic, fcode.is_large, fcode.distance_bound)
