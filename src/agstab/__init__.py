@@ -41,7 +41,6 @@ from .expansion import (
     ExpansionMap,
     expand_chain,
     expand_code,
-    random_dual_containing_code,
 )
 from .fields import (
     EPS,
@@ -75,8 +74,6 @@ from .symplectic import (
     quantum_bound,
     quantum_params,
     steane_compose,
-    symplectic_dual,
-    symplectic_form,
     unpack_gf4,
 )
 

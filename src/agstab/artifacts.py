@@ -168,19 +168,6 @@ def report_to_obj(r: QuantumCodeReport, provenance: dict[str, Any] | None = None
     }
 
 
-def report_from_obj(obj: dict[str, Any]) -> QuantumCodeReport:
-    _expect_kind(obj, "quantum_code_report")
-    wit = obj.get("d_witness")
-    return QuantumCodeReport(
-        n=obj["n"],
-        k_q=obj["k_q"],
-        d_q=obj["d_q"],
-        d_exact=obj["d_exact"],
-        d_witness=tuple(wit) if wit is not None else None,
-        trace=tuple(obj["trace"]),
-    )
-
-
 def _expect_kind(obj: dict[str, Any], kind: str) -> None:
     got = obj.get("kind")
     if got != kind:

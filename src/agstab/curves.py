@@ -13,15 +13,21 @@ points, the zeros of t = x^q - x on the line (t = x^(q^2) - x on the
 Hermitian curve), and the differential dt/t has residue 1 at each of
 them, so ev_a^perp = ev_(n+2g-2-a) (Stichtenoth, "A note on Hermitian
 codes over GF(q^2)", IEEE Trans. IT, 1988; *Algebraic Function Fields
-and Codes*, ch. 2).  The twist vector is therefore w = 1, ev_a is
+and Codes*, ch. 2 and 8).  The twist vector is therefore w = 1, ev_a is
 self-orthogonal whenever 2a <= n + 2g - 2, and the chain codes are the
 plain duals C = ev_a^perp and C' = ev_a'^perp, so C_perp = ev_a is
-known from the construction.  One containment, C >= ev_a, certifies
-it at every degree.
+known from the construction.  Self-orthogonality is a Gram identity,
+sum_P f(P) g(P) = 0 over every pair of basis monomials (the residue
+theorem; Høholdt, van Lint and Pellikaan, "Algebraic geometry codes",
+*Handbook of Coding Theory*, 1998), so the power sums sum_P x^u y^v of
+the distinct monomial sums (u, v) certify it at every degree, with no
+dual.  ev_a' is spanned by a prefix of ev_a's rows, so C' >= C holds by
+construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import CertificationError, TwistSearchError
 from .fields import Field, get_field, ordered_elements
-from .linear import LinearCode, code_from_matrix, from_symbols
+from .linear import LinearCode, _dual_rref, code_from_matrix, code_from_rref, from_symbols
 
 _HERMITIAN_Q = (2, 4, 8)
 
@@ -185,6 +191,42 @@ def evaluation_code(curve: Curve, a: int) -> LinearCode:
     return code
 
 
+# Values held at once by the power-sum certificate, per block of sums.
+_SUM_CELLS = 1 << 20
+
+
+def _monomial_sums(basis: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every distinct (i1 + i2, j1 + j2) over pairs of basis monomials, by j then i.
+
+    ``rr_basis`` holds every lower power of x with each monomial (the
+    pole order grows with i), so with t_j the largest i at y-degree j,
+    the sums at y-degree v are exactly u = 0 .. max(t_j1 + t_j2 : j1 + j2 = v).
+    """
+    top: dict[int, int] = {}
+    for i, j in basis:
+        top[j] = max(top.get(j, 0), i)
+    reach: dict[int, int] = {}
+    for j1, t1 in top.items():
+        for j2, t2 in top.items():
+            reach[j1 + j2] = max(reach.get(j1 + j2, 0), t1 + t2)
+    return [(u, v) for v, t in sorted(reach.items()) for u in range(t + 1)]
+
+
+def _power_sums_vanish(curve: Curve, sums: Sequence[tuple[int, int]]) -> bool:
+    """Whether sum_P x^u y^v = 0 over the affine points for every (u, v).
+
+    The sums are evaluated ``_SUM_CELLS // n`` at a time (at least one),
+    so the scratch is three such blocks of uint8 values, from
+    ``_monomial_values``, plus its two power tables.
+    """
+    rows = max(1, _SUM_CELLS // curve.n_points)
+    for lo in range(0, len(sums), rows):
+        values = _monomial_values(curve.field, sums[lo : lo + rows], curve.points)
+        if np.bitwise_xor.reduce(values, axis=1).any():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class TwistSolution:
     """The code that certified the twist w = 1 over every point."""
@@ -192,25 +234,31 @@ class TwistSolution:
     c: LinearCode  # ev_a^perp
     regime: str  # "standard" | "extended"
     attempts: int  # always 1: w = 1 is the only candidate
+    # ev_a's kernel rows, one per monomial of rr_basis(curve, a), read-only
+    values: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
 def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> TwistSolution:
     """The twist of the degree-a code: w = 1 on every point, certified.
 
     The residue-1 differential dt/t gives ev_a^perp = ev_(n+2g-2-a), so
-    w = 1 makes ev_a self-orthogonal whenever 2a <= n + 2g - 2.  One
-    containment checks that rather than assuming it: C = ev_a^perp >= ev_a,
-    and C is returned.  A failed containment raises
-    TwistSearchError.  The divisor bound 2a <= n + g - 2 is enforced
-    unless ``allow_extended`` is set, in which case the regime is
-    recorded.
+    w = 1 makes ev_a self-orthogonal whenever 2a <= n + 2g - 2.  That is
+    checked rather than assumed, as the Gram identity it is: f g runs
+    over the monomials x^u y^v of the distinct sums (u, v) of basis
+    pairs, and every power sum sum_P x^u y^v must vanish.  A nonzero sum
+    raises TwistSearchError.  C = ev_a^perp is then one elimination of
+    ev_a's value rows from the right (``linear._dual_rref``, the route of
+    ``LinearCode.dual`` below 2k = n), certified by ``code_from_rref``,
+    and C >= ev_a = C_perp follows.  The divisor bound
+    2a <= n + g - 2 is enforced unless ``allow_extended`` is set, in
+    which case the regime is recorded.
 
     A test checks this against the solution space of the bilinear system
     sum_i w_i f(P_i) g(P_i) = 0 over all basis pairs (f, g), with
     ``allow_extended``, at every a < n on the line for q = 4, 8, 16 and
     the Hermitian curve for q = 2, 4, and at a = 269, 270, 283, 284 for
     Hermitian q = 8.  There the space contains w = 1 exactly when the
-    containment holds and is {0} otherwise, so no other twist exists.
+    sums vanish and is {0} otherwise, so no other twist exists.
     """
     n = curve.n_points
     standard = 2 * a <= n + curve.genus - 2
@@ -219,17 +267,20 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
             f"2a={2 * a} exceeds n'+g-2={n + curve.genus - 2}; "
             "pass allow_extended to try anyway"
         )
+    if a >= n:
+        raise ValueError(f"a={a} >= n={n}: evaluation is not injective")
 
-    # Defining property, checked rather than assumed.
-    ev = evaluation_code(curve, a)
-    c = ev.dual()
-    if not c.contains(ev):
+    basis = rr_basis(curve, a)
+    if not _power_sums_vanish(curve, _monomial_sums(basis)):
         raise TwistSearchError(
             f"ev_{a} is not self-orthogonal under w = 1 "
             f"(2a={2 * a}, n+2g-2={n + 2 * curve.genus - 2})"
         )
-
-    return TwistSolution(c=c, regime="standard" if standard else "extended", attempts=1)
+    f = curve.field
+    values = from_symbols(f, _monomial_values(f, basis, curve.points))
+    values.flags.writeable = False
+    c = code_from_rref(f, n, *_dual_rref(values, f, n))
+    return TwistSolution(c=c, regime="standard" if standard else "extended", attempts=1, values=values)
 
 
 @dataclass(frozen=True)
@@ -269,8 +320,11 @@ def build_dual_chain(
     """Construct and certify the triple for divisor degrees a' < a.
 
     The twist w = 1 serves both degrees.  C >= C_perp comes certified
-    with the twist; C' = ev_a'^perp, C' >= C and both dimensions are
-    verified exactly here; failure raises.
+    with the twist.  rr_basis(curve, a') must be a prefix of
+    rr_basis(curve, a), so C' = ev_a'^perp is one elimination of the
+    first rows of ev_a's values, as C is of all of them, and
+    C' >= C holds by construction.  Both dimensions are checked exactly
+    here, which certifies both evaluation ranks; failure raises.
     """
     g = curve.genus
     if a_prime >= a:
@@ -279,12 +333,13 @@ def build_dual_chain(
         raise ValueError(f"need a' >= 2g-1 = {2 * g - 1}, got {a_prime}")
 
     tw = solve_twist_vector(curve, a, allow_extended=allow_extended)
-    n = curve.n_points  # a < n: the twist's evaluation code checked it
+    n, f = curve.n_points, curve.field  # a < n: the twist checked it
+    basis_prime = rr_basis(curve, a_prime)
+    if rr_basis(curve, a)[: len(basis_prime)] != basis_prime:
+        raise CertificationError(f"the degree-{a_prime} basis is not a prefix of the degree-{a} basis")
     c = tw.c
-    c_prime = evaluation_code(curve, a_prime).dual()
+    c_prime = code_from_rref(f, n, *_dual_rref(tw.values[: len(basis_prime)], f, n))
 
-    if not c_prime.contains(c):
-        raise CertificationError("C' does not contain C")
     if c.k_dim != n - a + g - 1:
         raise CertificationError(
             f"dim C = {c.k_dim} != n - a + g - 1 = {n - a + g - 1}"

@@ -10,7 +10,6 @@ contiguous and artifacts are bit-exact.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,8 @@ from .fields import Field, SelfDualBasis
 from .linear import (
     GF2,
     LinearCode,
-    code_from_matrix,
     code_from_rref,
-    combine,
     from_symbols,
-    nullspace,
-    reduce,
-    rref,
     to_matrix,
     to_symbols,
 )
@@ -104,30 +98,3 @@ def expand_chain(triple: DualChainTriple, emap: ExpansionMap) -> ExpandedPair:
     """
     d, d_prime = (expand_code(c, emap) for c in (triple.c, triple.c_prime))
     return ExpandedPair(d=d, d_prime=d_prime, basis=emap.basis, source=triple)
-
-
-def random_dual_containing_code(field: Field, n: int, rng: random.Random) -> LinearCode:
-    """Seeded random code C with C >= C_perp.
-
-    Grows a self-orthogonal seed S one vector at a time (candidates are
-    drawn from the solution space of "orthogonal to S and to itself",
-    the latter being linear in characteristic 2), then returns dual(S).
-    """
-    target = rng.randint(0, n // 2)
-    # sum of coordinates = 0 makes v.v = 0
-    ones = from_symbols(field, np.ones((1, n), dtype=np.uint8))
-    seed = ones[:0]
-    while len(seed) < target:
-        rr, pv = rref(np.concatenate([seed, ones]), field, n)
-        null = nullspace(rr, pv, field, n)
-        span_rr, span_pv = rref(seed.copy(), field, n)
-        candidate = None
-        for _ in range(32):
-            v = combine([rng.randrange(field.order) for _ in null], null, field)
-            if reduce(v[None], span_rr, span_pv, field).any():
-                candidate = v
-                break
-        if candidate is None:
-            break  # solution space exhausted below the target dimension
-        seed = np.concatenate([seed, candidate[None]])
-    return code_from_matrix(field, n, seed).dual()

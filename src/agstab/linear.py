@@ -425,13 +425,6 @@ def nullspace(
     return out
 
 
-def combine(coeffs, mat: np.ndarray, field: Field) -> np.ndarray:
-    """The kernel rows sum_i c[i] * mat[i], one per vector c on the last axis of ``coeffs``."""
-    c = np.asarray(coeffs, dtype=np.intp)[..., None]
-    terms = np.where(c != 0, mat, 0) if field.k == 1 else field.mul_table[c, mat]
-    return np.bitwise_xor.reduce(terms, axis=-2)
-
-
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------

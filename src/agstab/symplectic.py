@@ -81,16 +81,6 @@ def unpack_gf4(v: int, n: int) -> tuple[int, ...]:
     )
 
 
-def symplectic_form(x: int, y: int, n: int) -> int:
-    """sum_j a_j b'_j + a'_j b_j over GF(2)."""
-    mask = (1 << n) - 1
-    ax, bx = x & mask, x >> n
-    ay, by = y & mask, y >> n
-    if bx >> n or by >> n:
-        raise ValueError("vector longer than 2n bits")
-    return ((ax & by).bit_count() + (ay & bx).bit_count()) & 1
-
-
 def _swap_halves(v: int, n: int) -> int:
     mask = (1 << n) - 1
     return ((v & mask) << n) | (v >> n)
@@ -150,11 +140,6 @@ def make_symplectic(
     null = nullspace(space.matrix, space.pivots, GF2, 2 * n)
     dual = binary_code(2 * n, [_swap_halves(r, n) for r in to_rows(null)])
     return _certified(n, space, dual, distance_bound)
-
-
-def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
-    """The form-dual, with flags recomputed; dim F + dim F^dual = 2n."""
-    return _certified(code.n, code.dual_space, code.space)
 
 
 def _doubled(code: LinearCode) -> tuple[np.ndarray, list[int]]:

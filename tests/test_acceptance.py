@@ -24,7 +24,7 @@ from agstab.bounds import (
     parse_csv,
 )
 from agstab.curves import build_dual_chain, enumerate_curve
-from agstab.expansion import ExpansionMap, expand_code, random_dual_containing_code
+from agstab.expansion import ExpansionMap, expand_code
 from agstab.fields import EPS, EPS_BAR, get_field, self_dual_basis
 from agstab.linear import binary_code
 from agstab.pauli import (
@@ -40,11 +40,11 @@ from agstab.symplectic import (
     make_symplectic,
     quantum_params,
     steane_compose,
-    symplectic_dual,
     unpack_gf4,
 )
 
 from gf4_words import pack_gf4
+from helpers import random_dual_containing_code, symplectic_dual
 from test_pauli import dense_of, dense_projector
 
 EXT_HAMMING = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])

@@ -13,6 +13,7 @@ from agstab.linear import binary_code, make_code
 from agstab.symplectic import make_symplectic
 
 from gf4_words import pack_gf4
+from helpers import report_from_obj
 
 
 def test_build_expand_steane_verify_round_trip(tmp_path, capsys):
@@ -40,7 +41,7 @@ def test_build_expand_steane_verify_round_trip(tmp_path, capsys):
         "verify", "--code", str(fcode_path), "--exact-distance",
         "--out", str(report_path),
     ]) == 0
-    report = artifacts.report_from_obj(artifacts.load_json(report_path))
+    report = report_from_obj(artifacts.load_json(report_path))
     assert (report.n, report.k_q, report.d_q, report.d_exact) == (16, 8, 3, True)
     out = capsys.readouterr().out
     assert '"d_q": 3' in out
@@ -56,7 +57,7 @@ def test_verify_without_exact_distance_reports_bound(tmp_path):
     main(["steane", "--d", str(pair_path), "--out", str(fcode_path)])
     rc = main(["verify", "--code", str(fcode_path), "--out", str(tmp_path / "r.json")])
     assert rc == 0
-    report = artifacts.report_from_obj(artifacts.load_json(tmp_path / "r.json"))
+    report = report_from_obj(artifacts.load_json(tmp_path / "r.json"))
     assert not report.d_exact
     assert report.d_q == 2  # designed bound recorded at composition time
 

@@ -3,9 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+import agstab.curves as curves_module
+import agstab.linear as linear_module
 from agstab.curves import (
     curve_genus,
     designed_distance,
+    _monomial_sums,
     _monomial_values,
     build_dual_chain,
     enumerate_curve,
@@ -13,7 +16,7 @@ from agstab.curves import (
     rr_basis,
     solve_twist_vector,
 )
-from agstab.errors import TwistSearchError
+from agstab.errors import CertificationError, TwistSearchError
 from agstab.expansion import ExpansionMap, expand_chain
 from agstab.fields import self_dual_basis
 from agstab.linear import (
@@ -78,6 +81,25 @@ def twist_space(cur, a):
     prods = sorted({(i1 + i2, j1 + j2) for i1, j1 in monos for i2, j2 in monos})
     rr, pv = rref(from_symbols(f, _monomial_values(f, prods, cur.points)), f, n)
     return code_from_matrix(f, n, nullspace(rr, pv, f, n))
+
+
+def dual_route_chain(cur, a, a_prime):
+    """Reference: (C, C', regime) by evaluation codes, two duals and two
+    containments, with ``allow_extended``; TwistSearchError where ev_a is
+    not self-orthogonal."""
+    ev = evaluation_code(cur, a)
+    c = ev.dual()
+    if not c.contains(ev):
+        raise TwistSearchError(f"ev_{a} is not self-orthogonal")
+    c_prime = evaluation_code(cur, a_prime).dual()
+    if not c_prime.contains(c):
+        raise CertificationError("C' does not contain C")
+    standard = 2 * a <= cur.n_points + cur.genus - 2
+    return c, c_prime, "standard" if standard else "extended"
+
+
+# (curve, q) of the differential chain sweep
+CHAIN_SWEEP = [("line", 4), ("line", 8), ("line", 16), ("line", 32), ("hermitian", 2), ("hermitian", 4)]
 
 
 # (curve, q, degrees) of the twist oracle sweep
@@ -292,6 +314,22 @@ class TestTwist:
                 build_dual_chain(cur, a, a_prime, allow_extended=True)
 
     @pytest.mark.parametrize("kind, q, degrees", TWIST_SWEEP)
+    def test_monomial_sums_are_the_distinct_pair_sums(self, kind, q, degrees):
+        cur = enumerate_curve(kind, q)
+        for a in degrees:
+            monos = rr_basis(cur, a)
+            pairs = {(i1 + i2, j1 + j2) for i1, j1 in monos for i2, j2 in monos}
+            assert _monomial_sums(monos) == sorted(pairs, key=lambda s: (s[1], s[0])), a
+
+    def test_power_sums_in_blocks_of_one(self, monkeypatch):
+        # one sum per block: the same acceptance and refusal at the window's edge
+        monkeypatch.setattr(curves_module, "_SUM_CELLS", 1)
+        cur = enumerate_curve("hermitian", 4)
+        assert solve_twist_vector(cur, 37, allow_extended=True).regime == "extended"
+        with pytest.raises(TwistSearchError):
+            solve_twist_vector(cur, 38, allow_extended=True)
+
+    @pytest.mark.parametrize("kind, q, degrees", TWIST_SWEEP)
     def test_matches_the_solution_space_of_the_bilinear_system(self, kind, q, degrees):
         # w = 1 exactly when the reference space holds it, a refusal
         # exactly when that space is {0}, and never a third outcome
@@ -349,6 +387,17 @@ class TestDualChain:
             build_dual_chain(cur, 3, 0)  # a' below 2g - 1
         with pytest.raises(ValueError):
             build_dual_chain(cur, 4, 1)  # a beyond the divisor bound
+        with pytest.raises(ValueError, match="not injective"):
+            build_dual_chain(cur, 8, 1, allow_extended=True)  # a >= n
+
+    def test_a_basis_that_is_not_a_prefix_is_refused(self, monkeypatch):
+        # C' >= C rests on ev_a' being spanned by ev_a's first rows
+        plain = curves_module.rr_basis
+        monkeypatch.setattr(
+            curves_module, "rr_basis", lambda cur, a: plain(cur, a)[::-1] if a == 30 else plain(cur, a)
+        )
+        with pytest.raises(CertificationError, match="prefix"):
+            build_dual_chain(enumerate_curve("hermitian", 4), 34, 30)
 
     def test_designed_distance_floors_at_one(self):
         # a - 2g + 2 for ev_a^perp, and 1 where that is not positive
@@ -384,11 +433,46 @@ class TestChainFromConstruction:
         assert t.c.dual() == ev_a.scale(v)
 
     @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
-    def test_one_dual_per_chain_code(self, kind, q, a, a_prime, monkeypatch):
+    def test_one_elimination_per_chain_code(self, kind, q, a, a_prime, monkeypatch):
+        # C and C' each from one elimination of ev_a's value rows; the
+        # power sums certify C >= C_perp and the prefix gives C' >= C
         cur = enumerate_curve(kind, q)
-        calls = counting_calls(monkeypatch)
+        duals = counting_calls(monkeypatch, "dual")
+        containments = counting_calls(monkeypatch, "contains")
+        eliminations = []
+        plain = linear_module.rref
+
+        def rref(mat, field, n):
+            eliminations.append(field)
+            return plain(mat, field, n)
+
+        monkeypatch.setattr(linear_module, "rref", rref)
         build_dual_chain(cur, a, a_prime)
-        assert calls == [cur.field, cur.field]
+        assert duals == containments == []
+        assert eliminations == [cur.field, cur.field]
+
+    @pytest.mark.parametrize("kind, q", CHAIN_SWEEP)
+    def test_matches_the_dual_route_on_every_degree(self, kind, q):
+        # every a < n with allow_extended, and a' at 2g - 1 and at a - 1:
+        # the same C, C' and regime, and a refusal exactly where ev_a is
+        # not self-orthogonal
+        cur = enumerate_curve(kind, q)
+        low = max(2 * cur.genus - 1, 0)
+        outcomes = set()
+        for a in range(low + 1, cur.n_points):
+            for a_prime in sorted({low, a - 1}):
+                try:
+                    want = dual_route_chain(cur, a, a_prime)
+                except TwistSearchError:
+                    with pytest.raises(TwistSearchError):
+                        build_dual_chain(cur, a, a_prime, allow_extended=True)
+                    outcomes.add("refused")
+                    continue
+                t = build_dual_chain(cur, a, a_prime, allow_extended=True)
+                assert (t.c, t.c_prime, t.regime) == want, (a, a_prime)
+                outcomes.add(t.regime)
+        # the extended regime, n + g - 2 < 2a <= n + 2g - 2, needs g > 0
+        assert outcomes == {"standard", "refused"} | ({"extended"} if cur.genus else set())
 
     @pytest.mark.parametrize("kind, q, a, a_prime", CHAINS)
     def test_descent_makes_no_binary_dual(self, kind, q, a, a_prime, monkeypatch):

@@ -24,12 +24,11 @@ from agstab.symplectic import (
     make_symplectic,
     quantum_params,
     steane_compose,
-    symplectic_dual,
-    symplectic_form,
     unpack_gf4,
 )
 
 from gf4_words import pack_gf4
+from helpers import symplectic_dual, symplectic_form
 
 B422 = [(EPS,) * 4, (EPS_BAR,) * 4]
 # two extra isotropic vectors extending the four-qubit stabilizer to rank 4

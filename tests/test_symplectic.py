@@ -8,7 +8,6 @@ import agstab.linear as linear_module
 import agstab.symplectic as symplectic_module
 from agstab import artifacts
 from agstab.errors import BudgetExceeded, CertificationError
-from agstab.expansion import random_dual_containing_code
 from agstab.fields import EPS, EPS_BAR, get_field
 from agstab.linear import binary_code, extend_basis, gray_span, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
@@ -25,12 +24,11 @@ from agstab.symplectic import (
     quantum_bound,
     quantum_params,
     steane_compose,
-    symplectic_dual,
-    symplectic_form,
     unpack_gf4,
 )
 
 from gf4_words import pack_gf4
+from helpers import random_dual_containing_code, symplectic_dual, symplectic_form
 
 GF2 = get_field(1)
 GF4 = get_field(2)
