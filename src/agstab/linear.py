@@ -19,32 +19,25 @@ Python ints; ``to_matrix``/``to_rows`` are that GF(2) int boundary.
 ``nullspace`` work on its output.  ``rref`` and ``reduce`` update rows
 by table gathers.  Over GF(2), the Method of Four Russians (Albrecht,
 Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
-``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums;
-over GF(2^k), each pivot row's q multiples are tabled once and gathered
-per row.  Their scratch beyond the output is two arrays at most the
-size of the trailing matrix, plus one such table.
+``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums.
+Over GF(2^k), ``rref`` tables each pivot row's q multiples, and
+``reduce`` those of ``_REDUCE_ROWS`` basis rows together, on the free
+columns only (as in M4RIE: Albrecht, ISSAC 2012).
 
 ``LinearCode.dual`` eliminates min(k, n - k) rows, choosing by k and n
-alone.  When 2k >= n it eliminates the n - k rows of the nullspace.
-When 2k < n it eliminates the k rows from the right instead (``rref``
-of the reversed columns; GF(2) rows are reversed packed), and the
-nullspace of that right-RREF is already the dual's RREF, which
-``code_from_rref`` certifies: the lex-first information set of C^perp
-is the complement of the lex-last one of C (MacWilliams and Sloane,
-ch. 1: G = [I | A] gives H = [A^T | I]); the proof is in its
-docstring.  Beyond the two codes, that route's scratch is one copy of
-C's matrix, one k x trailing-width gather per elimination block, and
-blocks of rows.  A binary code that ``expansion.expand_code`` made
-remembers its GF(2^k) source, and ``dual`` and ``contains`` work on
-that source instead, on n / k symbols.
+alone: the n - k rows of the nullspace when 2k >= n, else the k rows
+from the right, whose nullspace is already the dual's RREF (MacWilliams
+and Sloane, ch. 1: G = [I | A] gives H = [A^T | I]).  A binary code that
+``expansion.expand_code`` made remembers its GF(2^k) source, and
+``dual`` and ``contains`` work on that source, on n / k symbols.
 
 Codewords are enumerated by one primitive, ``gray_span``: the 2^r XOR
-combinations of r kernel rows in blocks, in Gray-code order from 0,
-step t flipping row (t & -t).bit_length() - 1.  Over GF(2^k) the rows
-are the symbol rows alpha^i * g (i < k), which span the code over GF(2).
-A block and what its caller builds from it hold at most ``_SPAN_BLOCK``
-cells (8-byte words or symbols), unless one row alone is larger; the
-memory of an enumeration is that, plus whatever the caller keeps whole.
+combinations of r kernel rows in blocks, in Gray-code order from 0.
+Over GF(2^k) the rows are the symbol rows alpha^i * g (i < k), which
+span the code over GF(2).  A block and what its caller builds from it
+hold at most ``_SPAN_BLOCK`` cells (8-byte words or symbols), unless
+one row alone is larger; the memory of an enumeration is that, plus
+whatever the caller keeps whole.
 """
 
 from __future__ import annotations
@@ -72,6 +65,8 @@ _NULL_BLOCK = 64
 # ``reduce``; a block's XOR table has 2^_BLOCK_COLS rows.  It divides 64,
 # so a block never straddles a word.
 _BLOCK_COLS = 8
+# Basis rows per GF(2^k) ``reduce`` table; 16 would raise its peak.
+_REDUCE_ROWS = 8
 # Nonzero block values that ``_pivot_rows`` inserts one by one before it
 # switches to whole-column scans; a dense block fills within about 10.
 _PLAN_ROWS = 32
@@ -160,9 +155,14 @@ def _dual_rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, np.nd
     rr, pv = rref(rev, field, n)
     _reverse_columns(rr, rr, field, n)
     right = [n - 1 - p for p in pv]
+    return nullspace(rr, right, field, n), _free_columns(right, n)
+
+
+def _free_columns(pivots: Sequence[int], n: int) -> np.ndarray:
+    """The non-pivot columns below n, increasing."""
     free = np.ones(n, dtype=bool)
-    free[right] = False
-    return nullspace(rr, right, field, n), np.flatnonzero(free)
+    free[np.asarray(pivots, dtype=np.intp)] = False
+    return np.flatnonzero(free)
 
 
 def _columns(mat: np.ndarray, cols: np.ndarray, field: Field) -> np.ndarray:
@@ -184,7 +184,7 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     j, width = rows.shape
     table = np.zeros((1 << j, width), dtype=rows.dtype)
     for i in range(j):
-        table[1 << i : 2 << i] = table[: 1 << i] ^ rows[i]
+        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
     return table
 
 
@@ -208,11 +208,10 @@ def _pivot_rows(block: np.ndarray, r: int, width: int) -> tuple[list[int], list[
     ``block`` holds every row's value in the block's ``width`` columns;
     rows r and below are zero left of it.  A row is picked when its value
     lies outside the span of the values of the rows above it (from r),
-    which is an XOR basis built by inserting the nonzero values in row
-    order, and the scan stops at ``width`` picks.  The first
-    ``_PLAN_ROWS`` nonzero values are inserted as Python ints, which
-    fills a dense block; past them, each further pick is the first row
-    whose value the boolean table of the span so far misses.
+    until ``width`` picks.  The first ``_PLAN_ROWS`` nonzero values are
+    inserted into an XOR basis as Python ints, which fills a dense
+    block; past them, each further pick is the first row whose value
+    the boolean table of the span so far misses.
     """
     nonzero = r + np.flatnonzero(block[r:])
     head = nonzero[:_PLAN_ROWS]
@@ -263,9 +262,9 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
       one gather of that table (``_xor_gathered``) clears the block
       from every row that has a bit in it, above and below.  The RREF
       is unique, so which rows are picked changes no output.
-    - GF(2^k): per pivot row, the table of its q multiples (from the
-      pivot onward) is built once, and each row is cleared by a gather
-      of the multiple its pivot-column entry names.
+    - GF(2^k): per pivot, the pivot row's q multiples (from the pivot
+      on) are tabled, and each row is cleared by a gather of the one
+      its pivot-column entry names.
 
     Row r of the result is zero left of its pivot, so each update
     touches only the words (or columns) from the pivot onward.  Beyond
@@ -329,16 +328,15 @@ def _multiples(field: Field, row: np.ndarray) -> np.ndarray:
 
     ``mul_table`` is symmetric, so this is ``mul_table[row]`` transposed;
     the copy lays each multiple out in one run, so that a gather of
-    table rows copies whole rows.  Gathering from ``mul_table[:, row]``,
-    whose rows are strided, took about five times as long.
+    table rows copies whole rows; gathering from the strided
+    ``mul_table[:, row]`` took five times as long.  ``reduce`` builds
+    stacks of them by ``_xor_table``.
     """
     return field.mul_table[row].T.copy()
 
 
 def _rref_symbols(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
-    """``rref`` over GF(2^k), k > 1: one pivot column at a time, each
-    cleared from every other row by one ``_xor_gathered`` of the pivot
-    row's multiples."""
+    """``rref`` over GF(2^k), k > 1, one pivot column at a time."""
     m = len(mat)
     mul, inv = field.mul_table, field.inv_table
     pivots: list[int] = []
@@ -377,19 +375,26 @@ def reduce(
     - GF(2): basis rows go in groups of ``_BLOCK_COLS``; the bits at a
       group's pivots index the table of the group's XOR combinations,
       and one gather of it updates every vector with a bit there.
-    - GF(2^k): one gather of the basis row's multiples per pivot.
-
-    Beyond the result, the scratch of one update is the gathered table
-    rows and the copy of the vectors they update, each at most the size
-    of ``vecs``, plus a table of at most 2^8 rows.
+    - GF(2^k): only free columns are updated, one gather per basis row
+      from a table of the multiples of ``_REDUCE_ROWS`` rows; with the
+      result, the peak is under 256 KB for herm-m3.
     """
-    out = vecs.copy()
     if field.k > 1:
-        for row, p in zip(basis, pivots):
-            f = out[:, p]
-            hit = np.flatnonzero(f)
-            out[hit, p:] ^= _multiples(field, row[p:])[f[hit]]
+        free = _free_columns(pivots, vecs.shape[1])
+        rem = np.take(vecs, free, axis=1)
+        powers = field.mul_table[1 << np.arange(field.k)]
+        for lo in range(0, len(pivots), _REDUCE_ROWS):
+            rows = np.take(basis[lo : lo + _REDUCE_ROWS], free, axis=1)
+            b = len(rows)
+            # row x * b + i is x * (row i) = XOR of 2^j * (row i), bits j of x
+            table = _xor_table(np.take(powers, rows.ravel(), axis=1)).reshape(b << field.k, -1)
+            for i in (np.arange(b) + b * vecs[:, list(pivots[lo : lo + b])].astype(np.intp)).T:
+                rem ^= np.take(table, i, axis=0)
+            del table  # before the next is built
+        out = np.zeros_like(vecs)
+        out[:, free] = rem
         return out
+    out = vecs.copy()
     piv = np.asarray(pivots, dtype=np.uint64)
     for lo in range(0, len(piv), _BLOCK_COLS):
         group = piv[lo : lo + _BLOCK_COLS]
@@ -412,9 +417,7 @@ def nullspace(
     the other free columns.
     """
     piv = np.asarray(pivots, dtype=np.intp)
-    is_free = np.ones(n, dtype=bool)
-    is_free[piv] = False
-    free = np.flatnonzero(is_free)
+    free = _free_columns(piv, n)
     out = np.empty((len(free), basis.shape[1]), dtype=basis.dtype)
     for lo in range(0, len(free), _NULL_BLOCK):
         cols = free[lo : lo + _NULL_BLOCK]
@@ -567,10 +570,8 @@ class LinearCode:
           second elimination.
 
         Scratch of the second route beyond the two codes: one copy of
-        this matrix (reversed, GF(2) still packed, reduced and reversed
-        back in place), one k x trailing-width gather per block of the
-        elimination, and the blocks of the reversal, the nullspace and
-        the certificate.
+        this matrix, reversed and reduced in place, one k x trailing-width
+        gather per elimination block, and blocks of rows.
 
         An expansion of C, a length-m code over GF(2^s), in a self-dual
         basis (a_i) is dualized over GF(2^s) instead, as expand(C^perp):

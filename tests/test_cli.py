@@ -8,7 +8,8 @@ from agstab import artifacts, pauli
 from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.curves import build_dual_chain, enumerate_curve
-from agstab.fields import EPS, EPS_BAR, get_field
+from agstab.expansion import ExpansionMap, expand_chain
+from agstab.fields import EPS, EPS_BAR, get_field, self_dual_basis
 from agstab.linear import binary_code, make_code
 from agstab.symplectic import make_symplectic
 
@@ -112,6 +113,50 @@ def test_steane_refuses_an_m2_pair_whose_codes_are_another_chain(tmp_path, capsy
     assert main(["steane", "--d", str(pair_path), "--out", str(fcode_path)]) == 1
     assert "differs from its rebuilt construction at ['d']" in capsys.readouterr().err
     assert not fcode_path.exists()
+
+
+def _flip_first_bit(code):
+    row = code["generators"][0]
+    code["generators"][0] = "10"[int(row[0])] + row[1:]
+
+
+# Edits of a valid m=1 pair and the key that its refusal names.
+PAIR_TAMPERS = [
+    (lambda p: _flip_first_bit(p["d"]), "['d']"),
+    (lambda p: _flip_first_bit(p["d_prime"]), "['d_prime']"),
+    (lambda p: p["d"]["generators"].pop(), "['d']"),
+    (lambda p: p["d_prime"].update(extra=1), "['d_prime']"),
+    (lambda p: p["d_prime"].update(field_k=2), "['d_prime']"),
+    (lambda p: p.update(n=15), "['n']"),
+    (lambda p: p["provenance"]["source"]["provenance"].update(flags={}), "['provenance']['source']['provenance']['flags']"),
+]
+
+
+@pytest.mark.parametrize("tamper, key", PAIR_TAMPERS)
+def test_a_pair_is_refused_at_the_first_key_that_differs_from_its_rebuild(tamper, key):
+    obj = artifacts.pair_to_obj(expand_chain(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1), _self_dual_map(2)))
+    tamper(obj)
+    with pytest.raises(ValueError, match=re.escape(f"differs from its rebuilt construction at {key}")):
+        artifacts.pair_from_obj(json.loads(json.dumps(obj)))
+
+
+def test_a_matching_pair_is_compared_without_hex_encoding_d_or_d_prime(monkeypatch):
+    obj = json.loads(json.dumps(artifacts.pair_to_obj(
+        expand_chain(build_dual_chain(enumerate_curve("hermitian", 4), 34, 30), _self_dual_map(4))
+    )))
+    obj["provenance"]["flags"] = {"out": "p.json"}  # the CLI's echo, ignored
+    encoded = []
+    code_to_obj = artifacts.code_to_obj
+    monkeypatch.setattr(artifacts, "code_to_obj", lambda c: encoded.append(c.field.k) or code_to_obj(c))
+    pair = artifacts.pair_from_obj(obj)
+    assert 1 not in encoded and encoded  # the GF(16) triple is still serialized
+    del obj["provenance"]["flags"]
+    assert artifacts.pair_to_obj(pair) == obj
+
+
+def _self_dual_map(k):
+    field = get_field(k)
+    return ExpansionMap(field=field, basis=self_dual_basis(field))
 
 
 def test_a_triple_is_rebuilt_in_the_regime_it_names(tmp_path, capsys):

@@ -246,3 +246,17 @@ def test_hex_symbol_outside_the_field_rejected():
         hex_to_symbols(get_field(2), ["0124"], 4)
     with pytest.raises(ValueError, match="outside"):
         hex_to_symbols(get_field(5), ["1f20"], 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0102", "outside"), ("01a0", "outside"), ("01A0", "outside"), ("01/0", "non-hex"), ("01g0", "non-hex")],
+)
+def test_binary_rows_accept_only_0_and_1(text, message):
+    """GF(2) rows skip the digit table when every digit is 0 or 1; any
+    other digit takes the general route and its message."""
+    gf2 = get_field(1)
+    assert hex_to_symbols(gf2, ["0110", "1000"], 4).tolist() == [[0, 1, 1, 0], [1, 0, 0, 0]]
+    assert hex_to_symbols(gf2, [], 3).shape == (0, 3)
+    with pytest.raises(ValueError, match=message):
+        hex_to_symbols(gf2, ["0000", text], 4)

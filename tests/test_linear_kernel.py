@@ -6,7 +6,10 @@ rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
 against one-pivot-at-a-time Python eliminations.  Full and near-full
 rank matrices up to 200 columns take the blocked GF(2) kernel and the
-grouped ``reduce`` through many pivot blocks.  A code's
+grouped ``reduce`` through many pivot blocks; GF(2^k) ``reduce`` is
+checked at the edges of its batches of basis rows, ``expand_code``
+against the symbolwise expansion for every k in 1..8, and both against
+their tracemalloc ceilings at the herm-m3 size.  A code's
 one stored form is checked to compare and hash canonically, to be
 read-only, to round-trip through its int and tuple views, to
 serialize to the per-symbol hex rows of a local ``row_to_hex``, and to
@@ -16,6 +19,7 @@ order it promises, whole and in blocks.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +29,12 @@ from hypothesis import strategies as st
 from agstab import linear
 from agstab.artifacts import _HEX_BLOCK, code_from_obj, code_to_obj
 from agstab.errors import CertificationError
-from agstab.expansion import ExpansionMap, expand_code
+from agstab.curves import enumerate_curve, evaluation_code
+from agstab.expansion import _EXPAND_BLOCK, ExpansionMap, expand_code
 from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
     _PLAN_ROWS,
+    _REDUCE_ROWS,
     _SPAN_BLOCK,
     WeightVector,
     _reverse_columns,
@@ -238,6 +244,55 @@ def test_high_rank_reduce_matches_one_pivot_at_a_time(k, n, m, deficit):
     want = reference_reduce(vecs.tolist(), to_symbols(field, basis, n).tolist(), pivots, field)
     assert [tuple(row) for row in got.tolist()] == want
     assert not got[6:].any()  # members of the span reduce to zero
+
+
+def basis_ending_at_the_last_column(field, n, rows, rng):
+    """An RREF of the given number of rows whose last pivot is column n - 1."""
+    symbols = np.zeros((rows, n), dtype=np.uint8)
+    symbols[:-1, :-1] = to_symbols(field, code_of_dimension(field, n - 1, rows - 1, rng).matrix, n - 1)
+    symbols[-1, -1] = 1
+    basis, pivots = rref(from_symbols(field, symbols), field, n)
+    assert len(pivots) == rows and pivots[-1] == n - 1
+    return basis, pivots
+
+
+# Basis sizes on both sides of a batch of _REDUCE_ROWS rows, and past two.
+REDUCE_BASIS_ROWS = [1, _REDUCE_ROWS - 1, _REDUCE_ROWS, _REDUCE_ROWS + 1, 2 * _REDUCE_ROWS + 3]
+
+
+@pytest.mark.parametrize("k", (2, 3, 6, 8))
+@pytest.mark.parametrize("rows", REDUCE_BASIS_ROWS)
+def test_reduce_matches_one_pivot_at_a_time_across_batches(k, rows):
+    field = get_field(k)
+    n = 3 * _REDUCE_ROWS + 5
+    rng = np.random.default_rng(100 * k + rows)
+    basis, pivots = basis_ending_at_the_last_column(field, n, rows, rng)
+    vecs = rng.integers(0, field.order, (7, n), dtype=np.uint8)
+    vecs[1, pivots[:_REDUCE_ROWS]] = 0  # every coefficient of the first batch is 0
+    vecs[2, pivots[-1]] = 0  # no multiple of the row pivoted at n - 1
+    span = rng.integers(0, field.order, (3, rows))
+    members = np.zeros((3, n), dtype=np.uint8)
+    for t in range(rows):
+        members ^= field.mul_table[span[:, t, None], basis[t]]
+    vecs = np.concatenate([vecs, members])
+    got = reduce(vecs, basis, pivots, field)
+    want = reference_reduce(vecs.tolist(), basis.tolist(), pivots, field)
+    assert [tuple(row) for row in got.tolist()] == want
+    assert got.shape == vecs.shape and got.dtype == vecs.dtype
+    assert not got[:, pivots].any()
+    assert not got[7:].any()  # members of the span reduce to zero
+    if rows <= _REDUCE_ROWS:  # every coefficient is 0: nothing to subtract
+        assert np.array_equal(got[1], vecs[1])
+
+
+def test_reduce_with_an_empty_basis_or_no_vectors():
+    field = get_field(4)
+    rng = np.random.default_rng(5)
+    vecs = rng.integers(0, 16, (4, 9), dtype=np.uint8)
+    assert np.array_equal(reduce(vecs, np.zeros((0, 9), dtype=np.uint8), [], field), vecs)
+    basis, pivots = rref(np.eye(9, dtype=np.uint8), field, 9)
+    assert not reduce(vecs, basis, pivots, field).any()  # no free column
+    assert reduce(vecs[:0], basis, pivots, field).shape == (0, 9)
 
 
 def planned_block(n, m, later, seed):
@@ -491,6 +546,65 @@ def test_expand_code_matches_symbolwise_expansion(case):
         for alpha in emap.basis.elements
     ]
     assert expand_code(code, emap) == binary_code(field.k * n, want)
+
+
+# (n, dim): n not a multiple of the s = lcm(k, 8) / k symbols that fill
+# whole bytes (s = 8, 4, 8, 2, 8, 4, 8, 1 for k = 1..8), 24-, 40- and 56-bit
+# groups cut at the end of a row (k = 3, n = 21; k = 5, n = 12; k = 7,
+# n = 9), more than one block of generators, and the zero code.
+EXPAND_CASES = [(1, 1), (9, 4), (12, 5), (13, 13), (21, 7), (37, _EXPAND_BLOCK + 4), (40, 0)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("n, dim", EXPAND_CASES)
+def test_expand_code_writes_the_symbolwise_rows(k, n, dim):
+    field = get_field(k)
+    code = code_of_dimension(field, n, dim, np.random.default_rng(100 * k + n))
+    emap = ExpansionMap(field=field, basis=self_dual_basis(field))
+    image = expand_code(code, emap)
+    want = [
+        expand_word(emap, [field.mul(alpha, e) for e in gen])
+        for gen in code.generators
+        for alpha in emap.basis.elements
+    ]
+    assert image.bit_rows == tuple(want)  # the same rows, in order, zero past bit kn
+    assert image.matrix.shape == (k * dim, (k * n + 63) // 64)
+    assert image.pivots == tuple(p * k + a for p in code.pivots for a in range(k))
+
+
+def test_expand_cases_cut_groups_at_the_row_end():
+    """The k = 3, 5 and 7 cases named above have nonzero codes whose
+    ceil(n / 8) groups of k bytes are longer than a packed row."""
+    dims = dict(EXPAND_CASES)
+    for k, n in ((3, 21), (5, 12), (7, 9)):
+        assert dims[n] > 0
+        assert -(-n // 8) * k > 8 * -(-k * n // 64)
+
+
+def _peak_bytes(run):
+    """tracemalloc's peak over a second call of ``run``, result included."""
+    run()  # tables and caches
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reduce_and_expand_code_scratch_at_herm_m3_size():
+    """The ceilings that the docstrings of ``reduce`` and ``expand_code``
+    state, on herm-m3's codes: E = [512, 223] and E^perp = [512, 289] over
+    GF(64).  The one-pivot reduce peaked at 266 KB and the bit-table
+    expansion of E^perp at 1.52 MB (666 KB of it the output)."""
+    curve = enumerate_curve("hermitian", 8)
+    field = curve.field
+    ev = evaluation_code(curve, 250)
+    dual = ev.dual()
+    assert (ev.k_dim, dual.k_dim) == (223, 289)
+    emap = ExpansionMap(field=field, basis=self_dual_basis(field))
+    assert _peak_bytes(lambda: reduce(ev.matrix, dual.matrix, dual.pivots, field)) < 256_000
+    assert _peak_bytes(lambda: expand_code(dual, emap)) < 900_000
 
 
 def gray_loop(rows):
