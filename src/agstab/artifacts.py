@@ -12,20 +12,22 @@ Formats (all deterministic, lowercase hex symbol rows):
 
 A triple or pair is rebuilt from its construction on load and must
 serialize to exactly the file, apart from the CLI's ``provenance.flags``.
+Rebuilt codes are compared with the file's decoded rows (``_Encoded``),
+so only a refusal hex-encodes a code: the one that differs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .curves import DualChainTriple, build_dual_chain, enumerate_curve
 from .expansion import ExpandedPair, ExpansionMap, expand_chain
 from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
-from .linear import LinearCode, code_from_matrix, from_symbols, to_symbols
+from .linear import GF2, LinearCode, code_from_matrix, from_symbols, to_rows, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
 
@@ -53,13 +55,14 @@ def code_from_obj(obj: dict[str, Any]) -> LinearCode:
     return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
 
 
-def triple_to_obj(t: DualChainTriple) -> dict[str, Any]:
+def triple_to_obj(t: DualChainTriple, encode: Callable | None = None) -> dict[str, Any]:
+    encode = encode or code_to_obj
     return {
         "kind": "dual_chain_triple",
         "field_k": t.field.k,
         "n": t.n,
-        "c": code_to_obj(t.c),
-        "c_prime": code_to_obj(t.c_prime),
+        "c": encode(t.c),
+        "c_prime": encode(t.c_prime),
         "provenance": {
             "curve": {"kind": t.curve_kind, "q": t.q, "genus": t.genus},
             "a": t.a,
@@ -84,59 +87,56 @@ def triple_from_obj(obj: dict[str, Any]) -> DualChainTriple:
     triple = build_dual_chain(
         curve, prov["a"], prov["a_prime"], allow_extended=prov["regime"] == "extended"
     )
-    _expect_rebuilt(obj, triple_to_obj(triple))
+    _expect_rebuilt(obj, triple_to_obj(triple, _Encoded))
     return triple
 
 
-def pair_to_obj(p: ExpandedPair) -> dict[str, Any]:
-    return {**_pair_frame(p), "d": code_to_obj(p.d), "d_prime": code_to_obj(p.d_prime)}
-
-
-def _pair_frame(p: ExpandedPair) -> dict[str, Any]:
-    """``pair_to_obj`` less its two codes."""
+def pair_to_obj(p: ExpandedPair, encode: Callable | None = None) -> dict[str, Any]:
+    encode = encode or code_to_obj
     basis_field = p.basis.field
     return {
         "kind": "binary_pair",
         "n": p.d.n,
+        "d": encode(p.d),
+        "d_prime": encode(p.d_prime),
         "provenance": {
             "basis_field_k": basis_field.k,
             "basis": [element_to_hex(basis_field, e) for e in p.basis.elements],
-            "source": triple_to_obj(p.source),
+            "source": triple_to_obj(p.source, encode),
         },
     }
 
 
 def pair_from_obj(obj: dict[str, Any]) -> ExpandedPair:
-    """The pair rebuilt from the file's source triple and basis, as ``triple_from_obj``.
-
-    The file's D and D' are decoded and compared with the rebuilt
-    matrices, which are never hex-encoded unless they differ: then the
-    serialized comparison names the first differing key.
-    """
+    """The pair rebuilt from the file's source triple and basis, and compared as a triple is."""
     _expect_kind(obj, "binary_pair")
     prov = obj["provenance"]
     field = get_field(prov["basis_field_k"])
     basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in prov["basis"]))
     pair = expand_chain(triple_from_obj(prov["source"]), ExpansionMap(field=field, basis=basis))
-    codes = {"d": pair.d, "d_prime": pair.d_prime}
-    if all(_is_binary_code_obj(obj.get(key), code) for key, code in codes.items()):
-        _expect_rebuilt({k: v for k, v in obj.items() if k not in codes}, _pair_frame(pair))
-    else:
-        _expect_rebuilt(obj, pair_to_obj(pair))
+    _expect_rebuilt(obj, pair_to_obj(pair, _Encoded))
     return pair
 
 
-def _is_binary_code_obj(obj: Any, code: LinearCode) -> bool:
-    """Whether ``obj == code_to_obj(code)`` for a binary ``code``, by its
-    decoded rows: each digit of a binary row is 0 or 1, so the text that
-    decodes to the matrix is unique."""
-    try:
-        rows = obj["generators"]
-        if obj != {"field_k": 1, "n": code.n, "generators": rows} or not isinstance(rows, list):
+class _Encoded:
+    """Stands in for ``code_to_obj(code)``: equal to a JSON value exactly when
+    that value is ``code_to_obj(code)``, judged on its decoded rows, which
+    must be lowercase, as written, though ``hex_to_symbols`` reads both."""
+
+    def __init__(self, code: LinearCode) -> None:
+        self.code = code
+
+    def __eq__(self, obj: object) -> bool:
+        f, n = self.code.field, self.code.n
+        try:
+            rows = obj["generators"]
+            if not isinstance(rows, list) or obj != {"field_k": f.k, "n": n, "generators": rows}:
+                return False
+            mat = from_symbols(f, hex_to_symbols(f, rows, n))
+        except (KeyError, TypeError, ValueError):
             return False
-        return np.array_equal(from_symbols(code.field, hex_to_symbols(code.field, rows, code.n)), code.matrix)
-    except (KeyError, TypeError, ValueError):
-        return False
+        # a letter decodes to 10-15, outside GF(2^k) for k < 4
+        return np.array_equal(mat, self.code.matrix) and (f.k < 4 or all(r == r.lower() for r in rows))
 
 
 def _expect_rebuilt(obj: dict[str, Any], want: dict[str, Any]) -> None:
@@ -147,10 +147,13 @@ def _expect_rebuilt(obj: dict[str, Any], want: dict[str, Any]) -> None:
 
 
 def _difference(got: Any, want: Any, path: str = "") -> str:
-    """The key path, as [repr(key)]..., of the first dict entry where unequal JSON values differ."""
+    """The key path, as [repr(key)]..., of the first dict entry, or missing
+    key, where unequal JSON values differ; a stand-in is encoded only here."""
+    if isinstance(want, _Encoded):
+        want = code_to_obj(want.code)
     if isinstance(got, dict) and isinstance(want, dict):
         for key in sorted(got.keys() | want.keys()):
-            if got.get(key) != want.get(key):
+            if key not in got or key not in want or got[key] != want[key]:
                 return _difference(got.get(key), want.get(key), f"{path}[{key!r}]")
     return path
 
@@ -169,13 +172,13 @@ def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) ->
 
 
 def fcode_from_obj(obj: dict[str, Any]) -> SymplecticCode:
+    """F eliminated once from the file's rows, its flags recomputed, never trusted."""
     _expect_kind(obj, "symplectic_code")
-    space = code_from_obj(obj["space"])
-    n = obj["n"]
-    if space.n != 2 * n:
-        raise ValueError(f"space length {space.n} != 2n = {2 * n}")
-    rebuilt = make_symplectic(n, space.bit_rows, distance_bound=obj.get("distance_bound"))
-    # Flags are recomputed, never trusted from the file.
+    space, n = obj["space"], obj["n"]
+    if (space["field_k"], space["n"]) != (1, 2 * n):
+        raise ValueError(f"space is not a binary code of length 2n = {2 * n}")
+    rows = to_rows(from_symbols(GF2, hex_to_symbols(GF2, space["generators"], 2 * n)))
+    rebuilt = make_symplectic(n, rows, distance_bound=obj.get("distance_bound"))
     if rebuilt.k_dim != obj["k_f"]:
         raise ValueError(f"stored k_f = {obj['k_f']} but rank is {rebuilt.k_dim}")
     return rebuilt

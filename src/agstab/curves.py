@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CertificationError, TwistSearchError
 from .fields import Field, get_field, ordered_elements
-from .linear import LinearCode, _dual_rref, code_from_matrix, code_from_rref, from_symbols
+from .linear import LinearCode, code_from_matrix, dual_code, from_symbols
 
 _HERMITIAN_Q = (2, 4, 8)
 
@@ -247,11 +247,10 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     over the monomials x^u y^v of the distinct sums (u, v) of basis
     pairs, and every power sum sum_P x^u y^v must vanish.  A nonzero sum
     raises TwistSearchError.  C = ev_a^perp is then one elimination of
-    ev_a's value rows from the right (``linear._dual_rref``, the route of
-    ``LinearCode.dual`` below 2k = n), certified by ``code_from_rref``,
-    and C >= ev_a = C_perp follows.  The divisor bound
-    2a <= n + g - 2 is enforced unless ``allow_extended`` is set, in
-    which case the regime is recorded.
+    ev_a's value rows from the right (``linear.dual_code``, the route of
+    ``LinearCode.dual`` below 2k = n, certified), and C >= ev_a = C_perp
+    follows.  The divisor bound 2a <= n + g - 2 is enforced unless
+    ``allow_extended`` is set, in which case the regime is recorded.
 
     A test checks this against the solution space of the bilinear system
     sum_i w_i f(P_i) g(P_i) = 0 over all basis pairs (f, g), with
@@ -279,7 +278,7 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     f = curve.field
     values = from_symbols(f, _monomial_values(f, basis, curve.points))
     values.flags.writeable = False
-    c = code_from_rref(f, n, *_dual_rref(values, f, n))
+    c = dual_code(f, n, values)
     return TwistSolution(c=c, regime="standard" if standard else "extended", attempts=1, values=values)
 
 
@@ -338,7 +337,7 @@ def build_dual_chain(
     if rr_basis(curve, a)[: len(basis_prime)] != basis_prime:
         raise CertificationError(f"the degree-{a_prime} basis is not a prefix of the degree-{a} basis")
     c = tw.c
-    c_prime = code_from_rref(f, n, *_dual_rref(tw.values[: len(basis_prime)], f, n))
+    c_prime = dual_code(f, n, tw.values[: len(basis_prime)])
 
     if c.k_dim != n - a + g - 1:
         raise CertificationError(

@@ -142,9 +142,9 @@ def _reverse_columns(src: np.ndarray, dst: np.ndarray, field: Field, n: int) -> 
                 dst[:, w] |= dst[:, w + 1] << np.uint64(64 - pad)
 
 
-def _dual_rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, pivots) of the dual's RREF by the route of ``LinearCode.dual``
-    for 2k < n, not yet certified; ``mat`` is left as it is.
+def dual_code(field: Field, n: int, mat: np.ndarray) -> LinearCode:
+    """The dual of the row space of kernel rows ``mat``, left as they are,
+    by the route of ``LinearCode.dual`` for 2k < n, certified.
 
     ``rref`` of the reversed columns, reversed back in place, is the RREF
     taken from the right: row i is 1 at its pivot n - 1 - p_i and zero
@@ -155,7 +155,7 @@ def _dual_rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, np.nd
     rr, pv = rref(rev, field, n)
     _reverse_columns(rr, rr, field, n)
     right = [n - 1 - p for p in pv]
-    return nullspace(rr, right, field, n), _free_columns(right, n)
+    return code_from_rref(field, n, nullspace(rr, right, field, n), _free_columns(right, n))
 
 
 def _free_columns(pivots: Sequence[int], n: int) -> np.ndarray:
@@ -410,7 +410,7 @@ def nullspace(
 ) -> np.ndarray:
     """Basis of {x : row . x = 0 for all rows}; ``basis`` must be reduced:
     row i is 1 at pivots[i] and no other row is nonzero there (an RREF
-    from the left, or from the right as in ``_dual_rref``).
+    from the left, or from the right as in ``dual_code``).
 
     One vector per free column f, in increasing f: x_f = 1, x_p = row[f]
     at the pivot p of each row (characteristic 2, so no sign), zero at
@@ -558,7 +558,7 @@ class LinearCode:
         - 2k >= n: ``nullspace`` of this RREF, whose n - k rows
           ``code_from_matrix`` eliminates.
         - 2k < n: the k rows are eliminated from the right
-          (``_dual_rref``): row i is 1 at its pivot p_i and zero right
+          (``dual_code``): row i is 1 at its pivot p_i and zero right
           of it, and no other row is nonzero at p_i.  The nullspace
           vector of a free column f is 1 at f, zero at every other free
           column, and row i's entry at f in place p_i, which is nonzero
@@ -591,7 +591,7 @@ class LinearCode:
         f, n, k = self.field, self.n, self.k_dim
         if 2 * k >= n:
             return code_from_matrix(f, n, nullspace(self.matrix, self.pivots, f, n))
-        return code_from_rref(f, n, *_dual_rref(self.matrix, f, n))
+        return dual_code(f, n, self.matrix)
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
         """Dual under the w-weighted form sum(w_i x_i y_i), that is (w * C)^perp."""
@@ -731,7 +731,7 @@ def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
 
 
 def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
-    """Rows completing a basis of binary ``sub`` to one of ``sup`` (sub <= sup).
+    """The dim(sub + sup) - dim sub rows completing binary ``sub``'s basis to one of sub + sup.
 
     Each generator of ``sup``, in order, is reduced modulo ``sub`` and
     the rows kept before it; a nonzero remainder is kept, with its

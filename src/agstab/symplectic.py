@@ -12,7 +12,8 @@ binary chain D' > D >= D_perp, and F^omega in closed form: the words of
 D^perp + D^perp that meet r = k' - k linear conditions.  Both canonical
 RREFs are assembled from the chain's, eliminating r rows of 2n bits for
 F and r rows of 2(n - k) bits for F^omega, and both flags follow from
-D >= D_perp (the proof is in its docstring).  ``make_symplectic``
+D >= D_perp (the proof is in its docstring); D' >= D is checked once,
+by the rank of the extension rows.  ``make_symplectic``
 eliminates any generators over 2n bits and checks the flags by
 containment; ``verify`` and the tests keep it as the independent route.
 ``quantum_params`` extracts the quantum dimension and, within budget,
@@ -58,9 +59,10 @@ from .linear import (
     LinearCode,
     _SPAN_BLOCK,
     _columns,
-    _dual_rref,
+    _free_columns,
     binary_code,
     code_from_rref,
+    dual_code,
     extend_basis,
     from_symbols,
     gray_span,
@@ -131,11 +133,8 @@ def make_symplectic(
 
     The form pairs x with the half-swap of y, so F^omega is the
     half-swap of the Euclidean dual, read off the nullspace of F.
+    ``binary_code`` refuses a vector wider than 2n bits.
     """
-    vectors = list(vectors)
-    for v in vectors:
-        if v < 0 or v >> (2 * n):
-            raise ValueError(f"vector {v:#x} does not fit in 2n = {2 * n} bits")
     space = binary_code(2 * n, vectors)
     null = nullspace(space.matrix, space.pivots, GF2, 2 * n)
     dual = binary_code(2 * n, [_swap_halves(r, n) for r in to_rows(null)])
@@ -180,8 +179,8 @@ def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
     """The words (a G | b G) of base + base, G its RREF rows, with (a|b) in
     the nullspace of the uint8 bit matrix ``system`` (2k columns).
 
-    ``_dual_rref`` eliminates only the system's rows and returns the
-    nullspace's RREF K, pivoted at the free columns (certified).  Through
+    ``dual_code`` eliminates only the system's rows and returns the
+    nullspace's certified RREF K, pivoted at the free columns.  Through
     G + G it stays an RREF, pivoted at the matching pivots of G + G,
     since a word holds its coefficients there.  Word f is row f of G + G
     plus the rows at the system's pivots that K's row f names: their
@@ -189,13 +188,11 @@ def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
     CertificationError below full row rank.
     """
     k2 = 2 * base.k_dim
-    coeffs, free = _dual_rref(from_symbols(GF2, system), GF2, k2)
-    is_bound = np.ones(k2, dtype=bool)
-    is_bound[free] = False
-    bound = np.flatnonzero(is_bound)
+    kernel = dual_code(GF2, k2, from_symbols(GF2, system))
+    coeffs, free = kernel.matrix, np.array(kernel.pivots, dtype=np.intp)
+    bound = _free_columns(free, k2)  # the system's pivots
     if len(bound) != len(system):
         raise CertificationError(f"the form-dual system has rank {len(bound)} < r = {len(system)}")
-    code_from_rref(GF2, k2, coeffs, free)
     mat, pivots = _doubled(base)
     marks = np.zeros((len(free), mat.shape[1]), dtype=mat.dtype)
     for c, bits in zip(bound.tolist(), _columns(coeffs, bound, GF2).T):
@@ -207,6 +204,16 @@ def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
 def _pairings(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """uint8 bits <v_j, row_i> of packed binary rows, one row j per vector."""
     return np.array([np.bitwise_count(rows & v).sum(axis=1) & 1 for v in vecs], dtype=np.uint8)
+
+
+def _mixed(rows) -> list:
+    """Rows 1..r-1, then row 0 + row 1 (r >= 2): the companion matrix A of
+    x^r + x + 1.  det(A) = det(A + I) = 1 over GF(2), so A has no nonzero
+    fixed vector and distinct enlargement-row combinations on the two
+    halves stay distinct modulo D.  A bare row permutation would not do:
+    every permutation fixes the all-ones combination.
+    """
+    return [*rows[1:], rows[0] ^ rows[1]]
 
 
 def steane_compose(
@@ -231,41 +238,33 @@ def steane_compose(
     [<G_l, m_j> | <G_l, e_j>]: D'^perp + D'^perp and r more dimensions.
     D'/D and D^perp/D'^perp pair perfectly, so [<G_l, e_j>] alone has
     rank r, and dim F^omega = 2(n - k) - r = 2n - k - k' = 2n - k_F.
+    The pairings with the m_j are those with the e_j, ``_mixed``.
 
-    Both RREFs are assembled, not eliminated over 2n bits: F by
-    ``_grown_rref`` (the e_j are ``extend_basis`` remainders, so they and
-    the m_j vanish at D's pivots), F^omega by ``_cut_rref``.  The flags
-    follow: F^omega <= D^perp + D^perp <= D + D <= F since D >= D^perp,
-    and k_F = k + k' >= n + 2 rules out isotropy.  A system below rank
-    r, or a failed RREF certificate, raises CertificationError.
-    ``make_symplectic`` is the 2n-bit route to the same code.
+    ``extend_basis`` returns dim(D + D') - k rows, k' - k exactly when
+    D' >= D, which its count so checks.  Both RREFs are assembled, not
+    eliminated over 2n bits: F by ``_grown_rref`` (the e_j are
+    ``extend_basis`` remainders, so they and the m_j vanish at D's
+    pivots), certified with k_F = 2k + r rows; F^omega by ``_cut_rref``.
+    The flags follow: F^omega <= D^perp + D^perp <= D + D <= F since
+    D >= D^perp, and k_F = k + k' >= n + 2 rules out isotropy.  A system
+    below rank r, or a failed RREF certificate, raises
+    CertificationError.  ``make_symplectic`` is the 2n-bit route to the
+    same code.
     """
     if not d.is_binary or not d_prime.is_binary:
         raise ValueError("composition takes binary codes")
     if d_prime.n != d.n:
         raise ValueError("codes have different lengths")
-    n = d.n
-    if not d_prime.contains(d):
-        raise ValueError("D' does not contain D")
-    d_perp = d.dual()
-    if not d.contains(d_perp):
-        raise ValueError("D does not contain its dual")
-    k, k_prime = d.k_dim, d_prime.k_dim
-    if k_prime < k + 2:
-        raise ValueError(f"need k' >= k + 2, got k={k}, k'={k_prime}")
-
+    n, k, k_prime = d.n, d.k_dim, d_prime.k_dim
     ext = extend_basis(d, d_prime)
     r = len(ext)
     if r != k_prime - k:
-        raise CertificationError(f"extension rank {r} != k' - k = {k_prime - k}")
-
-    # Mixing by the companion matrix A of x^r + x + 1 (r >= 2 here): row
-    # i < r - 1 is ext[i + 1], the last row ext[0] + ext[1].  det(A) = 1
-    # and det(A + I) = 1 over GF(2), so A has no nonzero fixed vector and
-    # distinct enlargement-row combinations on the two halves stay
-    # distinct modulo D.  A bare row permutation would not do: every
-    # permutation fixes the all-ones combination.
-    mixed = ext[1:] + [ext[0] ^ ext[1]]
+        raise ValueError(f"D' does not contain D: dim(D + D') = {k + r} != k' = {k_prime}")
+    d_perp = d.dual()
+    if not d.contains(d_perp):
+        raise ValueError("D does not contain its dual")
+    if k_prime < k + 2:
+        raise ValueError(f"need k' >= k + 2, got k={k}, k'={k_prime}")
 
     bound = designed_bound
     try:
@@ -275,11 +274,9 @@ def steane_compose(
     except BudgetExceeded:
         pass
 
-    space = _grown_rref(d, [e | (m << n) for e, m in zip(ext, mixed)])
-    if space.k_dim != k + k_prime:
-        raise CertificationError(f"k_F = {space.k_dim} != k + k' = {k + k_prime}")
-    pairs = _pairings(d_perp.matrix, to_matrix(n, mixed + ext))
-    dual = _cut_rref(d_perp, np.hstack([pairs[:r], pairs[r:]]))
+    space = _grown_rref(d, [e | (m << n) for e, m in zip(ext, _mixed(ext))])
+    pairs = _pairings(d_perp.matrix, to_matrix(n, ext))
+    dual = _cut_rref(d_perp, np.hstack([np.vstack(_mixed(pairs)), pairs]))
     return SymplecticCode(n, space, dual, is_isotropic=False, is_large=True, distance_bound=bound)
 
 

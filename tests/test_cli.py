@@ -129,6 +129,7 @@ PAIR_TAMPERS = [
     (lambda p: p["d_prime"].update(field_k=2), "['d_prime']"),
     (lambda p: p.update(n=15), "['n']"),
     (lambda p: p["provenance"]["source"]["provenance"].update(flags={}), "['provenance']['source']['provenance']['flags']"),
+    (lambda p: p.update(extra=None), "['extra']"),  # a key added as null, not read as missing
 ]
 
 
@@ -149,7 +150,7 @@ def test_a_matching_pair_is_compared_without_hex_encoding_d_or_d_prime(monkeypat
     code_to_obj = artifacts.code_to_obj
     monkeypatch.setattr(artifacts, "code_to_obj", lambda c: encoded.append(c.field.k) or code_to_obj(c))
     pair = artifacts.pair_from_obj(obj)
-    assert 1 not in encoded and encoded  # the GF(16) triple is still serialized
+    assert encoded == []  # neither D, D' nor the source triple's C, C' is encoded
     del obj["provenance"]["flags"]
     assert artifacts.pair_to_obj(pair) == obj
 
@@ -347,3 +348,27 @@ def test_verify_rejects_uncertified_space(tmp_path, capsys):
     artifacts.save_json(artifacts.fcode_to_obj(crooked), path)
     assert main(["verify", "--code", str(path)]) == 1
     assert "neither" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper, key",
+    [
+        (lambda t: t.update(extra=None), "['extra']"),
+        (lambda t: t["provenance"]["curve"].update(extra=None), "['provenance']['curve']['extra']"),
+    ],
+)
+def test_a_triple_adding_a_null_key_is_refused_naming_that_key(tamper, key):
+    obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1))
+    tamper(obj)
+    with pytest.raises(ValueError, match=re.escape(f"differs from its rebuilt construction at {key}") + "$"):
+        artifacts.triple_from_obj(json.loads(json.dumps(obj)))
+
+
+def test_a_gf16_triple_with_uppercase_rows_is_refused_at_c():
+    # hex_to_symbols reads uppercase, but code_to_obj never writes it
+    obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve("hermitian", 4), 34, 30))
+    rows = obj["c"]["generators"]
+    assert any(r != r.upper() for r in rows)
+    obj["c"]["generators"] = [r.upper() for r in rows]
+    with pytest.raises(ValueError, match=re.escape("differs from its rebuilt construction at ['c']['generators']")):
+        artifacts.triple_from_obj(obj)

@@ -625,15 +625,16 @@ def test_an_extension_row_at_a_pivot_is_refused(monkeypatch, chain):
 
 @pytest.mark.parametrize("chain", [(EXT_HAMMING, EVEN), _random_chain(65, 1)], ids=["desk", "n65"])
 def test_form_dual_coefficients_out_of_rref_are_refused(monkeypatch, chain):
-    # the same span of coefficients, but row 1 has row 0's leading one
-    real = symplectic_module._dual_rref
+    # the same span of coefficients, but row 1 has row 0's leading one;
+    # D^perp's nullspace is eliminated again, the system's is certified
+    real = linear_module.nullspace
 
-    def crooked(mat, field, n):
-        rows, free = real(mat, field, n)
+    def crooked(basis, pivots, field, n):
+        rows = real(basis, pivots, field, n)
         rows[1] ^= rows[0]
-        return rows, free
+        return rows
 
-    monkeypatch.setattr(symplectic_module, "_dual_rref", crooked)
+    monkeypatch.setattr(linear_module, "nullspace", crooked)
     with pytest.raises(CertificationError, match="reduced row echelon"):
         steane_compose(*chain)
 
@@ -672,3 +673,45 @@ def test_m2_compose_eliminates_no_more_than_r_rows_of_2n_bits(monkeypatch):
     # verify's route still eliminates over 2n bits
     artifacts.fcode_from_obj(artifacts.fcode_to_obj(run.fcode))
     assert made == [n]
+
+
+def test_m2_fcode_load_eliminates_f_once_and_its_form_dual_once(monkeypatch):
+    run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS["hermitian-m2"]))
+    obj = artifacts.fcode_to_obj(run.fcode)
+    eliminated, real_rref = [], linear_module.rref
+
+    def counting_rref(mat, field, n):
+        eliminated.append((field.k, n, len(mat)))
+        return real_rref(mat, field, n)
+
+    monkeypatch.setattr(linear_module, "rref", counting_rref)
+    loaded = artifacts.fcode_from_obj(obj)
+    n, k_f = run.fcode.n, run.fcode.k_dim
+    # one elimination each: the file's 296 rows, then F^omega's 216
+    assert [rows for k, width, rows in eliminated if k == 1 and width == 2 * n] == [k_f, 2 * n - k_f]
+    assert (loaded.space, loaded.dual_space, loaded.is_large) == (run.fcode.space, run.fcode.dual_space, True)
+
+
+def test_compose_pairs_d_perp_with_the_r_extension_rows_only(monkeypatch):
+    seen, real = [], symplectic_module._pairings
+
+    def counting_pairings(rows, vecs):
+        seen.append(len(vecs))
+        return real(rows, vecs)
+
+    monkeypatch.setattr(symplectic_module, "_pairings", counting_pairings)
+    run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS["hermitian-m2"]))
+    # the m_j's pairings are the e_j's, mixed; the routes-agree tests check F^omega
+    assert seen == [run.pair.d_prime.k_dim - run.pair.d.k_dim] == [16]
+
+
+@pytest.mark.parametrize("extra", [3, 5])
+def test_a_d_prime_missing_d_is_refused_by_the_extension_rank(extra):
+    # D less its last row, plus `extra` random rows: k' = k - 1 + extra >= k + 2
+    d, _ = _random_chain(65, 1)
+    rng = random.Random(extra)
+    d_bad = binary_code(65, [*d.bit_rows[:-1], *(rng.getrandbits(65) for _ in range(extra))])
+    assert d_bad.k_dim == d.k_dim - 1 + extra and not d_bad.contains(d)
+    assert len(extend_basis(d, d_bad)) == d_bad.k_dim - d.k_dim + 1
+    with pytest.raises(ValueError, match="D' does not contain D"):
+        steane_compose(d, d_bad)
