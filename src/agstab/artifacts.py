@@ -11,9 +11,10 @@ Formats (all deterministic, lowercase hex symbol rows):
   report: quantum code parameters with the construction trace.
 
 A triple or pair is rebuilt from its construction on load and must
-serialize to exactly the file, apart from the CLI's ``provenance.flags``.
-Rebuilt codes are compared with the file's decoded rows (``_Encoded``),
-so only a refusal hex-encodes a code: the one that differs.
+serialize to exactly the file, apart from the CLI's ``provenance.flags``,
+every value in the writer's JSON type.  Rebuilt codes are compared with
+the file's decoded rows (``_Encoded``), so only a refusal hex-encodes a
+code: the one that differs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .curves import DualChainTriple, build_dual_chain, enumerate_curve
 from .expansion import ExpandedPair, ExpansionMap, expand_chain
 from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
-from .linear import GF2, LinearCode, code_from_matrix, from_symbols, to_rows, to_symbols
+from .linear import GF2, LinearCode, from_symbols, to_rows, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
 
@@ -47,12 +48,6 @@ def code_to_obj(code: LinearCode) -> dict[str, Any]:
             for text in symbols_to_hex(f, to_symbols(f, code.matrix[i : i + _HEX_BLOCK], code.n))
         ],
     }
-
-
-def code_from_obj(obj: dict[str, Any]) -> LinearCode:
-    field = get_field(obj["field_k"])
-    n = obj["n"]
-    return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
 
 
 def triple_to_obj(t: DualChainTriple, encode: Callable | None = None) -> dict[str, Any]:
@@ -114,48 +109,66 @@ def pair_from_obj(obj: dict[str, Any]) -> ExpandedPair:
     field = get_field(prov["basis_field_k"])
     basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in prov["basis"]))
     pair = expand_chain(triple_from_obj(prov["source"]), ExpansionMap(field=field, basis=basis))
-    _expect_rebuilt(obj, pair_to_obj(pair, _Encoded))
+    want = pair_to_obj(pair, _Encoded)
+    # triple_from_obj compared the source but for its provenance.flags, which a pair may not hold
+    want["provenance"]["source"] = _less_flags(prov["source"])
+    _expect_rebuilt(obj, want)
     return pair
 
 
 class _Encoded:
-    """Stands in for ``code_to_obj(code)``: equal to a JSON value exactly when
-    that value is ``code_to_obj(code)``, judged on its decoded rows, which
-    must be lowercase, as written, though ``hex_to_symbols`` reads both."""
+    """Stands in for ``code_to_obj(code)`` in a rebuilt object.  ``like(obj)``
+    is that object, holding the file's own rows when they decode to the
+    code's matrix, so that only a code that differs is hex-encoded."""
 
     def __init__(self, code: LinearCode) -> None:
         self.code = code
 
-    def __eq__(self, obj: object) -> bool:
+    def like(self, obj: Any) -> dict[str, Any]:
         f, n = self.code.field, self.code.n
         try:
             rows = obj["generators"]
-            if not isinstance(rows, list) or obj != {"field_k": f.k, "n": n, "generators": rows}:
-                return False
-            mat = from_symbols(f, hex_to_symbols(f, rows, n))
+            if type(rows) is list and np.array_equal(from_symbols(f, hex_to_symbols(f, rows, n)), self.code.matrix):
+                return {"field_k": f.k, "n": n, "generators": rows}
         except (KeyError, TypeError, ValueError):
-            return False
-        # a letter decodes to 10-15, outside GF(2^k) for k < 4
-        return np.array_equal(mat, self.code.matrix) and (f.k < 4 or all(r == r.lower() for r in rows))
+            pass
+        return code_to_obj(self.code)
+
+
+def _less_flags(obj: dict[str, Any]) -> dict[str, Any]:
+    """``obj`` without the CLI's ``provenance.flags`` echo."""
+    return {**obj, "provenance": {k: v for k, v in obj["provenance"].items() if k != "flags"}}
 
 
 def _expect_rebuilt(obj: dict[str, Any], want: dict[str, Any]) -> None:
-    """Raise ValueError unless ``obj``, less the CLI's ``provenance.flags``, equals ``want``."""
-    got = {**obj, "provenance": {k: v for k, v in obj["provenance"].items() if k != "flags"}}
-    if got != want:
-        raise ValueError(f"{obj['kind']} differs from its rebuilt construction at {_difference(got, want)}")
+    """Raise ValueError unless ``obj``, less the CLI's ``provenance.flags``, is ``want``."""
+    path = _difference(_less_flags(obj), want)
+    if path is not None:
+        raise ValueError(f"{obj['kind']} differs from its rebuilt construction at {path}")
 
 
-def _difference(got: Any, want: Any, path: str = "") -> str:
-    """The key path, as [repr(key)]..., of the first dict entry, or missing
-    key, where unequal JSON values differ; a stand-in is encoded only here."""
+def _difference(got: Any, want: Any, path: str = "") -> str | None:
+    """None when two JSON values are equal, JSON types included (8.0 is
+    not 8 and true is not 1), else the key path, as [repr(key)]..., of the
+    first dict entry, or missing key, where they differ."""
     if isinstance(want, _Encoded):
-        want = code_to_obj(want.code)
-    if isinstance(got, dict) and isinstance(want, dict):
+        want = want.like(got)
+    if got is want:  # a code's own rows, or the source triple a pair's loader compared
+        return None
+    if type(got) is not type(want):
+        return path
+    if isinstance(want, dict):
         for key in sorted(got.keys() | want.keys()):
-            if key not in got or key not in want or got[key] != want[key]:
-                return _difference(got.get(key), want.get(key), f"{path}[{key!r}]")
-    return path
+            if key not in got or key not in want:
+                return f"{path}[{key!r}]"
+            found = _difference(got[key], want[key], f"{path}[{key!r}]")
+            if found is not None:
+                return found
+        return None
+    if isinstance(want, list):
+        same = len(got) == len(want) and all(_difference(g, w) is None for g, w in zip(got, want))
+        return None if same else path
+    return None if got == want else path
 
 
 def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) -> dict[str, Any]:

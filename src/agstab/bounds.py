@@ -115,15 +115,14 @@ class BoundCurve:
         return len(self.samples)
 
 
-def delta_grid(step, stop, start=None) -> list[Fraction]:
+def delta_grid(step, stop) -> list[Fraction]:
     """step, 2*step, ... up to stop inclusive (exact rational grid)."""
     h = Fraction(step)
     if h <= 0:
         raise ValueError("step must be positive")
-    lo = Fraction(start) if start is not None else h
     hi = Fraction(stop)
     out = []
-    d = lo
+    d = h
     while d <= hi:
         out.append(d)
         d += h
@@ -273,38 +272,3 @@ def emit_csv(curves: Iterable[BoundCurve], path: str | Path) -> Path:
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
-
-def parse_csv(path: str | Path) -> list[BoundCurve]:
-    """Inverse of emit_csv.
-
-    Rows are grouped into one curve while the source root stays the
-    same and delta keeps increasing; either break starts a new curve.
-    """
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or text[0] != "delta,R,source":
-        raise ValueError("not a bound-curve CSV")
-    curves: list[BoundCurve] = []
-    current: list[CurveSample] = []
-    prev_source: str | None = None
-    prev_delta: Fraction | None = None
-
-    def flush() -> None:
-        if current:
-            curves.append(BoundCurve(tuple(current)))
-            current.clear()
-
-    for line in text[1:]:
-        d_text, r_text, tag = line.split(",", 2)
-        delta = Fraction(d_text)
-        m = None
-        source = tag
-        if tag.endswith(")") and "(m=" in tag:
-            source, m_text = tag[:-1].split("(m=")
-            m = int(m_text)
-        if source != prev_source or (prev_delta is not None and delta <= prev_delta):
-            flush()
-        current.append(CurveSample(delta=delta, r=float(r_text), source=source, m=m))
-        prev_source = source
-        prev_delta = delta
-    flush()
-    return curves

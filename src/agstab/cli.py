@@ -293,7 +293,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # surface certification/usage failures as exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, TwistSearchError
+from .errors import CertificationError
 from .fields import Field, get_field, ordered_elements
 from .linear import LinearCode, code_from_matrix, dual_code, from_symbols
 
@@ -171,7 +171,8 @@ def _monomial_values(
 
 
 def evaluation_code(curve: Curve, a: int) -> LinearCode:
-    """Image of evaluating the degree-a basis at every affine point."""
+    """Image of evaluating the degree-a basis at every affine point.
+    Kept for the perfbench hook `curves.evaluation_code`."""
     n = curve.n_points
     if a >= n:
         raise ValueError(f"a={a} >= n={n}: evaluation is not injective")
@@ -229,7 +230,8 @@ def _power_sums_vanish(curve: Curve, sums: Sequence[tuple[int, int]]) -> bool:
 
 @dataclass(frozen=True)
 class TwistSolution:
-    """The code that certified the twist w = 1 over every point."""
+    """The code that certified the twist w = 1 over every point.
+    ``attempts`` is kept for the perfbench hook `curves.solve_twist_vector`."""
 
     c: LinearCode  # ev_a^perp
     regime: str  # "standard" | "extended"
@@ -246,7 +248,7 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
     checked rather than assumed, as the Gram identity it is: f g runs
     over the monomials x^u y^v of the distinct sums (u, v) of basis
     pairs, and every power sum sum_P x^u y^v must vanish.  A nonzero sum
-    raises TwistSearchError.  C = ev_a^perp is then one elimination of
+    raises CertificationError.  C = ev_a^perp is then one elimination of
     ev_a's value rows from the right (``linear.dual_code``, the route of
     ``LinearCode.dual`` below 2k = n, certified), and C >= ev_a = C_perp
     follows.  The divisor bound 2a <= n + g - 2 is enforced unless
@@ -271,7 +273,7 @@ def solve_twist_vector(curve: Curve, a: int, allow_extended: bool = False) -> Tw
 
     basis = rr_basis(curve, a)
     if not _power_sums_vanish(curve, _monomial_sums(basis)):
-        raise TwistSearchError(
+        raise CertificationError(
             f"ev_{a} is not self-orthogonal under w = 1 "
             f"(2a={2 * a}, n+2g-2={n + 2 * curve.genus - 2})"
         )

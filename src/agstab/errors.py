@@ -14,14 +14,6 @@ class CertificationError(RuntimeError):
     """A constructed object failed one of its own exact certificates."""
 
 
-class TwistSearchError(RuntimeError):
-    """The twist w = 1 fails its containment: ev_a is not self-orthogonal.
-
-    Raised past the window 2a <= n + 2g - 2, where the twist system has
-    only the zero solution at every degree the tests sweep.
-    """
-
-
 class PipelineError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 

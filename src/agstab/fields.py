@@ -110,11 +110,6 @@ class Field:
             s -= self.order - 1
         return self.exp[s]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[(self.order - 1 - self.log[a]) % (self.order - 1)]
-
     def pow(self, a: int, e: int) -> int:
         if e == 0:
             return 1
@@ -231,10 +226,9 @@ def element_to_hex(field: Field, x: int) -> str:
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-# Value of each ASCII byte as a hex digit; 16 marks a non-hex byte.
+# Value of each ASCII byte as a lowercase hex digit; 16 marks any other byte.
 _HEX_VALUES = np.full(256, 16, dtype=np.uint8)
 _HEX_VALUES[_HEX_DIGITS] = np.arange(16)
-_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
 def symbols_to_hex(field: Field, symbols: np.ndarray) -> list[str]:
@@ -249,7 +243,7 @@ def symbols_to_hex(field: Field, symbols: np.ndarray) -> list[str]:
 
 
 def hex_to_symbols(field: Field, texts: list[str], n: int) -> np.ndarray:
-    """uint8 matrix of n field elements per hex row; inverse of ``symbols_to_hex``."""
+    """uint8 matrix of n field elements per lowercase hex row; inverse of ``symbols_to_hex``."""
     width = element_hex_width(field)
     for text in texts:
         if len(text) != width * n:
@@ -264,7 +258,7 @@ def hex_to_symbols(field: Field, texts: list[str], n: int) -> np.ndarray:
             return bits
     digits = _HEX_VALUES[raw].reshape(len(texts), n, width)
     if (digits > 15).any():
-        raise ValueError("non-hex character in a hex row")
+        raise ValueError("non-hex character in a hex row; digits are 0-9 and a-f")
     symbols = digits[..., 0] if width == 1 else digits[..., 0] << 4 | digits[..., 1]
     if (symbols >= field.order).any():
         raise ValueError(f"hex symbol {int(symbols.max())} outside {field}")

@@ -464,7 +464,8 @@ def gray_span(mat: np.ndarray, row_cells: int | None = None) -> Iterator[np.ndar
 
 @dataclass(frozen=True)
 class WeightVector:
-    """All-nonzero coordinate weights for scaled inner products."""
+    """All-nonzero coordinate weights for scaled inner products.
+    Kept for the perfbench hook `linear.weighted_dual`."""
 
     field: Field
     entries: tuple[int, ...]
@@ -523,12 +524,6 @@ class LinearCode:
         if not self.is_binary:
             raise TypeError("bit rows exist only for binary codes")
         return tuple(to_rows(self.matrix))
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Rows as symbol tuples over any field."""
-        symbols = to_symbols(self.field, self.matrix, self.n)
-        return tuple(tuple(row.tolist()) for row in symbols)
 
     def __repr__(self) -> str:
         return f"[{self.n},{self.k_dim}] over {self.field}"
@@ -594,11 +589,13 @@ class LinearCode:
         return dual_code(f, n, self.matrix)
 
     def weighted_dual(self, w: WeightVector) -> "LinearCode":
-        """Dual under the w-weighted form sum(w_i x_i y_i), that is (w * C)^perp."""
+        """Dual under the w-weighted form sum(w_i x_i y_i), that is (w * C)^perp.
+        Kept for the perfbench hook `linear.weighted_dual`."""
         return self.scale(w).dual()
 
     def scale(self, v: WeightVector) -> "LinearCode":
-        """Coordinatewise multiplication by v; pivots stay, so v_j / v_pivot scales row i to RREF."""
+        """Coordinatewise multiplication by v; pivots stay, so v_j / v_pivot scales row i to RREF.
+        Kept for the perfbench hook `linear.weighted_dual`."""
         if v.field != self.field or len(v.entries) != self.n:
             raise ValueError("weight vector does not match the code")
         if self.is_binary:
@@ -706,7 +703,8 @@ def code_from_rref(field: Field, n: int, mat: np.ndarray, pivots: Sequence[int])
 
 
 def make_code(field: Field, n: int, rows: Iterable[Sequence[int]]) -> LinearCode:
-    """Canonicalize generator rows (symbol sequences) into a LinearCode."""
+    """Canonicalize generator rows (symbol sequences) into a LinearCode.
+    Kept for the perfbench hook `linear.make_code`."""
     rows = list(rows)
     for r in rows:
         if len(r) != n:

@@ -1,21 +1,27 @@
 """Test-only constructions and inverses that no code in agstab calls.
 
 - ``random_dual_containing_code``: seeded random codes C >= C_perp;
+- ``generators``: a code's rows as symbol tuples;
 - ``symplectic_form`` and ``symplectic_dual``: the form on packed (a|b)
   vectors and the form-dual of a ``SymplecticCode``;
-- ``report_from_obj``: the inverse of ``artifacts.report_to_obj``.
+- ``code_from_obj`` and ``report_from_obj``: the inverses of
+  ``artifacts.code_to_obj`` and ``artifacts.report_to_obj``;
+- ``parse_csv``: the inverse of ``bounds.emit_csv``.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from agstab.artifacts import _expect_kind
-from agstab.fields import Field
-from agstab.linear import LinearCode, code_from_matrix, from_symbols, nullspace, reduce, rref
+from agstab.bounds import BoundCurve, CurveSample
+from agstab.fields import Field, get_field, hex_to_symbols
+from agstab.linear import LinearCode, code_from_matrix, from_symbols, nullspace, reduce, rref, to_symbols
 from agstab.symplectic import QuantumCodeReport, SymplecticCode, _certified
 
 
@@ -53,6 +59,12 @@ def random_dual_containing_code(field: Field, n: int, rng: random.Random) -> Lin
     return code_from_matrix(field, n, seed).dual()
 
 
+def generators(code: LinearCode) -> tuple[tuple[int, ...], ...]:
+    """Rows as symbol tuples over any field."""
+    symbols = to_symbols(code.field, code.matrix, code.n)
+    return tuple(tuple(row.tolist()) for row in symbols)
+
+
 def symplectic_form(x: int, y: int, n: int) -> int:
     """sum_j a_j b'_j + a'_j b_j over GF(2)."""
     mask = (1 << n) - 1
@@ -68,6 +80,12 @@ def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     return _certified(code.n, code.dual_space, code.space)
 
 
+def code_from_obj(obj: dict[str, Any]) -> LinearCode:
+    field = get_field(obj["field_k"])
+    n = obj["n"]
+    return code_from_matrix(field, n, from_symbols(field, hex_to_symbols(field, obj["generators"], n)))
+
+
 def report_from_obj(obj: dict[str, Any]) -> QuantumCodeReport:
     _expect_kind(obj, "quantum_code_report")
     wit = obj.get("d_witness")
@@ -79,3 +97,39 @@ def report_from_obj(obj: dict[str, Any]) -> QuantumCodeReport:
         d_witness=tuple(wit) if wit is not None else None,
         trace=tuple(obj["trace"]),
     )
+
+
+def parse_csv(path: str | Path) -> list[BoundCurve]:
+    """Inverse of emit_csv.
+
+    Rows are grouped into one curve while the source root stays the
+    same and delta keeps increasing; either break starts a new curve.
+    """
+    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not text or text[0] != "delta,R,source":
+        raise ValueError("not a bound-curve CSV")
+    curves: list[BoundCurve] = []
+    current: list[CurveSample] = []
+    prev_source: str | None = None
+    prev_delta: Fraction | None = None
+
+    def flush() -> None:
+        if current:
+            curves.append(BoundCurve(tuple(current)))
+            current.clear()
+
+    for line in text[1:]:
+        d_text, r_text, tag = line.split(",", 2)
+        delta = Fraction(d_text)
+        m = None
+        source = tag
+        if tag.endswith(")") and "(m=" in tag:
+            source, m_text = tag[:-1].split("(m=")
+            m = int(m_text)
+        if source != prev_source or (prev_delta is not None and delta <= prev_delta):
+            flush()
+        current.append(CurveSample(delta=delta, r=float(r_text), source=source, m=m))
+        prev_source = source
+        prev_delta = delta
+    flush()
+    return curves

@@ -21,7 +21,6 @@ from agstab.bounds import (
     gv_bound,
     gv_curve,
     line_crossover,
-    parse_csv,
 )
 from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.expansion import ExpansionMap, expand_code
@@ -44,7 +43,7 @@ from agstab.symplectic import (
 )
 
 from gf4_words import pack_gf4
-from helpers import random_dual_containing_code, symplectic_dual
+from helpers import parse_csv, random_dual_containing_code, symplectic_dual
 from test_pauli import dense_of, dense_projector
 
 EXT_HAMMING = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])

@@ -17,9 +17,10 @@ from agstab.bounds import (
     gv_curve,
     gamma,
     line_crossover,
-    parse_csv,
     restriction_limit,
 )
+
+from helpers import parse_csv
 
 
 class TestEntropy:

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from agstab import artifacts, pauli
-from agstab.bounds import parse_csv
 from agstab.cli import main
 from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.expansion import ExpansionMap, expand_chain
@@ -14,7 +13,7 @@ from agstab.linear import binary_code, make_code
 from agstab.symplectic import make_symplectic
 
 from gf4_words import pack_gf4
-from helpers import report_from_obj
+from helpers import parse_csv, report_from_obj
 
 
 def test_build_expand_steane_verify_round_trip(tmp_path, capsys):
@@ -130,6 +129,7 @@ PAIR_TAMPERS = [
     (lambda p: p.update(n=15), "['n']"),
     (lambda p: p["provenance"]["source"]["provenance"].update(flags={}), "['provenance']['source']['provenance']['flags']"),
     (lambda p: p.update(extra=None), "['extra']"),  # a key added as null, not read as missing
+    (lambda p: p["d"].update(field_k=True), "['d']['field_k']"),  # true == 1 in Python, not in JSON
 ]
 
 
@@ -139,6 +139,17 @@ def test_a_pair_is_refused_at_the_first_key_that_differs_from_its_rebuild(tamper
     tamper(obj)
     with pytest.raises(ValueError, match=re.escape(f"differs from its rebuilt construction at {key}")):
         artifacts.pair_from_obj(json.loads(json.dumps(obj)))
+
+
+def test_a_pair_load_decodes_each_code_once(monkeypatch):
+    obj = json.loads(json.dumps(artifacts.pair_to_obj(
+        expand_chain(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1), _self_dual_map(2))
+    )))
+    decoded = []
+    hex_to_symbols = artifacts.hex_to_symbols
+    monkeypatch.setattr(artifacts, "hex_to_symbols", lambda f, rows, n: decoded.append(f.k) or hex_to_symbols(f, rows, n))
+    artifacts.pair_from_obj(obj)
+    assert sorted(decoded) == [1, 1, 2, 2]  # the source triple's C and C', then D and D'
 
 
 def test_a_matching_pair_is_compared_without_hex_encoding_d_or_d_prime(monkeypatch):
@@ -364,8 +375,24 @@ def test_a_triple_adding_a_null_key_is_refused_naming_that_key(tamper, key):
         artifacts.triple_from_obj(json.loads(json.dumps(obj)))
 
 
+@pytest.mark.parametrize(
+    "tamper, key",
+    [
+        (lambda t: t.update(n=float(t["n"])), "['n']"),
+        (lambda t: t["provenance"].update(designed_d=float(t["provenance"]["designed_d"])), "['provenance']['designed_d']"),
+        (lambda t: t["c"].update(n=float(t["c"]["n"])), "['c']['n']"),
+    ],
+)
+def test_a_triple_whose_numbers_change_json_type_is_refused_naming_that_key(tamper, key):
+    # 8.0 == 8 in Python; the file must keep the writer's JSON types
+    obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1))
+    tamper(obj)
+    with pytest.raises(ValueError, match=re.escape(f"differs from its rebuilt construction at {key}") + "$"):
+        artifacts.triple_from_obj(json.loads(json.dumps(obj)))
+
+
 def test_a_gf16_triple_with_uppercase_rows_is_refused_at_c():
-    # hex_to_symbols reads uppercase, but code_to_obj never writes it
+    # hex is lowercase only, as code_to_obj writes it
     obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve("hermitian", 4), 34, 30))
     rows = obj["c"]["generators"]
     assert any(r != r.upper() for r in rows)

@@ -16,7 +16,7 @@ from agstab.curves import (
     rr_basis,
     solve_twist_vector,
 )
-from agstab.errors import CertificationError, TwistSearchError
+from agstab.errors import CertificationError
 from agstab.expansion import ExpansionMap, expand_chain
 from agstab.fields import self_dual_basis
 from agstab.linear import (
@@ -85,12 +85,12 @@ def twist_space(cur, a):
 
 def dual_route_chain(cur, a, a_prime):
     """Reference: (C, C', regime) by evaluation codes, two duals and two
-    containments, with ``allow_extended``; TwistSearchError where ev_a is
+    containments, with ``allow_extended``; CertificationError where ev_a is
     not self-orthogonal."""
     ev = evaluation_code(cur, a)
     c = ev.dual()
     if not c.contains(ev):
-        raise TwistSearchError(f"ev_{a} is not self-orthogonal")
+        raise CertificationError(f"ev_{a} is not self-orthogonal")
     c_prime = evaluation_code(cur, a_prime).dual()
     if not c_prime.contains(c):
         raise CertificationError("C' does not contain C")
@@ -296,7 +296,7 @@ class TestTwist:
         with pytest.raises(ValueError):
             solve_twist_vector(cur, 8)
         # beyond the bound the product space fills everything here
-        with pytest.raises(TwistSearchError):
+        with pytest.raises(CertificationError, match="not self-orthogonal"):
             solve_twist_vector(cur, 8, allow_extended=True)
 
     def test_twist_outside_the_solution_space_is_refused(self):
@@ -308,9 +308,9 @@ class TestTwist:
             ev = evaluation_code(cur, a)
             assert not ev.dual().contains(ev)
             msg = rf"2a={2 * a}, n\+2g-2={window}"
-            with pytest.raises(TwistSearchError, match=msg):
+            with pytest.raises(CertificationError, match=msg):
                 solve_twist_vector(cur, a, allow_extended=True)
-            with pytest.raises(TwistSearchError, match=msg):
+            with pytest.raises(CertificationError, match=msg):
                 build_dual_chain(cur, a, a_prime, allow_extended=True)
 
     @pytest.mark.parametrize("kind, q, degrees", TWIST_SWEEP)
@@ -326,7 +326,7 @@ class TestTwist:
         monkeypatch.setattr(curves_module, "_SUM_CELLS", 1)
         cur = enumerate_curve("hermitian", 4)
         assert solve_twist_vector(cur, 37, allow_extended=True).regime == "extended"
-        with pytest.raises(TwistSearchError):
+        with pytest.raises(CertificationError, match="not self-orthogonal"):
             solve_twist_vector(cur, 38, allow_extended=True)
 
     @pytest.mark.parametrize("kind, q, degrees", TWIST_SWEEP)
@@ -343,7 +343,8 @@ class TestTwist:
                 space = twist_space(cur, a)
                 try:
                     tw = solve_twist_vector(cur, a, allow_extended=True)
-                except TwistSearchError:
+                except CertificationError as exc:
+                    assert "not self-orthogonal" in str(exc), a
                     assert space.k_dim == 0, a
                     solved = False
                 else:
@@ -463,8 +464,8 @@ class TestChainFromConstruction:
             for a_prime in sorted({low, a - 1}):
                 try:
                     want = dual_route_chain(cur, a, a_prime)
-                except TwistSearchError:
-                    with pytest.raises(TwistSearchError):
+                except CertificationError:
+                    with pytest.raises(CertificationError, match="not self-orthogonal"):
                         build_dual_chain(cur, a, a_prime, allow_extended=True)
                     outcomes.add("refused")
                     continue

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agstab.linear as linear_module
-from agstab.artifacts import code_from_obj, code_to_obj, load_json, save_json, triple_from_obj, triple_to_obj
+from agstab.artifacts import code_to_obj, load_json, save_json, triple_from_obj, triple_to_obj
 from agstab.curves import build_dual_chain, enumerate_curve, evaluation_code
 from agstab.expansion import (
     ExpansionMap,
@@ -35,7 +35,7 @@ from agstab.linear import (
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import make_symplectic
 
-from helpers import random_dual_containing_code
+from helpers import code_from_obj, generators, random_dual_containing_code
 
 GF2 = get_field(1)
 GF4 = get_field(2)
@@ -80,7 +80,7 @@ def test_expand_code_equals_the_elimination_of_its_rows(k, data):
     m = emap(f)
     image = [
         expand_word(m, [f.mul(a, x) for x in g])
-        for g in code.generators for a in m.basis.elements
+        for g in generators(code) for a in m.basis.elements
     ]
     assert expand_code(code, m) == binary_code(k * n, image)
 

@@ -116,11 +116,13 @@ def test_gf16_trace_of_one_is_zero():
 
 
 def test_inverse_and_division():
-    f = get_field(5)
-    for x in range(1, f.order):
-        assert f.mul(x, f.inv(x)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+    # inv_table is the kernels' inverse; 0 has none and maps to 0
+    for k in range(1, 9):
+        f = get_field(k)
+        assert f.inv_table[0] == 0
+        for x in range(1, f.order):
+            assert f.mul(x, int(f.inv_table[x])) == 1
+            assert f.pow(x, f.order - 2) == f.inv_table[x]
 
 
 def conj4(x):
@@ -223,8 +225,12 @@ def test_hex_round_trip():
     assert element_to_hex(get_field(8), 255) == "ff"
 
 
-def test_hex_parse_accepts_upper_case_and_no_rows():
-    assert hex_to_symbols(get_field(8), ["FF0a"], 2).tolist() == [[255, 10]]
+def test_hex_parse_refuses_upper_case_and_accepts_no_rows():
+    # symbols_to_hex writes lowercase only, so a row has one text
+    assert hex_to_symbols(get_field(8), ["ff0a"], 2).tolist() == [[255, 10]]
+    for text in ("FF0a", "ff0A"):
+        with pytest.raises(ValueError, match="non-hex"):
+            hex_to_symbols(get_field(8), [text], 2)
     assert hex_to_symbols(get_field(4), [], 5).shape == (0, 5)
 
 
@@ -250,7 +256,7 @@ def test_hex_symbol_outside_the_field_rejected():
 
 @pytest.mark.parametrize(
     "text, message",
-    [("0102", "outside"), ("01a0", "outside"), ("01A0", "outside"), ("01/0", "non-hex"), ("01g0", "non-hex")],
+    [("0102", "outside"), ("01a0", "outside"), ("01A0", "non-hex"), ("01/0", "non-hex"), ("01g0", "non-hex")],
 )
 def test_binary_rows_accept_only_0_and_1(text, message):
     """GF(2) rows skip the digit table when every digit is 0 or 1; any
