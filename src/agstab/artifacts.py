@@ -14,7 +14,9 @@ A triple or pair is rebuilt from its construction on load and must
 serialize to exactly the file, apart from the CLI's ``provenance.flags``,
 every value in the writer's JSON type.  Rebuilt codes are compared with
 the file's decoded rows (``_Encoded``), so only a refusal hex-encodes a
-code: the one that differs.
+code: the one that differs.  The parameters a rebuild starts from are
+read first, each by its key path and JSON type (``_value``), so a file
+that lacks one or holds it as another type is refused by that path.
 """
 
 from __future__ import annotations
@@ -77,13 +79,33 @@ def triple_to_obj(t: DualChainTriple, encode: Callable | None = None) -> dict[st
 def triple_from_obj(obj: dict[str, Any]) -> DualChainTriple:
     """The triple rebuilt, and so certified, by ``build_dual_chain`` from the file's parameters."""
     _expect_kind(obj, "dual_chain_triple")
-    prov = obj["provenance"]
-    curve = enumerate_curve(prov["curve"]["kind"], prov["curve"]["q"])
-    triple = build_dual_chain(
-        curve, prov["a"], prov["a_prime"], allow_extended=prov["regime"] == "extended"
+    kind, q, a, a_prime, regime = (
+        _value(obj, path, want)
+        for path, want in (
+            (("provenance", "curve", "kind"), str),
+            (("provenance", "curve", "q"), int),
+            (("provenance", "a"), int),
+            (("provenance", "a_prime"), int),
+            (("provenance", "regime"), str),
+        )
     )
+    triple = build_dual_chain(enumerate_curve(kind, q), a, a_prime, allow_extended=regime == "extended")
     _expect_rebuilt(obj, triple_to_obj(triple, _Encoded))
     return triple
+
+
+def _value(obj: dict[str, Any], path: tuple[str, ...], want: type) -> Any:
+    """``obj`` at the key path, refused by that path unless it is there
+    and of JSON type ``want`` (a bool is no int, 8.0 is no int)."""
+    value, at = obj, ""
+    for key in path:
+        at += f"[{key!r}]"
+        if type(value) is not dict or key not in value:
+            raise ValueError(f"{obj['kind']} has no {at}")
+        value = value[key]
+    if type(value) is not want:
+        raise ValueError(f"{obj['kind']} holds {type(value).__name__} {value!r} at {at}, not {want.__name__}")
+    return value
 
 
 def pair_to_obj(p: ExpandedPair, encode: Callable | None = None) -> dict[str, Any]:

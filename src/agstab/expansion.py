@@ -6,7 +6,7 @@ binary codes.  Bit layout: symbol j occupies bit positions j*k ..
 j*k + k - 1, basis-index-major, so per-symbol weight accounting stays
 contiguous and artifacts are bit-exact.
 
-``expand_code`` writes the packed rows without unpacking a bit: in the
+``expand_rows`` writes the packed rows without unpacking a bit: in the
 row of alpha_a * g, the k bits of symbol x = g_j form one *coordinate
 field* sum_i Tr(alpha_a x alpha_i) 2^i, read from a q-entry table.  The
 fields of s = lcm(k, 8)/k consecutive symbols fill lcm(k, 8)/8 whole
@@ -64,37 +64,24 @@ def _field_tables(basis: SelfDualBasis) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
-    """Binary [kn, k*dim] image of a GF(2^k) code under the expansion map.
-
-    Rows of the image are alpha_a * g for each generator g and basis
-    element alpha_a, in that order; bit j*k + i of such a row is
-    Tr(alpha_a * g_j * alpha_i).  They are already in RREF: at the
-    pivot symbol p of g, g_p = 1 and Tr(alpha_a alpha_i) = delta_ai,
-    while every other generator is 0 there.  So the pivots are
-    p*k + a, which ``code_from_rref`` certifies without an elimination.
+def expand_rows(mat: np.ndarray, basis: SelfDualBasis, n: int) -> np.ndarray:
+    """Packed binary rows alpha_a * g of the GF(2^k) kernel rows g of
+    ``mat`` (n symbols each), g-major, in basis order; bit j*k + i of
+    such a row is Tr(alpha_a * g_j * alpha_i).
 
     The rows are written in blocks of ``_EXPAND_BLOCK`` generators, each
-    by s table gathers (see the module docstring).  With the output, the
-    peak is under 900 KB for herm-m3's [512, 289] code over GF(64), whose
-    1734 x 3072-bit output is 666 KB; the bit table took 1.52 MB.
-
-    The image records (code, basis) as ``expanded_from``, so its
-    ``dual`` and ``contains`` run over GF(2^k): in a self-dual basis,
-    <expand x, expand y> = Tr <x, y>, so expand(C)^perp = expand(C^perp).
+    by s table gathers (see the module docstring).
     """
-    if code.field != emap.field:
-        raise ValueError("code and expansion map use different fields")
-    k, n = emap.field.k, code.n
-    tables = _field_tables(emap.basis)
+    k = basis.field.k
+    tables = _field_tables(basis)
     s, size = len(tables), tables[0].itemsize
     nbytes = s * k // 8
     groups = -(-n // s)
     width = 8 * -(-k * n // 64)  # bytes of a packed row
     used = min(groups * nbytes, width)  # bytes past ``width`` hold padding only
-    symbols = to_symbols(emap.field, code.matrix, n)
-    out = np.zeros((code.k_dim, k, width), dtype=np.uint8)
-    for lo in range(0, code.k_dim, _EXPAND_BLOCK):
+    symbols = to_symbols(basis.field, mat, n)
+    out = np.zeros((len(mat), k, width), dtype=np.uint8)
+    for lo in range(0, len(mat), _EXPAND_BLOCK):
         rows = symbols[lo : lo + _EXPAND_BLOCK]
         block = np.zeros((len(rows), groups * s), dtype=np.uint8)
         block[:, :n] = rows
@@ -106,9 +93,33 @@ def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
         dst = out[lo : lo + _EXPAND_BLOCK]
         for b in range(nbytes):
             dst[:, :, b:used:nbytes] = src[:, :, : len(range(b, used, nbytes)), b]
-    mat = out.reshape(-1, width).view(np.dtype("<u8"))
+    return out.reshape(-1, width).view(np.dtype("<u8"))
+
+
+def expand_code(code: LinearCode, emap: ExpansionMap) -> LinearCode:
+    """Binary [kn, k*dim] image of a GF(2^k) code under the expansion map.
+
+    Rows of the image are alpha_a * g for each generator g and basis
+    element alpha_a, in that order (``expand_rows``); bit j*k + i of
+    such a row is Tr(alpha_a * g_j * alpha_i).  They are already in
+    RREF: at the pivot symbol p of g, g_p = 1 and Tr(alpha_a alpha_i) =
+    delta_ai, while every other generator is 0 there.  So the pivots are
+    p*k + a, which ``code_from_rref`` certifies without an elimination.
+
+    With the output, the peak is under 900 KB for herm-m3's [512, 289]
+    code over GF(64), whose 1734 x 3072-bit output is 666 KB; the bit
+    table took 1.52 MB.
+
+    The image records (code, basis) as ``expanded_from``, so its
+    ``dual`` and ``contains`` run over GF(2^k): in a self-dual basis,
+    <expand x, expand y> = Tr <x, y>, so expand(C)^perp = expand(C^perp).
+    """
+    if code.field != emap.field:
+        raise ValueError("code and expansion map use different fields")
+    k = emap.field.k
+    mat = expand_rows(code.matrix, emap.basis, code.n)
     pivots = (np.array(code.pivots, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-    image = code_from_rref(GF2, k * n, mat, pivots)
+    image = code_from_rref(GF2, k * code.n, mat, pivots)
     return dataclasses.replace(image, expanded_from=(code, emap.basis))
 
 

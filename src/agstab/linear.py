@@ -267,7 +267,10 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
       its pivot-column entry names.
 
     Row r of the result is zero left of its pivot, so each update
-    touches only the words (or columns) from the pivot onward.  Beyond
+    touches only the words (or columns) from the pivot onward.  A GF(2)
+    block in which rows r and below have no bit jumps to the block of
+    their lowest set bit, so a short, wide system visits about one block
+    per 8 pivots, not every block.  Beyond
     ``mat``, the scratch of one update is the gathered table rows and
     the copy of the rows they update, each at most the size of the
     trailing matrix, plus a table of at most 2^8 rows.  ``mat`` is
@@ -278,15 +281,21 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
         return _rref_symbols(mat, field, n)
     m = len(mat)
     pivots: list[int] = []
-    r = 0
-    for c0 in range(0, n, _BLOCK_COLS):
-        if r == m:
-            break
+    r = c0 = 0
+    while c0 < n and r < m:
         w, shift = c0 >> 6, np.uint64(c0 & 63)
         width = min(_BLOCK_COLS, n - c0)
         block = (mat[:, w] >> shift) & np.uint64((1 << width) - 1)
         rows, vals = _pivot_rows(block, r, width)
         if not rows:
+            # rows r.. are zero up to c0 + width: on to their lowest set bit
+            live = np.bitwise_or.reduce(mat[r:, w:], axis=0)
+            words = np.flatnonzero(live)
+            if not words.size:
+                break
+            low = int(live[words[0]])
+            c = 64 * (w + int(words[0])) + (low & -low).bit_length() - 1
+            c0 = c - c % _BLOCK_COLS
             continue
         # Gauss-Jordan on the picked values: combs[t] is the combination
         # of pivot rows (bit i: rows[i]) whose block value has a single 1
@@ -320,6 +329,7 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
         mat[r : r + j, w:] = table[combs]
         pivots.extend(c0 + low.bit_length() - 1 for low in lows)
         r += j
+        c0 += _BLOCK_COLS
     return mat[:r], pivots
 
 
@@ -633,7 +643,13 @@ class LinearCode:
         """Min weight of the bitwise OR over pairs of distinct nonzero words.
 
         Defined for binary codes only (the pairwise-support notion used
-        by the enlargement distance bound).
+        by the enlargement distance bound).  Raises BudgetExceeded, before
+        it enumerates a word, when the pairs exceed ``budget``.
+
+        Only the 2^k weights are enumerated.  Indexed by message, word x
+        XOR word y is word x ^ y, so wt(x | y) = (wt x + wt y +
+        wt(x ^ y)) / 2; the pairs go in blocks of messages x against
+        every y, within ``_SPAN_BLOCK`` cells.
         """
         if not self.is_binary:
             raise TypeError("the OR-weight is defined for binary codes only")
@@ -643,12 +659,20 @@ class LinearCode:
         pairs = m * (m - 1) // 2
         if pairs > budget:
             raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
-        words = np.concatenate(list(gray_span(self.matrix)))[1:]  # drop zero
-        best = self.n + 1
-        for i in range(m - 1):
-            w = np.bitwise_count(words[i] | words[i + 1 :]).sum(axis=1).min()
-            best = min(best, int(w))
-        return best
+        msg = np.arange(m + 1)
+        wt = np.empty(m + 1, dtype=np.intp)
+        # gray_span's word t is the sum of the rows at the bits of t ^ (t >> 1)
+        wt[msg ^ (msg >> 1)] = np.concatenate(
+            [np.bitwise_count(b).sum(axis=1) for b in gray_span(self.matrix)]
+        )
+        best = 3 * self.n
+        step = max(1, _SPAN_BLOCK // m)
+        for lo in range(1, m + 1, step):
+            x = msg[lo : lo + step, None]
+            s = wt[x] + wt[1:] + wt[x ^ msg[1:]]
+            s[np.arange(len(x)), x[:, 0] - 1] = 3 * self.n  # y = x is no pair
+            best = min(best, int(s.min()))
+        return best // 2
 
     def _check_compatible(self, other: "LinearCode") -> None:
         if other.field != self.field:
@@ -733,22 +757,52 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
 
     Each generator of ``sup``, in order, is reduced modulo ``sub`` and
     the rows kept before it; a nonzero remainder is kept, with its
-    lowest set bit as pivot.  Remainders are unique given the pivots,
-    so the rows equal those of the same procedure done one row at a time.
+    lowest set bit as pivot.  The remainders modulo ``sub`` are taken in
+    blocks; each is then cleared at the kept rows' pivots, in the order
+    they were kept, as Python ints.
+
+    Only the generators that the echelon reaches are reduced.  When
+    ``sup.contains(sub)``, there are k(sup) - k(sub) rows and the
+    echelon stops at that count; each block of generators is as many as
+    could still be needed, or as many as were reduced already, whichever
+    is more.  Any other pair is reduced whole, in one block.
+
+    Two expansions in the same basis take the remainders from their
+    sources over GF(2^k): expansion is injective and GF(2)-linear and
+    ``sub``'s pivots are the bits p k + a of its source's pivots p, so
+    the remainder of expand(x) modulo ``sub`` is the expansion of x's
+    remainder modulo the source.  A block is then a block of source rows,
+    reduced on n / k symbols and expanded k rows each, in ``sup``'s
+    order (``expansion.expand_rows``).
     """
     if not (sub.is_binary and sup.is_binary):
         raise TypeError("basis extension is implemented for binary codes")
-    rem = reduce(sup.matrix, sub.matrix, sub.pivots, GF2)
-    kept = []
-    for i, row in enumerate(rem):
-        nonzero = np.flatnonzero(row)
-        if not nonzero.size:
-            continue
-        w = int(nonzero[0])
-        word = int(row[w])
-        bit = np.uint64((word & -word).bit_length() - 1)
-        later = i + 1 + np.flatnonzero((rem[i + 1 :, w] >> bit) & _ONE)
-        rem[later, w:] ^= row[w:]
-        kept.append(i)
-    return to_rows(rem[kept])
+    count = sup.k_dim - sub.k_dim if sup.contains(sub) else sup.k_dim
+    mine, theirs = sub.expanded_from, sup.expanded_from
+    if mine is not None and theirs is not None and mine[1] == theirs[1]:
+        from .expansion import expand_rows
 
+        (source, basis), rows, step = mine, theirs[0].matrix, mine[1].field.k
+
+        def remainders(block: np.ndarray) -> np.ndarray:
+            return expand_rows(reduce(block, source.matrix, source.pivots, source.field), basis, source.n)
+    else:
+        rows, step = sup.matrix, 1
+
+        def remainders(block: np.ndarray) -> np.ndarray:
+            return reduce(block, sub.matrix, sub.pivots, GF2)
+
+    kept: list[tuple[int, int]] = []  # (lowest set bit, row)
+    done = 0
+    while done < len(rows) and len(kept) < count:
+        size = max(-(-(count - len(kept)) // step), done)
+        for x in to_rows(remainders(rows[done : done + size])):
+            for low, row in kept:
+                if x & low:
+                    x ^= row
+            if x:
+                kept.append((x & -x, x))
+                if len(kept) == count:
+                    break
+        done += size
+    return [row for _, row in kept]

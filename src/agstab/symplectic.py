@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .linear import (
     _SPAN_BLOCK,
     _columns,
     _free_columns,
+    _xor_table,
     binary_code,
     code_from_rref,
     dual_code,
@@ -71,6 +71,7 @@ from .linear import (
     rref,
     to_matrix,
     to_rows,
+    to_symbols,
 )
 
 _SYMBOL_FROM_BITS = {(0, 0): 0, (0, 1): EPS, (1, 0): EPS_BAR, (1, 1): 1}
@@ -194,16 +195,42 @@ def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
     if len(bound) != len(system):
         raise CertificationError(f"the form-dual system has rank {len(bound)} < r = {len(system)}")
     mat, pivots = _doubled(base)
+    # K's bound columns go to their pivots of G + G, which increase with
+    # them: one OR per word that receives any, in one scatter
+    at = np.asarray(pivots)[bound]
+    bits = _columns(coeffs, bound, GF2).astype(mat.dtype) << (at & 63).astype(np.uint64)
+    words, first = np.unique(at >> 6, return_index=True)
     marks = np.zeros((len(free), mat.shape[1]), dtype=mat.dtype)
-    for c, bits in zip(bound.tolist(), _columns(coeffs, bound, GF2).T):
-        marks[:, pivots[c] >> 6] |= bits.astype(mat.dtype) << np.uint64(pivots[c] & 63)
+    marks[:, words] = np.bitwise_or.reduceat(bits, first, axis=1)
     words = reduce(mat[free] ^ marks, mat[bound], [pivots[c] for c in bound], GF2) ^ marks
     return code_from_rref(GF2, 2 * base.n, words, [pivots[f] for f in free])
 
 
 def _pairings(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """uint8 bits <v_j, row_i> of packed binary rows, one row j per vector."""
-    return np.array([np.bitwise_count(rows & v).sum(axis=1) & 1 for v in vecs], dtype=np.uint8)
+    """uint8 bits <v_j, row_i> of packed binary rows, one row j per
+    vector: the GF(2) product vecs rows^T.
+
+    Four Russians over the inner dimension: byte c of a row, its bits
+    8c..8c+7, indexes the table of the 256 XOR combinations of the
+    vectors' bits 8c..8c+7, each of those an r-bit column packed in
+    words.  A row's r pairings are the XOR of its gathered entries.  A
+    group of bytes shares one ``_xor_table``, its tables side by side in
+    each entry, and one gather; the two hold about ``_SPAN_BLOCK`` cells.
+    """
+    nbytes = 8 * rows.shape[1]
+    bits = from_symbols(GF2, to_symbols(GF2, vecs, 8 * nbytes).T)  # bit t of each vector
+    width = bits.shape[1]
+    cols = bits.reshape(nbytes, 8, width).transpose(1, 0, 2)  # [i, c]: bit 8c + i
+    index = rows.view(np.uint8).T.astype(np.intp)  # byte-major: a group's gather is whole slabs
+    group = max(1, _SPAN_BLOCK // ((256 + len(rows)) * width))
+    out = np.zeros((len(rows), width), dtype=bits.dtype)
+    for lo in range(0, nbytes, group):
+        size = min(group, nbytes - lo)
+        # entry x * size + c is byte lo + c's table at x
+        tables = _xor_table(cols[:, lo : lo + size].reshape(8, -1)).reshape(-1, width)
+        at = index[lo : lo + size] * size + np.arange(size)[:, None]
+        out ^= np.bitwise_xor.reduce(np.take(tables, at, axis=0), axis=0)
+    return to_symbols(GF2, out, len(vecs)).T
 
 
 def _mixed(rows) -> list:
@@ -354,20 +381,29 @@ def _weight_distribution(code: LinearCode, n: int) -> list[int]:
     return counts.tolist()
 
 
+def _krawtchouk(n: int, w: int) -> list[int]:
+    """K_0(w)..K_n(w), K_j(w) = [y^j] (1 + 3y)^(n-w) (1 - y)^w, the
+    quaternary Krawtchouk polynomials, by their three-term recurrence
+    (j+1) K_{j+1} = (3(n - j) + j - 4w) K_j - 3(n - j + 1) K_{j-1}
+    (MacWilliams and Sloane, ch. 5) in exact ints; each division is exact.
+    """
+    k = [1, 3 * n - 4 * w]
+    for j in range(1, n):
+        k.append(((3 * (n - j) + j - 4 * w) * k[j] - 3 * (n - j + 1) * k[j - 1]) // (j + 1))
+    return k[: n + 1]
+
+
 def _macwilliams(b: list[int], n: int, size: int) -> list[Fraction]:
     """The weight distribution of the form-dual of a code of ``size`` words.
 
     A_j = sum_w b_w K_j(w) / size, with K_j(w) = [y^j] (1 + 3y)^(n-w) (1 - y)^w
-    the quaternary Krawtchouk polynomial, in exact arithmetic.
+    the quaternary Krawtchouk polynomial (``_krawtchouk``), in exact arithmetic.
     """
     total = [0] * (n + 1)
     for w, bw in enumerate(b):
         if bw:
-            for j in range(n + 1):
-                total[j] += bw * sum(
-                    (-1) ** s * comb(w, s) * comb(n - w, j - s) * 3 ** (j - s)
-                    for s in range(max(0, j - n + w), min(j, w) + 1)
-                )
+            for j, kj in enumerate(_krawtchouk(n, w)):
+                total[j] += bw * kj
     return [Fraction(t, size) for t in total]
 
 
@@ -378,6 +414,8 @@ def _distance_floor(b: list[int], n: int, k_big: int) -> int:
     and nonnegative, B and A sum to 2^(2n - k_big) and 2^k_big,
     A_w >= B_w, and size * W_A(1, t) = W_B(1 + 3t, 1 - t) at the n + 1
     points t = 0..n, which determines A from B however A was computed.
+    Both sides are evaluated by Horner's rule, W_B's powers of 1 - t
+    built step by step.
     """
     size = 1 << (2 * n - k_big)
     a = _macwilliams(b, n, size)
@@ -389,8 +427,14 @@ def _distance_floor(b: list[int], n: int, k_big: int) -> int:
     if any(x < y for x, y in zip(a, b)):
         raise CertificationError("transformed weight distribution is below the code's")
     for t in range(n + 1):
-        lhs = size * sum(x * t**w for w, x in enumerate(a))
-        if lhs != sum(y * (1 + 3 * t) ** (n - w) * (1 - t) ** w for w, y in enumerate(b)):
+        lhs = 0
+        for x in reversed(a):
+            lhs = lhs * t + x
+        rhs, power = 0, 1  # after w: sum_{i <= w} b_i (1 + 3t)^(w - i) (1 - t)^i
+        for y in b:
+            rhs = rhs * (1 + 3 * t) + y * power
+            power *= 1 - t
+        if size * lhs != rhs:
             raise CertificationError(f"weight distributions break the MacWilliams identity at y={t}")
     return next(w for w in range(1, n + 1) if a[w] > b[w])
 

@@ -6,13 +6,19 @@
   vectors and the form-dual of a ``SymplecticCode``;
 - ``code_from_obj`` and ``report_from_obj``: the inverses of
   ``artifacts.code_to_obj`` and ``artifacts.report_to_obj``;
-- ``parse_csv``: the inverse of ``bounds.emit_csv``.
+- ``parse_csv``: the inverse of ``bounds.emit_csv``;
+- oracles, the routes that faster ones replaced: ``extend_basis_rowwise``
+  (every generator reduced on its bits, then one echelon step per row),
+  ``pairings_rowwise`` (one AND and popcount per vector),
+  ``second_or_weight_pairwise`` (one OR and popcount per word against
+  every later word) and ``krawtchouk_sum`` (the binomial sum).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Any
 
@@ -21,7 +27,19 @@ import numpy as np
 from agstab.artifacts import _expect_kind
 from agstab.bounds import BoundCurve, CurveSample
 from agstab.fields import Field, get_field, hex_to_symbols
-from agstab.linear import LinearCode, code_from_matrix, from_symbols, nullspace, reduce, rref, to_symbols
+from agstab.errors import BudgetExceeded
+from agstab.linear import (
+    GF2,
+    LinearCode,
+    code_from_matrix,
+    from_symbols,
+    gray_span,
+    nullspace,
+    reduce,
+    rref,
+    to_rows,
+    to_symbols,
+)
 from agstab.symplectic import QuantumCodeReport, SymplecticCode, _certified
 
 
@@ -133,3 +151,49 @@ def parse_csv(path: str | Path) -> list[BoundCurve]:
         prev_delta = delta
     flush()
     return curves
+
+
+def extend_basis_rowwise(sub: LinearCode, sup: LinearCode) -> list[int]:
+    """``linear.extend_basis`` as it was: every generator of ``sup``
+    reduced modulo ``sub`` on its bits, then each nonzero remainder, in
+    order, kept and cleared at its lowest set bit from the later ones."""
+    rem = reduce(sup.matrix, sub.matrix, sub.pivots, GF2)
+    kept = []
+    for i, row in enumerate(rem):
+        nonzero = np.flatnonzero(row)
+        if not nonzero.size:
+            continue
+        w = int(nonzero[0])
+        word = int(row[w])
+        bit = np.uint64((word & -word).bit_length() - 1)
+        later = i + 1 + np.flatnonzero((rem[i + 1 :, w] >> bit) & np.uint64(1))
+        rem[later, w:] ^= row[w:]
+        kept.append(i)
+    return to_rows(rem[kept])
+
+
+def pairings_rowwise(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """uint8 bits <v_j, row_i>, one AND and popcount of every row per vector."""
+    return np.array([np.bitwise_count(rows & v).sum(axis=1) & 1 for v in vecs], dtype=np.uint8)
+
+
+def second_or_weight_pairwise(code: LinearCode, budget: int) -> int:
+    """The OR-weight over pairs of distinct nonzero words, each word ORed
+    with every later one."""
+    m = (1 << code.k_dim) - 1
+    pairs = m * (m - 1) // 2
+    if pairs > budget:
+        raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
+    words = np.concatenate(list(gray_span(code.matrix)))[1:]  # drop zero
+    return min(int(np.bitwise_count(words[i] | words[i + 1 :]).sum(axis=1).min()) for i in range(m - 1))
+
+
+def krawtchouk_sum(n: int, w: int) -> list[int]:
+    """K_0(w)..K_n(w) = [y^j] (1 + 3y)^(n-w) (1 - y)^w, each as its binomial sum."""
+    return [
+        sum(
+            (-1) ** s * comb(w, s) * comb(n - w, j - s) * 3 ** (j - s)
+            for s in range(max(0, j - n + w), min(j, w) + 1)
+        )
+        for j in range(n + 1)
+    ]

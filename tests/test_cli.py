@@ -243,6 +243,38 @@ def _assert_expand_refuses(tmp_path, capsys, tamper, key):
     assert not pair_path.exists()
 
 
+def _drop_a(prov):
+    del prov["a"]
+
+
+def _q_as_float(prov):
+    prov["curve"]["q"] = 2.0
+
+
+def _a_as_fraction(prov):
+    prov["a"] = 3.5
+
+
+@pytest.mark.parametrize("tamper, path", [
+    (_drop_a, "['provenance']['a']"),
+    (_q_as_float, "['provenance']['curve']['q']"),
+    (_a_as_fraction, "['provenance']['a']"),
+])
+def test_expand_refuses_a_triple_missing_or_mistyping_a_parameter_by_its_path(tmp_path, capsys, tamper, path):
+    # the parameters are checked before the rebuild reads them
+    triple_path, pair_path = tmp_path / "t.json", tmp_path / "p.json"
+    assert main(["build", "--curve", "hermitian", "--q", "2", "--a", "3", "--a-prime", "1",
+                 "--out", str(triple_path)]) == 0
+    obj = artifacts.load_json(triple_path)
+    tamper(obj["provenance"])
+    artifacts.save_json(obj, triple_path)
+    capsys.readouterr()
+    assert main(["expand", "--in", str(triple_path), "--out", str(pair_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual_chain_triple ") and path in err
+    assert not pair_path.exists()
+
+
 @pytest.mark.parametrize("kind, q, a, a_prime", [("hermitian", 2, 3, 1), ("line", 16, 5, 3)])
 def test_triple_round_trips(kind, q, a, a_prime):
     obj = artifacts.triple_to_obj(build_dual_chain(enumerate_curve(kind, q), a, a_prime))

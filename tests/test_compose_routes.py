@@ -1,0 +1,151 @@
+"""The routes that make ``steane_compose`` cost its r extension rows,
+each against the route it replaced (the oracles in ``helpers``).
+
+- ``extend_basis``: remainders from the GF(2^k) sources, stopped at the
+  count that ``sup.contains(sub)`` certifies;
+- ``_pairings``: one Four-Russians product in place of a loop per vector;
+- ``second_or_weight``: blocks of message-indexed weights in place of a
+  loop per word;
+- ``_krawtchouk``: the three-term recurrence in place of binomial sums.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+import agstab.linear as linear_module
+from agstab.curves import build_dual_chain, enumerate_curve
+from agstab.errors import BudgetExceeded
+from agstab.expansion import ExpansionMap, expand_chain, expand_code
+from agstab.fields import get_field, self_dual_basis
+from agstab.linear import GF2, binary_code, code_from_rref, extend_basis, make_code, to_matrix
+from agstab.symplectic import _krawtchouk, _pairings
+
+from helpers import (
+    extend_basis_rowwise,
+    generators,
+    krawtchouk_sum,
+    pairings_rowwise,
+    random_dual_containing_code,
+    second_or_weight_pairwise,
+)
+
+CHAINS = {
+    "hermitian-m1": ("hermitian", 2, 3, 1, 1),
+    "hermitian-m2": ("hermitian", 4, 34, 30, 2),
+    "line-q16": ("line", 16, 5, 3, 2),
+}
+
+
+def _emap(k):
+    field = get_field(k)
+    return ExpansionMap(field=field, basis=self_dual_basis(field))
+
+
+def _pair(name):
+    kind, q, a, a_prime, m = CHAINS[name]
+    return expand_chain(build_dual_chain(enumerate_curve(kind, q), a, a_prime), _emap(2 * m))
+
+
+def _plain(code):
+    """The same binary code, without the GF(2^k) source it was expanded from."""
+    return code_from_rref(GF2, code.n, code.matrix.copy(), code.pivots)
+
+
+# -- extend_basis ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_extension_rows_match_the_rowwise_route_on_shipped_pairs(name):
+    pair = _pair(name)
+    d, d_prime = pair.d, pair.d_prime
+    want = extend_basis_rowwise(d, d_prime)
+    assert len(want) == d_prime.k_dim - d.k_dim
+    assert extend_basis(d, d_prime) == want  # from the GF(2^k) sources
+    assert extend_basis(_plain(d), _plain(d_prime)) == want  # on the bits
+
+
+def _random_expanded_pair(k, n, nested, rng):
+    field = get_field(k)
+    c = random_dual_containing_code(field, n, rng)
+    extra = [[rng.randrange(field.order) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    rows = [*generators(c), *extra] if nested else extra + [list(g) for g in generators(c)[: c.k_dim // 2]]
+    emap = _emap(k)
+    return expand_code(c, emap), expand_code(make_code(field, n, rows), emap)
+
+
+@pytest.mark.parametrize("k, n", [(2, 9), (2, 16), (4, 7), (4, 12), (6, 5), (6, 11)])
+@pytest.mark.parametrize("nested", [True, False], ids=["nested", "not-nested"])
+@pytest.mark.parametrize("seed", range(4))
+def test_extension_rows_match_the_rowwise_route_on_random_expanded_chains(k, n, nested, seed):
+    sub, sup = _random_expanded_pair(k, n, nested, random.Random(1000 * k + 10 * n + seed))
+    want = extend_basis_rowwise(sub, sup)
+    assert extend_basis(sub, sup) == want
+    assert extend_basis(_plain(sub), _plain(sup)) == want
+    if nested:
+        assert len(want) == sup.k_dim - sub.k_dim
+
+
+def test_m2_extension_reduces_only_the_source_rows_it_keeps(monkeypatch):
+    pair = _pair("hermitian-m2")
+    seen, real = [], linear_module.reduce
+
+    def recording(vecs, basis, pivots, field):
+        seen.append((field.k, vecs.shape[1], len(vecs)))
+        return real(vecs, basis, pivots, field)
+
+    monkeypatch.setattr(linear_module, "reduce", recording)
+    ext = extend_basis(pair.d, pair.d_prime)
+    # D' >= D on the GF(16) sources (C's 35 rows modulo C'), then the
+    # first 4 of C''s 39 rows, whose 16 expanded remainders are the rows
+    assert len(ext) == 16
+    assert seen == [(4, 64, pair.d.k_dim // 4), (4, 64, 4)]
+
+
+# -- _pairings -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n, m, r",
+    [(1, 1, 2), (16, 11, 2), (63, 5, 3), (64, 40, 64), (65, 7, 65), (256, 116, 16), (700, 300, 130)],
+)
+def test_the_pairing_product_matches_the_row_loop(n, m, r):
+    rng = random.Random(n * m + r)
+    rows = to_matrix(n, [rng.getrandbits(n) for _ in range(m)])
+    vecs = to_matrix(n, [rng.getrandbits(n) for _ in range(r)])
+    got = _pairings(rows, vecs)
+    assert got.dtype == np.uint8 and got.shape == (r, m)
+    assert np.array_equal(got, pairings_rowwise(rows, vecs))
+
+
+# -- second_or_weight ------------------------------------------------------
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 8), (5, 12), (7, 20), (9, 40), (10, 70)])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_blocked_or_weight_matches_the_pair_loop(k, n, seed):
+    rng = random.Random(100 * k + n + seed)
+    code = binary_code(n, [rng.getrandbits(n) for _ in range(k)])
+    while code.k_dim < 2:
+        code = binary_code(n, [rng.getrandbits(n) for _ in range(k)])
+    assert code.second_or_weight() == second_or_weight_pairwise(code, 1 << 26)
+
+
+def test_the_or_weight_refuses_its_budget_before_it_enumerates(monkeypatch):
+    code = binary_code(8, [(1 << i) | (1 << 7) for i in range(7)])  # 127 words, 8001 pairs
+    assert code.second_or_weight(budget=8001) == second_or_weight_pairwise(code, 8001) == 3
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(linear_module, "gray_span", no_enumeration)
+    with pytest.raises(BudgetExceeded, match="8001 codeword pairs exceed budget 8000"):
+        code.second_or_weight(budget=8000)
+
+
+# -- Krawtchouk ------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(25))
+def test_the_krawtchouk_recurrence_matches_the_binomial_sum(n):
+    for w in range(n + 1):
+        assert _krawtchouk(n, w) == krawtchouk_sum(n, w)

@@ -379,7 +379,8 @@ def test_m2_pipeline_runs_no_binary_elimination_in_dual_or_contains(monkeypatch)
     assert run.pair.d.n == 256
     inside = {(k, width) for k, width, within in calls if within}
     assert inside == {(4, 64)}  # over GF(16) on 64 symbols, never on 256 bits
-    assert (1, 256) in {(k, width) for k, width, _ in calls}  # compose's extend_basis
+    # compose's extend_basis reduces D''s GF(16) source too: nothing runs on 256 bits
+    assert {width for k, width, _ in calls if k == 1} == {232, 512}
 
 
 def test_m2_pipeline_certifies_each_chain_fact_once(monkeypatch):
@@ -393,6 +394,6 @@ def test_m2_pipeline_certifies_each_chain_fact_once(monkeypatch):
         monkeypatch.setattr(LinearCode, name, counted)
     pipeline_build(PipelineConfig(m=2, curve_kind="hermitian", q=4, a=34, a_prime=30))
     # The chain makes none: its power sums and prefix certify it.  Compose:
-    # D^perp and D >= D^perp, each on its GF(16) source; D' >= D is the
-    # rank of the extension rows.
-    assert calls == {(4, "dual"): 1, (4, "contains"): 1, (1, "dual"): 1, (1, "contains"): 1}
+    # D^perp and D >= D^perp, each on its GF(16) source, and D' >= D, the
+    # certificate of the extension's row count, on its source too.
+    assert calls == {(4, "dual"): 1, (4, "contains"): 2, (1, "dual"): 1, (1, "contains"): 2}

@@ -33,6 +33,7 @@ from agstab.curves import enumerate_curve, evaluation_code
 from agstab.expansion import _EXPAND_BLOCK, ExpansionMap, expand_code
 from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
+    GF2,
     _PLAN_ROWS,
     _REDUCE_ROWS,
     _SPAN_BLOCK,
@@ -327,6 +328,27 @@ def test_pivot_rows_past_a_repeated_head_match_the_reference(n, later):
     assert pivots == ref_pivots
     assert to_rows(rr) == ref_rows
     assert len([p for p in pivots if p < 8]) == 1 + len(later)
+
+
+@pytest.mark.parametrize("m, n", [(1, 130), (4, 200), (16, 512), (12, 700), (30, 1024)])
+@pytest.mark.parametrize("seed", range(4))
+def test_short_wide_rref_jumps_to_the_lowest_set_bit(monkeypatch, m, n, seed):
+    # leading words empty, then bits in a few 8-column blocks
+    rng = random.Random(1000 * m + n + seed)
+    lead = rng.randrange(64, n // 2)
+    blocks = rng.sample(range(lead // 8, n // 8), min(4, n // 8 - lead // 8))
+    support = [c for b in blocks for c in range(8 * b, 8 * b + 8)]
+    rows = [sum(1 << c for c in support if rng.random() < 0.4) for _ in range(m)]
+    rows += [rows[0] ^ rows[-1]]  # a dependent row
+    visited, real = [], linear._pivot_rows
+    monkeypatch.setattr(linear, "_pivot_rows", lambda *args: visited.append(args[2]) or real(*args))
+    rr, pivots = rref(to_matrix(n, rows), GF2, n)
+    ref_rows, ref_pivots = reference_rref_bits(rows, n)
+    assert pivots == ref_pivots
+    assert to_rows(rr) == ref_rows
+    # the first block, the blocks with pivots and the block after each: no
+    # block without a bit in the rows left is visited twice in a row
+    assert len(visited) <= 1 + 2 * len({p // 8 for p in pivots}) < n // 8
 
 
 @settings(deadline=None)
