@@ -549,9 +549,9 @@ class LinearCode:
         over its own field.
         """
         self._check_compatible(other)
-        mine, theirs = self.expanded_from, other.expanded_from
-        if mine is not None and theirs is not None and mine[1] == theirs[1]:
-            return mine[0].contains(theirs[0])
+        sources = _sources(self, other)
+        if sources is not None:
+            return sources[0].contains(sources[1])
         return not reduce(other.matrix, self.matrix, self.pivots, self.field).any()
 
     def dual(self) -> "LinearCode":
@@ -681,6 +681,13 @@ class LinearCode:
             raise ValueError("codes have different lengths")
 
 
+def _sources(a: LinearCode, b: LinearCode) -> tuple[LinearCode, LinearCode, SelfDualBasis] | None:
+    """(A, B, basis) when ``a`` and ``b`` are the expansions of A and B in one basis."""
+    if a.expanded_from is None or b.expanded_from is None or a.expanded_from[1] != b.expanded_from[1]:
+        return None
+    return a.expanded_from[0], b.expanded_from[0], a.expanded_from[1]
+
+
 def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
     """The code spanned by the rows of a kernel matrix, which is reduced in place."""
     rr, pv = rref(mat, field, n)
@@ -778,11 +785,12 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
     if not (sub.is_binary and sup.is_binary):
         raise TypeError("basis extension is implemented for binary codes")
     count = sup.k_dim - sub.k_dim if sup.contains(sub) else sup.k_dim
-    mine, theirs = sub.expanded_from, sup.expanded_from
-    if mine is not None and theirs is not None and mine[1] == theirs[1]:
+    sources = _sources(sub, sup)
+    if sources is not None:
         from .expansion import expand_rows
 
-        (source, basis), rows, step = mine, theirs[0].matrix, mine[1].field.k
+        source, sup_source, basis = sources
+        rows, step = sup_source.matrix, basis.field.k
 
         def remainders(block: np.ndarray) -> np.ndarray:
             return expand_rows(reduce(block, source.matrix, source.pivots, source.field), basis, source.n)

@@ -12,10 +12,11 @@ binary chain D' > D >= D_perp, and F^omega in closed form: the words of
 D^perp + D^perp that meet r = k' - k linear conditions.  Both canonical
 RREFs are assembled from the chain's, eliminating r rows of 2n bits for
 F and r rows of 2(n - k) bits for F^omega, and both flags follow from
-D >= D_perp (the proof is in its docstring); D' >= D is checked once,
-by the rank of the extension rows.  ``make_symplectic``
-eliminates any generators over 2n bits and checks the flags by
-containment; ``verify`` and the tests keep it as the independent route.
+D >= D_perp (the proof is in its docstring); D' >= D is checked by
+``extend_basis``, which returns k' - k rows exactly when it holds.  The
+r pairings that F^omega needs are one Four-Russians product
+(``_pairings``).  ``make_symplectic`` eliminates any generators over 2n
+bits and checks the flags by containment; ``verify`` and the tests keep it as the independent route.
 ``quantum_params`` extracts the quantum dimension and, within budget,
 the exact minimum weight over the large code minus its symplectic dual
 (the stabilizer side).
@@ -57,7 +58,6 @@ from .linear import (
     GF2,
     LinearCode,
     _SPAN_BLOCK,
-    _columns,
     _free_columns,
     _xor_table,
     binary_code,
@@ -196,12 +196,17 @@ def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
         raise CertificationError(f"the form-dual system has rank {len(bound)} < r = {len(system)}")
     mat, pivots = _doubled(base)
     # K's bound columns go to their pivots of G + G, which increase with
-    # them: one OR per word that receives any, in one scatter
+    # them: ORed into one value per word that receives any, then one
+    # scatter, with one array of rows x r words live at a time
     at = np.asarray(pivots)[bound]
-    bits = _columns(coeffs, bound, GF2).astype(mat.dtype) << (at & 63).astype(np.uint64)
+    bits = coeffs[:, bound >> 6]
+    bits >>= (bound & 63).astype(np.uint64)
+    bits &= np.uint64(1)
+    bits <<= (at & 63).astype(np.uint64)
     words, first = np.unique(at >> 6, return_index=True)
+    bits = np.bitwise_or.reduceat(bits, first, axis=1)
     marks = np.zeros((len(free), mat.shape[1]), dtype=mat.dtype)
-    marks[:, words] = np.bitwise_or.reduceat(bits, first, axis=1)
+    marks[:, words] = bits
     words = reduce(mat[free] ^ marks, mat[bound], [pivots[c] for c in bound], GF2) ^ marks
     return code_from_rref(GF2, 2 * base.n, words, [pivots[f] for f in free])
 
@@ -221,14 +226,14 @@ def _pairings(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     bits = from_symbols(GF2, to_symbols(GF2, vecs, 8 * nbytes).T)  # bit t of each vector
     width = bits.shape[1]
     cols = bits.reshape(nbytes, 8, width).transpose(1, 0, 2)  # [i, c]: bit 8c + i
-    index = rows.view(np.uint8).T.astype(np.intp)  # byte-major: a group's gather is whole slabs
+    index = rows.view(np.uint8).T  # byte-major: a group's gather is whole slabs
     group = max(1, _SPAN_BLOCK // ((256 + len(rows)) * width))
     out = np.zeros((len(rows), width), dtype=bits.dtype)
     for lo in range(0, nbytes, group):
         size = min(group, nbytes - lo)
         # entry x * size + c is byte lo + c's table at x
         tables = _xor_table(cols[:, lo : lo + size].reshape(8, -1)).reshape(-1, width)
-        at = index[lo : lo + size] * size + np.arange(size)[:, None]
+        at = index[lo : lo + size].astype(np.intp) * size + np.arange(size)[:, None]
         out ^= np.bitwise_xor.reduce(np.take(tables, at, axis=0), axis=0)
     return to_symbols(GF2, out, len(vecs)).T
 
@@ -268,7 +273,8 @@ def steane_compose(
     The pairings with the m_j are those with the e_j, ``_mixed``.
 
     ``extend_basis`` returns dim(D + D') - k rows, k' - k exactly when
-    D' >= D, which its count so checks.  Both RREFs are assembled, not
+    D' >= D, which its count so checks; it reduces only the rows of D'
+    (or of C', from the GF(2^k) sources) that its echelon reaches.  Both RREFs are assembled, not
     eliminated over 2n bits: F by ``_grown_rref`` (the e_j are
     ``extend_basis`` remainders, so they and the m_j vanish at D's
     pivots), certified with k_F = 2k + r rows; F^omega by ``_cut_rref``.
