@@ -659,8 +659,8 @@ class LinearCode:
         pairs = m * (m - 1) // 2
         if pairs > budget:
             raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
-        msg = np.arange(m + 1)
-        wt = np.empty(m + 1, dtype=np.intp)
+        msg = np.arange(m + 1, dtype=np.int32)
+        wt = np.empty(m + 1, dtype=np.int32)
         # gray_span's word t is the sum of the rows at the bits of t ^ (t >> 1)
         wt[msg ^ (msg >> 1)] = np.concatenate(
             [np.bitwise_count(b).sum(axis=1) for b in gray_span(self.matrix)]
@@ -669,7 +669,9 @@ class LinearCode:
         step = max(1, _SPAN_BLOCK // m)
         for lo in range(1, m + 1, step):
             x = msg[lo : lo + step, None]
-            s = wt[x] + wt[1:] + wt[x ^ msg[1:]]
+            s = wt[x ^ msg[1:]]
+            s += wt[x]
+            s += wt[1:]
             s[np.arange(len(x)), x[:, 0] - 1] = 3 * self.n  # y = x is no pair
             best = min(best, int(s.min()))
         return best // 2
