@@ -207,15 +207,40 @@ def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) ->
 
 
 def fcode_from_obj(obj: dict[str, Any]) -> SymplecticCode:
-    """F eliminated once from the file's rows, its flags recomputed, never trusted."""
+    """F eliminated once from the file's rows, its flags recomputed, never trusted.
+
+    Every value is read by its key path and JSON type (``_value``);
+    ``k_f`` and the flags must equal what the rows give, and
+    ``distance_bound`` must be null or an int >= 1.
+    """
     _expect_kind(obj, "symplectic_code")
-    space, n = obj["space"], obj["n"]
-    if (space["field_k"], space["n"]) != (1, 2 * n):
+    n, k_f, field_k, width, rows, isotropic, large = (
+        _value(obj, path, want)
+        for path, want in (
+            (("n",), int),
+            (("k_f",), int),
+            (("space", "field_k"), int),
+            (("space", "n"), int),
+            (("space", "generators"), list),
+            (("is_isotropic",), bool),
+            (("is_large",), bool),
+        )
+    )
+    # null, or else an int: a missing key is refused by _value
+    bound = None if obj.get("distance_bound", 0) is None else _value(obj, ("distance_bound",), int)
+    if bound is not None and bound < 1:
+        raise ValueError(f"symplectic_code holds {bound} at ['distance_bound'], not a bound >= 1")
+    if (field_k, width) != (1, 2 * n):
         raise ValueError(f"space is not a binary code of length 2n = {2 * n}")
-    rows = to_rows(from_symbols(GF2, hex_to_symbols(GF2, space["generators"], 2 * n)))
-    rebuilt = make_symplectic(n, rows, distance_bound=obj.get("distance_bound"))
-    if rebuilt.k_dim != obj["k_f"]:
-        raise ValueError(f"stored k_f = {obj['k_f']} but rank is {rebuilt.k_dim}")
+    rows = to_rows(from_symbols(GF2, hex_to_symbols(GF2, rows, 2 * n)))
+    rebuilt = make_symplectic(n, rows, distance_bound=bound)
+    for key, stored, got in (
+        ("k_f", k_f, rebuilt.k_dim),
+        ("is_isotropic", isotropic, rebuilt.is_isotropic),
+        ("is_large", large, rebuilt.is_large),
+    ):
+        if stored != got:
+            raise ValueError(f"symplectic_code holds {stored!r} at [{key!r}], but F's rows give {got!r}")
     return rebuilt
 
 

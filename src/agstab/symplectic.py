@@ -8,15 +8,16 @@ sum_j (a_j b'_j + a'_j b_j), which agrees with the coordinatewise trace
 of x times the conjugate of y.
 
 ``steane_compose`` builds the enlarged code F from a dual-containing
-binary chain D' > D >= D_perp, and F^omega in closed form: the words of
-D^perp + D^perp that meet r = k' - k linear conditions.  Both canonical
-RREFs are assembled from the chain's, eliminating r rows of 2n bits for
-F and r rows of 2(n - k) bits for F^omega, and both flags follow from
-D >= D_perp (the proof is in its docstring); D' >= D is checked by
-``extend_basis``, which returns k' - k rows exactly when it holds.  The
-r pairings that F^omega needs are one Four-Russians product
-(``_pairings``).  ``make_symplectic`` eliminates any generators over 2n
-bits and checks the flags by containment; ``verify`` and the tests keep it as the independent route.
+binary chain D' > D >= D_perp: its canonical RREF is assembled from D's
+and the r = k' - k extension rows, eliminating r rows of 2n bits, and
+both flags follow from D >= D_perp (the proof is in its docstring);
+D' >= D is checked by ``extend_basis``, which returns k' - k rows
+exactly when it holds.  ``make_symplectic`` eliminates any generators
+over 2n bits and checks the flags by containment; ``verify`` and the
+tests keep it as the independent route.  F^omega has one construction,
+``_form_dual``: the half-swapped nullspace of F, eliminated over 2n
+bits.  ``SymplecticCode.dual_space`` derives it on first read, once per
+code, so a run that reports only the recorded bound never builds it.
 ``quantum_params`` extracts the quantum dimension and, within budget,
 the exact minimum weight over the large code minus its symplectic dual
 (the stabilizer side).
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,20 +60,15 @@ from .linear import (
     GF2,
     LinearCode,
     _SPAN_BLOCK,
-    _free_columns,
-    _xor_table,
     binary_code,
     code_from_rref,
-    dual_code,
     extend_basis,
-    from_symbols,
     gray_span,
     nullspace,
     reduce,
     rref,
     to_matrix,
     to_rows,
-    to_symbols,
 )
 
 _SYMBOL_FROM_BITS = {(0, 0): 0, (0, 1): EPS, (1, 0): EPS_BAR, (1, 1): 1}
@@ -91,11 +88,10 @@ def _swap_halves(v: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class SymplecticCode:
-    """An F2-subspace F of GF(4)^n, its form-dual F^omega, and both certificates."""
+    """An F2-subspace F of GF(4)^n, both certificates, and its form-dual F^omega on demand."""
 
     n: int
     space: LinearCode
-    dual_space: LinearCode
     is_isotropic: bool
     is_large: bool
     distance_bound: int | None = None
@@ -103,6 +99,11 @@ class SymplecticCode:
     @property
     def k_dim(self) -> int:
         return self.space.k_dim
+
+    @cached_property
+    def dual_space(self) -> LinearCode:
+        """F^omega, eliminated on first read and kept (``_form_dual``)."""
+        return _form_dual(self.space, self.n)
 
     def __repr__(self) -> str:
         tags = []
@@ -113,18 +114,12 @@ class SymplecticCode:
         return f"symplectic(n={self.n}, k={self.k_dim}, {'|'.join(tags) or 'neither'})"
 
 
-def _certified(
-    n: int, space: LinearCode, dual: LinearCode, bound: int | None = None
-) -> SymplecticCode:
-    """Both flags, by containment wherever dim F^omega = 2n - k_F leaves them open.
-
-    k_F > n rules out F <= F^omega, and k_F < n rules out F >= F^omega;
-    both containments run when k_F = n.
-    """
-    k = space.k_dim
-    isotropic = k <= n and dual.contains(space)
-    large = k >= n and space.contains(dual)
-    return SymplecticCode(n, space, dual, isotropic, large, bound)
+def _form_dual(space: LinearCode, n: int) -> LinearCode:
+    """F^omega, dimension 2n - k_F: the form pairs x with the half-swap
+    of y, so it is the half-swap of the Euclidean dual, read off the
+    nullspace of F's RREF and eliminated over 2n bits."""
+    null = nullspace(space.matrix, space.pivots, GF2, 2 * n)
+    return binary_code(2 * n, [_swap_halves(r, n) for r in to_rows(null)])
 
 
 def make_symplectic(
@@ -132,14 +127,18 @@ def make_symplectic(
 ) -> SymplecticCode:
     """Canonicalize packed 2n-bit generators and compute both flags exactly.
 
-    The form pairs x with the half-swap of y, so F^omega is the
-    half-swap of the Euclidean dual, read off the nullspace of F.
-    ``binary_code`` refuses a vector wider than 2n bits.
+    The flags are containments between F and F^omega, computed here and
+    kept as the code's ``dual_space``.  k_F > n rules out
+    F <= F^omega, and k_F < n rules out F >= F^omega; both containments
+    run when k_F = n.  ``binary_code`` refuses a vector wider than 2n bits.
     """
     space = binary_code(2 * n, vectors)
-    null = nullspace(space.matrix, space.pivots, GF2, 2 * n)
-    dual = binary_code(2 * n, [_swap_halves(r, n) for r in to_rows(null)])
-    return _certified(n, space, dual, distance_bound)
+    dual, k = _form_dual(space, n), space.k_dim
+    code = SymplecticCode(
+        n, space, k <= n and dual.contains(space), k >= n and space.contains(dual), distance_bound
+    )
+    vars(code)["dual_space"] = dual  # the cached_property's slot
+    return code
 
 
 def _doubled(code: LinearCode) -> tuple[np.ndarray, list[int]]:
@@ -158,84 +157,25 @@ def _doubled(code: LinearCode) -> tuple[np.ndarray, list[int]]:
 
 
 def _grown_rref(base: LinearCode, extra: list[int]) -> LinearCode:
-    """base + base plus the 2n-bit rows ``extra``, which vanish at its pivots.
+    """base + base plus the 2n-bit rows ``extra``, which vanish at its pivots
+    and are independent on the a-half.
 
-    ``rref`` of the extra rows keeps that, and reducing the base rows by
-    them keeps each zero left of and 1 at its pivot: merged by pivot, the
-    rows are the RREF.  ``code_from_rref`` certifies it, so a dependent
-    extra row or one with a bit at a base pivot raises CertificationError.
+    ``rref`` of the extra rows keeps both, so all their pivots lie in
+    the a-half, where the (0|g) rows are zero: only the (g|0) rows are
+    reduced by them, which keeps each zero left of and 1 at its pivot.
+    Merged by pivot, the rows are the RREF.  ``code_from_rref``
+    certifies it, so a dependent extra row or one with a bit at a base
+    pivot (or at a (0|g) row's) raises CertificationError.
     """
-    n = base.n
+    n, k = base.n, base.k_dim
     x, x_piv = rref(to_matrix(2 * n, extra), GF2, 2 * n)
     if len(x_piv) < len(extra):
         raise CertificationError(f"{len(extra) - len(x_piv)} extension rows are dependent")
     mat, pivots = _doubled(base)
     pivots += x_piv
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    mat = np.concatenate([reduce(mat, x, x_piv, GF2), x])[order]
+    mat = np.concatenate([reduce(mat[:k], x, x_piv, GF2), mat[k:], x])[order]
     return code_from_rref(GF2, 2 * n, mat, [pivots[i] for i in order])
-
-
-def _cut_rref(base: LinearCode, system: np.ndarray) -> LinearCode:
-    """The words (a G | b G) of base + base, G its RREF rows, with (a|b) in
-    the nullspace of the uint8 bit matrix ``system`` (2k columns).
-
-    ``dual_code`` eliminates only the system's rows and returns the
-    nullspace's certified RREF K, pivoted at the free columns.  Through
-    G + G it stays an RREF, pivoted at the matching pivots of G + G,
-    since a word holds its coefficients there.  Word f is row f of G + G
-    plus the rows at the system's pivots that K's row f names: their
-    bits are marked at those pivots and reduced away.  Raises
-    CertificationError below full row rank.
-    """
-    k2 = 2 * base.k_dim
-    kernel = dual_code(GF2, k2, from_symbols(GF2, system))
-    coeffs, free = kernel.matrix, np.array(kernel.pivots, dtype=np.intp)
-    bound = _free_columns(free, k2)  # the system's pivots
-    if len(bound) != len(system):
-        raise CertificationError(f"the form-dual system has rank {len(bound)} < r = {len(system)}")
-    mat, pivots = _doubled(base)
-    # K's bound columns go to their pivots of G + G, which increase with
-    # them: ORed into one value per word that receives any, then one
-    # scatter, with one array of rows x r words live at a time
-    at = np.asarray(pivots)[bound]
-    bits = coeffs[:, bound >> 6]
-    bits >>= (bound & 63).astype(np.uint64)
-    bits &= np.uint64(1)
-    bits <<= (at & 63).astype(np.uint64)
-    words, first = np.unique(at >> 6, return_index=True)
-    bits = np.bitwise_or.reduceat(bits, first, axis=1)
-    marks = np.zeros((len(free), mat.shape[1]), dtype=mat.dtype)
-    marks[:, words] = bits
-    words = reduce(mat[free] ^ marks, mat[bound], [pivots[c] for c in bound], GF2) ^ marks
-    return code_from_rref(GF2, 2 * base.n, words, [pivots[f] for f in free])
-
-
-def _pairings(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """uint8 bits <v_j, row_i> of packed binary rows, one row j per
-    vector: the GF(2) product vecs rows^T.
-
-    Four Russians over the inner dimension: byte c of a row, its bits
-    8c..8c+7, indexes the table of the 256 XOR combinations of the
-    vectors' bits 8c..8c+7, each of those an r-bit column packed in
-    words.  A row's r pairings are the XOR of its gathered entries.  A
-    group of bytes shares one ``_xor_table``, its tables side by side in
-    each entry, and one gather; the two hold about ``_SPAN_BLOCK`` cells.
-    """
-    nbytes = 8 * rows.shape[1]
-    bits = from_symbols(GF2, to_symbols(GF2, vecs, 8 * nbytes).T)  # bit t of each vector
-    width = bits.shape[1]
-    cols = bits.reshape(nbytes, 8, width).transpose(1, 0, 2)  # [i, c]: bit 8c + i
-    index = rows.view(np.uint8).T  # byte-major: a group's gather is whole slabs
-    group = max(1, _SPAN_BLOCK // ((256 + len(rows)) * width))
-    out = np.zeros((len(rows), width), dtype=bits.dtype)
-    for lo in range(0, nbytes, group):
-        size = min(group, nbytes - lo)
-        # entry x * size + c is byte lo + c's table at x
-        tables = _xor_table(cols[:, lo : lo + size].reshape(8, -1)).reshape(-1, width)
-        at = index[lo : lo + size].astype(np.intp) * size + np.arange(size)[:, None]
-        out ^= np.bitwise_xor.reduce(np.take(tables, at, axis=0), axis=0)
-    return to_symbols(GF2, out, len(vecs)).T
 
 
 def _mixed(rows) -> list:
@@ -262,27 +202,23 @@ def steane_compose(
     or-weight2(D')) as the distance bound when both are enumerable
     within budget, otherwise ``designed_bound``.
 
-    F^omega in closed form.  (x|y) pairs to zero with every (g|0) and
-    (0|g) iff x and y lie in D^perp; write x = a G and y = b G for the
-    rows G of D^perp's RREF.  With (e_j|m_j) it pairs to
-    <x, m_j> + <y, e_j>, so F^omega is the set of (a G | b G) for (a|b)
-    in the nullspace of the r x 2(n - k) system
-    [<G_l, m_j> | <G_l, e_j>]: D'^perp + D'^perp and r more dimensions.
-    D'/D and D^perp/D'^perp pair perfectly, so [<G_l, e_j>] alone has
-    rank r, and dim F^omega = 2(n - k) - r = 2n - k - k' = 2n - k_F.
-    The pairings with the m_j are those with the e_j, ``_mixed``.
-
     ``extend_basis`` returns dim(D + D') - k rows, k' - k exactly when
     D' >= D, which its count so checks; it reduces only the rows of D'
-    (or of C', from the GF(2^k) sources) that its echelon reaches.  Both RREFs are assembled, not
-    eliminated over 2n bits: F by ``_grown_rref`` (the e_j are
-    ``extend_basis`` remainders, so they and the m_j vanish at D's
-    pivots), certified with k_F = 2k + r rows; F^omega by ``_cut_rref``.
-    The flags follow: F^omega <= D^perp + D^perp <= D + D <= F since
-    D >= D^perp, and k_F = k + k' >= n + 2 rules out isotropy.  A system
-    below rank r, or a failed RREF certificate, raises
-    CertificationError.  ``make_symplectic`` is the 2n-bit route to the
-    same code.
+    (or of C', from the GF(2^k) sources) that its echelon reaches.  F's
+    RREF is assembled by ``_grown_rref``, not eliminated over 2n bits
+    (the e_j are ``extend_basis`` remainders, so they and the m_j vanish
+    at D's pivots), and certified with k_F = 2k + r rows.  The flags
+    follow: F >= D + D, so F^omega <= D^perp + D^perp <= D + D <= F since
+    D >= D^perp, and k_F = k + k' >= n + 2 rules out isotropy.  F^omega
+    is not built here; ``dual_space`` derives it when read.  A failed
+    RREF certificate raises CertificationError.  ``make_symplectic`` is
+    the 2n-bit route to the same code.
+
+    Memory: ``_grown_rref`` holds the doubled D, its reduced (g|0) half,
+    their concatenation with the extension rows and that reordered, about
+    three times F at once; D's dual and the extension rows are far
+    smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
+    compose's peak at 8.1 MB above what was live before it, F included.
     """
     if not d.is_binary or not d_prime.is_binary:
         raise ValueError("composition takes binary codes")
@@ -293,8 +229,7 @@ def steane_compose(
     r = len(ext)
     if r != k_prime - k:
         raise ValueError(f"D' does not contain D: dim(D + D') = {k + r} != k' = {k_prime}")
-    d_perp = d.dual()
-    if not d.contains(d_perp):
+    if not d.contains(d.dual()):
         raise ValueError("D does not contain its dual")
     if k_prime < k + 2:
         raise ValueError(f"need k' >= k + 2, got k={k}, k'={k_prime}")
@@ -308,9 +243,7 @@ def steane_compose(
         pass
 
     space = _grown_rref(d, [e | (m << n) for e, m in zip(ext, _mixed(ext))])
-    pairs = _pairings(d_perp.matrix, to_matrix(n, ext))
-    dual = _cut_rref(d_perp, np.hstack([np.vstack(_mixed(pairs)), pairs]))
-    return SymplecticCode(n, space, dual, is_isotropic=False, is_large=True, distance_bound=bound)
+    return SymplecticCode(n, space, is_isotropic=False, is_large=True, distance_bound=bound)
 
 
 def quantum_bound(d: int, d2: int) -> int:
@@ -509,6 +442,8 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
     witness, at most a quarter more than the full 2^k_big when k_Q >= 1,
     in blocks within ``_SPAN_BLOCK`` cells.  The trace's "enumerated
     over 2^k_big states" holds since their distribution is exact.
+    Only that branch reads ``code.dual_space``: both dimensions follow
+    from k_F, since dim F^omega = 2n - k_F.
     """
     n = code.n
     trace = []
@@ -519,18 +454,17 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
             f"stabilizer side is the form-dual (dim {2 * n - code.k_dim}); "
             f"k_Q = k_F - n = {code.k_dim} - {n} = {k_q}"
         )
-        big, small = code.space, code.dual_space
     elif code.is_isotropic:
         k_q = n - code.k_dim
         big_bits = 2 * n - code.k_dim
         trace.append(
             f"code is isotropic; roles swap: k_Q = n - k_F = {n} - {code.k_dim} = {k_q}"
         )
-        big, small = code.dual_space, code.space
     else:
         raise ValueError("code is neither isotropic nor dual-containing")
 
-    if big.k_dim == small.k_dim:
+    small_bits = 2 * n - big_bits
+    if big_bits == small_bits:
         trace.append("self-dual case: the difference set is empty, no distance")
         return QuantumCodeReport(
             n=n, k_q=k_q, d_q=None, d_exact=False, d_witness=None,
@@ -538,6 +472,7 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
         )
 
     if (1 << big_bits) <= budget:
+        big, small = (code.space, code.dual_space) if code.is_large else (code.dual_space, code.space)
         floor = _distance_floor(_weight_distribution(small, n), n, big_bits)
         d_q, wit = _min_weight_difference(big, small, n, floor)
         if d_q != floor:
@@ -546,7 +481,7 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
             )
         trace.append(
             f"distance enumerated over 2^{big_bits} states minus "
-            f"2^{small.k_dim} (subgroup skipped): d_Q = {d_q}"
+            f"2^{small_bits} (subgroup skipped): d_Q = {d_q}"
         )
         return QuantumCodeReport(
             n=n, k_q=k_q, d_q=d_q, d_exact=True,

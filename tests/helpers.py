@@ -9,7 +9,6 @@
 - ``parse_csv``: the inverse of ``bounds.emit_csv``;
 - oracles, the routes that faster ones replaced: ``extend_basis_rowwise``
   (every generator reduced on its bits, then one echelon step per row),
-  ``pairings_rowwise`` (one AND and popcount per vector),
   ``second_or_weight_pairwise`` (one OR and popcount per word against
   every later word) and ``krawtchouk_sum`` (the binomial sum).
 """
@@ -40,7 +39,7 @@ from agstab.linear import (
     to_rows,
     to_symbols,
 )
-from agstab.symplectic import QuantumCodeReport, SymplecticCode, _certified
+from agstab.symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
 
 def combine(coeffs, mat: np.ndarray, field: Field) -> np.ndarray:
@@ -95,7 +94,7 @@ def symplectic_form(x: int, y: int, n: int) -> int:
 
 def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     """The form-dual, with flags recomputed; dim F + dim F^dual = 2n."""
-    return _certified(code.n, code.dual_space, code.space)
+    return make_symplectic(code.n, code.dual_space.bit_rows)
 
 
 def code_from_obj(obj: dict[str, Any]) -> LinearCode:
@@ -170,11 +169,6 @@ def extend_basis_rowwise(sub: LinearCode, sup: LinearCode) -> list[int]:
         rem[later, w:] ^= row[w:]
         kept.append(i)
     return to_rows(rem[kept])
-
-
-def pairings_rowwise(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """uint8 bits <v_j, row_i>, one AND and popcount of every row per vector."""
-    return np.array([np.bitwise_count(rows & v).sum(axis=1) & 1 for v in vecs], dtype=np.uint8)
 
 
 def second_or_weight_pairwise(code: LinearCode, budget: int) -> int:

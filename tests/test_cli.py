@@ -10,6 +10,7 @@ from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.expansion import ExpansionMap, expand_chain
 from agstab.fields import EPS, EPS_BAR, get_field, self_dual_basis
 from agstab.linear import binary_code, make_code
+from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import make_symplectic
 
 from gf4_words import pack_gf4
@@ -273,6 +274,51 @@ def test_expand_refuses_a_triple_missing_or_mistyping_a_parameter_by_its_path(tm
     err = capsys.readouterr().err
     assert err.startswith("error: dual_chain_triple ") and path in err
     assert not pair_path.exists()
+
+
+_DROP = object()
+
+
+def _m1_fcode_obj():
+    run = pipeline_build(PipelineConfig(m=1, curve_kind="hermitian", q=2, a=3, a_prime=1))
+    return json.loads(json.dumps(artifacts.fcode_to_obj(run.fcode)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("distance_bound", "abc"),
+    ("distance_bound", 0),
+    ("distance_bound", True),
+    ("distance_bound", 3.0),
+    ("distance_bound", _DROP),
+    ("n", 16.0),
+    ("k_f", _DROP),
+    ("k_f", 25),
+    ("is_isotropic", True),
+    ("is_large", False),
+    ("is_large", 1),
+], ids=str)
+def test_verify_refuses_an_fcode_value_by_its_path(tmp_path, capsys, key, value):
+    # each value is read by its key path and JSON type; k_f and the flags
+    # must also equal what the rows give
+    obj = _m1_fcode_obj()
+    assert (obj["n"], obj["k_f"], obj["is_isotropic"], obj["is_large"]) == (16, 24, False, True)
+    if value is _DROP:
+        del obj[key]
+    else:
+        obj[key] = value
+    path = tmp_path / "f.json"
+    artifacts.save_json(obj, path)
+    capsys.readouterr()
+    assert main(["verify", "--code", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: symplectic_code ") and f"[{key!r}]" in err
+
+
+def test_an_fcode_with_a_null_bound_loads_without_one():
+    obj = _m1_fcode_obj()
+    assert artifacts.fcode_from_obj(obj).distance_bound == obj["distance_bound"] >= 1
+    obj["distance_bound"] = None
+    assert artifacts.fcode_from_obj(obj).distance_bound is None
 
 
 @pytest.mark.parametrize("kind, q, a, a_prime", [("hermitian", 2, 3, 1), ("line", 16, 5, 3)])

@@ -3,7 +3,6 @@ each against the route it replaced (the oracles in ``helpers``).
 
 - ``extend_basis``: remainders from the GF(2^k) sources, stopped at the
   count that ``sup.contains(sub)`` certifies;
-- ``_pairings``: one Four-Russians product in place of a loop per vector;
 - ``second_or_weight``: blocks of message-indexed weights in place of a
   loop per word;
 - ``_krawtchouk``: the three-term recurrence in place of binomial sums.
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 import agstab.linear as linear_module
@@ -21,14 +19,13 @@ from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.errors import BudgetExceeded
 from agstab.expansion import ExpansionMap, expand_chain, expand_code
 from agstab.fields import get_field, self_dual_basis
-from agstab.linear import GF2, binary_code, code_from_rref, extend_basis, make_code, to_matrix
-from agstab.symplectic import _krawtchouk, _pairings
+from agstab.linear import GF2, binary_code, code_from_rref, extend_basis, make_code
+from agstab.symplectic import _krawtchouk
 
 from helpers import (
     extend_basis_rowwise,
     generators,
     krawtchouk_sum,
-    pairings_rowwise,
     random_dual_containing_code,
     second_or_weight_pairwise,
 )
@@ -102,21 +99,6 @@ def test_m2_extension_reduces_only_the_source_rows_it_keeps(monkeypatch):
     # first 4 of C''s 39 rows, whose 16 expanded remainders are the rows
     assert len(ext) == 16
     assert seen == [(4, 64, pair.d.k_dim // 4), (4, 64, 4)]
-
-
-# -- _pairings -------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "n, m, r",
-    [(1, 1, 2), (16, 11, 2), (63, 5, 3), (64, 40, 64), (65, 7, 65), (256, 116, 16), (700, 300, 130)],
-)
-def test_the_pairing_product_matches_the_row_loop(n, m, r):
-    rng = random.Random(n * m + r)
-    rows = to_matrix(n, [rng.getrandbits(n) for _ in range(m)])
-    vecs = to_matrix(n, [rng.getrandbits(n) for _ in range(r)])
-    got = _pairings(rows, vecs)
-    assert got.dtype == np.uint8 and got.shape == (r, m)
-    assert np.array_equal(got, pairings_rowwise(rows, vecs))
 
 
 # -- second_or_weight ------------------------------------------------------

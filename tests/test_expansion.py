@@ -379,8 +379,9 @@ def test_m2_pipeline_runs_no_binary_elimination_in_dual_or_contains(monkeypatch)
     assert run.pair.d.n == 256
     inside = {(k, width) for k, width, within in calls if within}
     assert inside == {(4, 64)}  # over GF(16) on 64 symbols, never on 256 bits
-    # compose's extend_basis reduces D''s GF(16) source too: nothing runs on 256 bits
-    assert {width for k, width, _ in calls if k == 1} == {232, 512}
+    # compose's extend_basis reduces D''s GF(16) source too: nothing runs
+    # on 256 bits, and the bound-only run never builds F^omega
+    assert {width for k, width, _ in calls if k == 1} == {512}
 
 
 def test_m2_pipeline_certifies_each_chain_fact_once(monkeypatch):

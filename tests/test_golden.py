@@ -42,7 +42,7 @@ RUNS = {
     ),
     # [[3072, 282, >=215]]; pinned before the blocked elimination kernels.
     # The largest run: compose assembles F's 6144-bit RREF from the chain
-    # and eliminates only the extension rows and the r-row system.
+    # and eliminates only the extension rows; F^omega is never built.
     "hermitian-m3": (
         dict(m=3, curve_kind="hermitian", q=8, a=269, a_prime=250),
         {

@@ -9,7 +9,7 @@ import agstab.symplectic as symplectic_module
 from agstab import artifacts
 from agstab.errors import BudgetExceeded, CertificationError
 from agstab.fields import EPS, EPS_BAR, get_field
-from agstab.linear import binary_code, extend_basis, gray_span, make_code
+from agstab.linear import binary_code, extend_basis, gray_span, make_code, to_matrix
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
     _block_weights,
@@ -23,6 +23,7 @@ from agstab.symplectic import (
     make_symplectic,
     quantum_bound,
     quantum_params,
+    SymplecticCode,
     steane_compose,
     unpack_gf4,
 )
@@ -624,9 +625,10 @@ def test_an_extension_row_at_a_pivot_is_refused(monkeypatch, chain):
 
 
 @pytest.mark.parametrize("chain", [(EXT_HAMMING, EVEN), _random_chain(65, 1)], ids=["desk", "n65"])
-def test_form_dual_coefficients_out_of_rref_are_refused(monkeypatch, chain):
-    # the same span of coefficients, but row 1 has row 0's leading one;
-    # D^perp's nullspace is eliminated again, the system's is certified
+def test_form_dual_rows_out_of_rref_give_the_same_form_dual(monkeypatch, chain):
+    # the same span of nullspace rows, but row 1 has row 0's leading one:
+    # F^omega is eliminated from them, so it is the same code
+    want = steane_compose(*chain).dual_space
     real = linear_module.nullspace
 
     def crooked(basis, pivots, field, n):
@@ -635,16 +637,43 @@ def test_form_dual_coefficients_out_of_rref_are_refused(monkeypatch, chain):
         return rows
 
     monkeypatch.setattr(linear_module, "nullspace", crooked)
-    with pytest.raises(CertificationError, match="reduced row echelon"):
-        steane_compose(*chain)
+    monkeypatch.setattr(symplectic_module, "nullspace", crooked)
+    assert steane_compose(*chain).dual_space == want
 
 
-def test_a_form_dual_system_below_rank_r_is_refused(monkeypatch):
-    monkeypatch.setattr(
-        symplectic_module, "_pairings", lambda rows, vecs: np.zeros((len(vecs), len(rows)), np.uint8)
-    )
-    with pytest.raises(CertificationError, match="rank 0 < r = 3"):
-        steane_compose(EXT_HAMMING, EVEN)
+def _form_orthogonal(f: SymplecticCode) -> bool:
+    """Every row of F^omega pairs to zero with every row of F, by ``symplectic_form``'s AND and popcount."""
+    n, rows = f.n, to_matrix(2 * f.n, f.space.bit_rows)
+    mask = (1 << n) - 1
+    for y in f.dual_space.bit_rows:
+        swapped = to_matrix(2 * n, [((y & mask) << n) | (y >> n)])
+        if (np.bitwise_count(rows & swapped).sum(axis=1) & 1).any():
+            return False
+    return True
+
+
+def _doubled_code(code):
+    """code + code in 2n bits: (g|0) and (0|g)."""
+    return binary_code(2 * code.n, [*code.bit_rows, *(g << code.n for g in code.bit_rows)])
+
+
+@pytest.mark.parametrize("name", ["desk", "hermitian-m1", "hermitian-m2", *RANDOM_CHAINS[::5]], ids=str)
+def test_compose_form_dual_is_the_orthogonal_complement_make_symplectic_finds(name):
+    if name == "desk":
+        d, d_prime = EXT_HAMMING, EVEN
+    elif name in SHIPPED_CHAINS:
+        pair = pipeline_build(PipelineConfig(**SHIPPED_CHAINS[name])).pair
+        d, d_prime = pair.d, pair.d_prime
+    else:
+        d, d_prime = _random_chain(*name)
+    f = steane_compose(d, d_prime)
+    assert f.dual_space == make_symplectic(f.n, f.space.bit_rows).dual_space
+    # by definition: dimension 2n - k_F, form-orthogonal to F, and
+    # between D'^perp + D'^perp and D^perp + D^perp
+    assert f.dual_space.k_dim == 2 * f.n - f.k_dim
+    assert _form_orthogonal(f)
+    assert _doubled_code(d.dual()).contains(f.dual_space)
+    assert f.dual_space.contains(_doubled_code(d_prime.dual()))
 
 
 def test_m2_compose_eliminates_no_more_than_r_rows_of_2n_bits(monkeypatch):
@@ -668,8 +697,7 @@ def test_m2_compose_eliminates_no_more_than_r_rows_of_2n_bits(monkeypatch):
     assert (n, r) == (256, 16)
     assert made == []
     wide = [rows for k, width, rows in eliminated if k == 1 and width == 2 * n]
-    assert wide == [r]  # F's extension rows
-    assert (1, 2 * (n - run.pair.d.k_dim), r) in eliminated  # F^omega's system
+    assert wide == [r]  # F's extension rows; F^omega is not built
     # verify's route still eliminates over 2n bits
     artifacts.fcode_from_obj(artifacts.fcode_to_obj(run.fcode))
     assert made == [n]
@@ -692,17 +720,27 @@ def test_m2_fcode_load_eliminates_f_once_and_its_form_dual_once(monkeypatch):
     assert (loaded.space, loaded.dual_space, loaded.is_large) == (run.fcode.space, run.fcode.dual_space, True)
 
 
-def test_compose_pairs_d_perp_with_the_r_extension_rows_only(monkeypatch):
-    seen, real = [], symplectic_module._pairings
+def test_m2_form_dual_is_eliminated_on_first_read_only(monkeypatch):
+    eliminated, real_rref = [], linear_module.rref
 
-    def counting_pairings(rows, vecs):
-        seen.append(len(vecs))
-        return real(rows, vecs)
+    def counting_rref(mat, field, n):
+        eliminated.append((field.k, n, len(mat)))
+        return real_rref(mat, field, n)
 
-    monkeypatch.setattr(symplectic_module, "_pairings", counting_pairings)
+    for module in (symplectic_module, linear_module):
+        monkeypatch.setattr(module, "rref", counting_rref)
     run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS["hermitian-m2"]))
-    # the m_j's pairings are the e_j's, mixed; the routes-agree tests check F^omega
-    assert seen == [run.pair.d_prime.k_dim - run.pair.d.k_dim] == [16]
+    assert run.report.params() == "[[256, 40, >=24]]" and not run.report.d_exact
+    n, k_f, r = run.fcode.n, run.fcode.k_dim, 16
+
+    def wide():
+        return [rows for k, width, rows in eliminated if k == 1 and width == 2 * n]
+
+    assert wide() == [r]  # F's extension rows: the bound-only run never eliminates F^omega
+    dual = run.fcode.dual_space
+    assert wide() == [r, 2 * n - k_f] == [16, 216]
+    assert run.fcode.dual_space is dual
+    assert wide() == [r, 2 * n - k_f]
 
 
 @pytest.mark.parametrize("extra", [3, 5])
