@@ -141,41 +141,34 @@ def make_symplectic(
     return code
 
 
-def _doubled(code: LinearCode) -> tuple[np.ndarray, list[int]]:
-    """C + C in 2n bits, (g|0) then (0|g): C's RREF on each half is its RREF.
-
-    The b-half is C's packed matrix shifted up n bits, carried across words.
-    """
-    n, k, mat = code.n, code.k_dim, code.matrix
-    w, s = divmod(n, 64)
-    out = np.zeros((2 * k, (2 * n + 63) // 64), dtype=mat.dtype)
-    out[:k, : mat.shape[1]] = mat
-    out[k:, w : w + mat.shape[1]] = mat << np.uint64(s)
-    if s:
-        out[k:, w + 1 :] |= (mat >> np.uint64(64 - s))[:, : out.shape[1] - w - 1]
-    return out, [*code.pivots, *(p + n for p in code.pivots)]
-
-
 def _grown_rref(base: LinearCode, extra: list[int]) -> LinearCode:
     """base + base plus the 2n-bit rows ``extra``, which vanish at its pivots
     and are independent on the a-half.
 
-    ``rref`` of the extra rows keeps both, so all their pivots lie in
-    the a-half, where the (0|g) rows are zero: only the (g|0) rows are
-    reduced by them, which keeps each zero left of and 1 at its pivot.
-    Merged by pivot, the rows are the RREF.  ``code_from_rref``
-    certifies it, so a dependent extra row or one with a bit at a base
-    pivot (or at a (0|g) row's) raises CertificationError.
+    base's RREF G gives (G|0) and (0|G), the latter G's packed matrix
+    shifted up n bits, carried across words.  ``rref`` of the extra
+    rows keeps both conditions, so all their pivots lie in the a-half,
+    where the (0|g) rows are zero: only the (g|0) rows are reduced by
+    them, which keeps each zero left of and 1 at its pivot.  Merged by
+    pivot, the rows are the RREF.  ``code_from_rref`` certifies it, so a
+    dependent extra row or one with a bit at a base pivot (or at a
+    (0|g) row's) raises CertificationError.
     """
-    n, k = base.n, base.k_dim
+    n, k, g = base.n, base.k_dim, base.matrix
     x, x_piv = rref(to_matrix(2 * n, extra), GF2, 2 * n)
     if len(x_piv) < len(extra):
         raise CertificationError(f"{len(extra) - len(x_piv)} extension rows are dependent")
-    mat, pivots = _doubled(base)
-    pivots += x_piv
+    w, s = divmod(n, 64)
+    mat = np.zeros((2 * k + len(x), x.shape[1]), dtype=g.dtype)
+    mat[:k, : g.shape[1]] = g
+    mat[:k] = reduce(mat[:k], x, x_piv, GF2)
+    mat[k : 2 * k, w : w + g.shape[1]] = g << np.uint64(s)
+    if s:
+        mat[k : 2 * k, w + 1 :] |= (g >> np.uint64(64 - s))[:, : mat.shape[1] - w - 1]
+    mat[2 * k :] = x
+    pivots = [*base.pivots, *(p + n for p in base.pivots), *x_piv]
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    mat = np.concatenate([reduce(mat[:k], x, x_piv, GF2), mat[k:], x])[order]
-    return code_from_rref(GF2, 2 * n, mat, [pivots[i] for i in order])
+    return code_from_rref(GF2, 2 * n, mat[order], [pivots[i] for i in order])
 
 
 def _mixed(rows) -> list:
@@ -214,11 +207,10 @@ def steane_compose(
     RREF certificate raises CertificationError.  ``make_symplectic`` is
     the 2n-bit route to the same code.
 
-    Memory: ``_grown_rref`` holds the doubled D, its reduced (g|0) half,
-    their concatenation with the extension rows and that reordered, about
-    three times F at once; D's dual and the extension rows are far
-    smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
-    compose's peak at 8.1 MB above what was live before it, F included.
+    Memory: ``_grown_rref`` holds F's rows once in merge order, the
+    reduced (g|0) half and the rows reordered, about two and a half
+    times F at once; D's dual and the extension rows are far smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
+    compose's peak at 5.9 MB above what was live before it, F included.
     """
     if not d.is_binary or not d_prime.is_binary:
         raise ValueError("composition takes binary codes")
