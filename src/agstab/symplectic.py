@@ -207,9 +207,10 @@ def steane_compose(
     RREF certificate raises CertificationError.  ``make_symplectic`` is
     the 2n-bit route to the same code.
 
-    Memory: ``_grown_rref`` holds F's rows once in merge order, the
-    reduced (g|0) half and the rows reordered, about two and a half
-    times F at once; D's dual and the extension rows are far smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
+    Memory: ``_grown_rref`` holds F's rows in merge order and then a
+    copy sorted by pivot, about twice F at once (the reduced (g|0) half
+    is freed before the copy); D's dual and the extension rows are far
+    smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
     compose's peak at 5.9 MB above what was live before it, F included.
     """
     if not d.is_binary or not d_prime.is_binary:

@@ -296,7 +296,7 @@ def _m1_fcode_obj():
     ("is_isotropic", True),
     ("is_large", False),
     ("is_large", 1),
-], ids=str)
+], ids=lambda v: "dropped" if v is _DROP else str(v))
 def test_verify_refuses_an_fcode_value_by_its_path(tmp_path, capsys, key, value):
     # each value is read by its key path and JSON type; k_f and the flags
     # must also equal what the rows give

@@ -9,7 +9,7 @@ import agstab.symplectic as symplectic_module
 from agstab import artifacts
 from agstab.errors import BudgetExceeded, CertificationError
 from agstab.fields import EPS, EPS_BAR, get_field
-from agstab.linear import binary_code, extend_basis, gray_span, make_code, to_matrix
+from agstab.linear import binary_code, extend_basis, gray_span, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
     _block_weights,
@@ -23,7 +23,6 @@ from agstab.symplectic import (
     make_symplectic,
     quantum_bound,
     quantum_params,
-    SymplecticCode,
     steane_compose,
     unpack_gf4,
 )
@@ -641,23 +640,16 @@ def test_form_dual_rows_out_of_rref_give_the_same_form_dual(monkeypatch, chain):
     assert steane_compose(*chain).dual_space == want
 
 
-def _form_orthogonal(f: SymplecticCode) -> bool:
-    """Every row of F^omega pairs to zero with every row of F, by ``symplectic_form``'s AND and popcount."""
-    n, rows = f.n, to_matrix(2 * f.n, f.space.bit_rows)
-    mask = (1 << n) - 1
-    for y in f.dual_space.bit_rows:
-        swapped = to_matrix(2 * n, [((y & mask) << n) | (y >> n)])
-        if (np.bitwise_count(rows & swapped).sum(axis=1) & 1).any():
-            return False
-    return True
-
-
 def _doubled_code(code):
     """code + code in 2n bits: (g|0) and (0|g)."""
     return binary_code(2 * code.n, [*code.bit_rows, *(g << code.n for g in code.bit_rows)])
 
 
-@pytest.mark.parametrize("name", ["desk", "hermitian-m1", "hermitian-m2", *RANDOM_CHAINS[::5]], ids=str)
+@pytest.mark.parametrize(
+    "name",
+    ["desk", "hermitian-m1", "hermitian-m2", *RANDOM_CHAINS[::5]],
+    ids=lambda v: v if isinstance(v, str) else "n{}-{}".format(*v),
+)
 def test_compose_form_dual_is_the_orthogonal_complement_make_symplectic_finds(name):
     if name == "desk":
         d, d_prime = EXT_HAMMING, EVEN
@@ -671,7 +663,7 @@ def test_compose_form_dual_is_the_orthogonal_complement_make_symplectic_finds(na
     # by definition: dimension 2n - k_F, form-orthogonal to F, and
     # between D'^perp + D'^perp and D^perp + D^perp
     assert f.dual_space.k_dim == 2 * f.n - f.k_dim
-    assert _form_orthogonal(f)
+    assert all(symplectic_form(x, y, f.n) == 0 for x in f.space.bit_rows for y in f.dual_space.bit_rows)
     assert _doubled_code(d.dual()).contains(f.dual_space)
     assert f.dual_space.contains(_doubled_code(d_prime.dual()))
 
