@@ -34,9 +34,9 @@ from .pauli import (
 )
 from .pipeline import PipelineConfig, pipeline_build
 from .symplectic import (
+    compose_pair,
     designed_quantum_bound,
     quantum_params,
-    steane_compose,
     unpack_gf4,
 )
 
@@ -72,9 +72,7 @@ def _cmd_steane(args: argparse.Namespace) -> int:
     pair = artifacts.pair_from_obj(artifacts.load_json(args.d))
     src = pair.source
     designed = designed_quantum_bound(src.designed_d, src.designed_d_prime)
-    fcode = steane_compose(
-        pair.d, pair.d_prime, budget=args.budget, designed_bound=designed
-    )
+    fcode = compose_pair(pair, budget=args.budget, designed_bound=designed)
     obj = artifacts.fcode_to_obj(
         fcode,
         provenance={"source_pair": args.d, "flags": _flag_echo(args)},

@@ -57,10 +57,14 @@ GF2 = get_field(1)
 
 _ONE = np.uint64(1)
 _WORD = np.dtype("<u8")
-# Rows per block when building a nullspace basis (one per free column),
-# reversing columns or certifying an RREF; bounds their scratch at 64
-# rows, of n bytes where the binary case unpacks them.
+# Rows per block when building a nullspace basis (one per free column)
+# or reversing columns; bounds their scratch at 64 rows, of n bytes
+# where the binary case unpacks them.
 _NULL_BLOCK = 64
+# Rows per block when ``code_from_rref`` certifies an RREF, about ten
+# numpy calls each; 256 rows would break ``expansion.expand_code``'s
+# 900 KB ceiling at herm-m3.
+_RREF_BLOCK = 128
 # Columns per Four-Russians block in ``rref`` and pivots per group in
 # ``reduce``; a block's XOR table has 2^_BLOCK_COLS rows.  It divides 64,
 # so a block never straddles a word.
@@ -702,7 +706,11 @@ def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
 def code_from_rref(field: Field, n: int, mat: np.ndarray, pivots: Sequence[int]) -> LinearCode:
     """The code of kernel rows that are already in RREF with these pivots,
     certified with no elimination, in O(rows x row cells) and blocks of
-    ``_NULL_BLOCK`` rows of scratch.
+    ``_RREF_BLOCK`` rows.  A block's scratch is at most 17 bytes a
+    binary word (its pivot cells, numpy's buffer for them, of the same
+    size up to 8192 words, and a byte a word for the leading-entry
+    scan), 104 KB for herm-m3's 3072-bit rows, or 2 bytes a symbol over
+    GF(2^k).
 
     Row i must be zero left of pivots[i] and 1 there, the pivots must
     increase, and no other row may be nonzero at pivots[i].  Raises
@@ -719,8 +727,8 @@ def code_from_rref(field: Field, n: int, mat: np.ndarray, pivots: Sequence[int])
         lead, unit = pv >> 6, _ONE << (pv & 63).astype(np.uint64)
         at_pivots = np.zeros(mat.shape[1], dtype=mat.dtype)
         np.bitwise_or.at(at_pivots, lead, unit)
-    for lo in range(0, m, _NULL_BLOCK):
-        block, own = mat[lo : lo + _NULL_BLOCK], slice(lo, lo + _NULL_BLOCK)
+    for lo in range(0, m, _RREF_BLOCK):
+        block, own = mat[lo : lo + _RREF_BLOCK], slice(lo, lo + _RREF_BLOCK)
         rows = np.arange(len(block))
         # every pivot column's entries, less the row's own pivot: all zero
         cells = block[:, pv] if field.k > 1 else block & at_pivots
@@ -764,17 +772,30 @@ def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
 def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
     """The dim(sub + sup) - dim sub rows completing binary ``sub``'s basis to one of sub + sup.
 
+    ``sup.contains(sub)`` fixes their count for ``extension_rows``:
+    k(sup) - k(sub) when it holds; otherwise k(sup), an upper bound, so
+    every generator of ``sup`` is reduced, in one block.
+    """
+    if not (sub.is_binary and sup.is_binary):
+        raise TypeError("basis extension is implemented for binary codes")
+    return extension_rows(sub, sup, sup.k_dim - sub.k_dim if sup.contains(sub) else sup.k_dim)
+
+
+def extension_rows(sub: LinearCode, sup: LinearCode, count: int) -> list[int]:
+    """The first ``count`` rows completing binary ``sub``'s basis to one of
+    sub + sup, or all dim(sub + sup) - dim sub of them when fewer.
+
     Each generator of ``sup``, in order, is reduced modulo ``sub`` and
     the rows kept before it; a nonzero remainder is kept, with its
     lowest set bit as pivot.  The remainders modulo ``sub`` are taken in
     blocks; each is then cleared at the kept rows' pivots, in the order
     they were kept, as Python ints.
 
-    Only the generators that the echelon reaches are reduced.  When
-    ``sup.contains(sub)``, there are k(sup) - k(sub) rows and the
-    echelon stops at that count; each block of generators is as many as
-    could still be needed, or as many as were reduced already, whichever
-    is more.  Any other pair is reduced whole, in one block.
+    Only the generators that the echelon reaches are reduced: it stops
+    at ``count`` rows, and each block of generators is as many as could
+    still be needed, or as many as were reduced already, whichever is
+    more.  When ``sup`` contains ``sub`` and ``count`` is k(sup) - k(sub),
+    the rows are all of them; the caller certifies that containment.
 
     Two expansions in the same basis take the remainders from their
     sources over GF(2^k): expansion is injective and GF(2)-linear and
@@ -784,9 +805,6 @@ def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
     reduced on n / k symbols and expanded k rows each, in ``sup``'s
     order (``expansion.expand_rows``).
     """
-    if not (sub.is_binary and sup.is_binary):
-        raise TypeError("basis extension is implemented for binary codes")
-    count = sup.k_dim - sub.k_dim if sup.contains(sub) else sup.k_dim
     sources = _sources(sub, sup)
     if sources is not None:
         from .expansion import expand_rows

@@ -3,7 +3,8 @@
 Each fact is certified once, where the value carrying it is built or
 loaded: C' > C >= C^perp by ``build_dual_chain``, which the descent
 keeps (expansion in a self-dual basis preserves containment and
-duality), and the enlargement's flags by ``steane_compose``.  The
+duality), and the enlargement's flags by ``compose_pair``, which takes
+the descended pair as certified and rechecks neither relation.  The
 driver aggregates a human-readable trace, carries the designed distance
 bound alongside any enumerated exact value, and labels failures with
 the stage that raised them.
@@ -23,9 +24,9 @@ from .linear import DEFAULT_BUDGET
 from .symplectic import (
     QuantumCodeReport,
     SymplecticCode,
+    compose_pair,
     designed_quantum_bound,
     quantum_params,
-    steane_compose,
 )
 
 
@@ -117,12 +118,7 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
     designed = designed_quantum_bound(triple.designed_d, triple.designed_d_prime)
 
     with _stage("compose"):
-        fcode = steane_compose(
-            pair.d,
-            pair.d_prime,
-            budget=cfg.distance_budget,
-            designed_bound=designed,
-        )
+        fcode = compose_pair(pair, budget=cfg.distance_budget, designed_bound=designed)
         trace.append(
             f"compose: k_F = {fcode.k_dim} = k_D + k_D', large certified; "
             f"recorded distance bound {fcode.distance_bound}"

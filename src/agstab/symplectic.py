@@ -7,20 +7,21 @@ GF(4) generator.  The form is then the plain binary pairing
 sum_j (a_j b'_j + a'_j b_j), which agrees with the coordinatewise trace
 of x times the conjugate of y.
 
-``steane_compose`` builds the enlarged code F from a dual-containing
-binary chain D' > D >= D_perp: its canonical RREF is assembled from D's
-and the r = k' - k extension rows, eliminating r rows of 2n bits, and
-both flags follow from D >= D_perp (the proof is in its docstring);
-D' >= D is checked by ``extend_basis``, which returns k' - k rows
-exactly when it holds.  ``make_symplectic`` eliminates any generators
-over 2n bits and checks the flags by containment; ``verify`` and the
-tests keep it as the independent route.  F^omega has one construction,
-``_form_dual``: the half-swapped nullspace of F, eliminated over 2n
-bits.  ``SymplecticCode.dual_space`` derives it on first read, once per
-code, so a run that reports only the recorded bound never builds it.
-``quantum_params`` extracts the quantum dimension and, within budget,
-the exact minimum weight over the large code minus its symplectic dual
-(the stabilizer side).
+``compose_pair`` builds the enlarged code F from a descended chain
+D' > D >= D_perp that ``expansion.expand_chain`` certified, rechecking
+neither relation: its canonical RREF is assembled from D's and the
+r = k' - k extension rows, eliminating r rows of 2n bits, and both flags
+follow from D >= D_perp (the proof is in ``_compose``'s docstring).
+``steane_compose`` builds it from raw binary codes, checked first.
+``make_symplectic`` eliminates any generators over 2n bits and checks
+the flags by containment; ``verify`` and the tests keep it as the
+independent route.  F^omega has one construction, ``_form_dual``: the
+half-swapped nullspace of F, eliminated over 2n bits.
+``SymplecticCode.dual_space`` derives it on first read, once per code,
+so a run that reports only the recorded bound never builds it.
+``quantum_params`` trusts the certified flag and extracts the quantum
+dimension and, within budget, the exact minimum weight over the large
+code minus its symplectic dual (the stabilizer side).
 
 The exact distance has two certificates.  The weight distribution B
 of the stabilizer side (2^k_small words in ``gray_span`` blocks within
@@ -54,6 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, CertificationError
+from .expansion import ExpandedPair
 from .fields import EPS, EPS_BAR
 from .linear import (
     DEFAULT_BUDGET,
@@ -63,6 +65,7 @@ from .linear import (
     binary_code,
     code_from_rref,
     extend_basis,
+    extension_rows,
     gray_span,
     nullspace,
     reduce,
@@ -149,26 +152,33 @@ def _grown_rref(base: LinearCode, extra: list[int]) -> LinearCode:
     shifted up n bits, carried across words.  ``rref`` of the extra
     rows keeps both conditions, so all their pivots lie in the a-half,
     where the (0|g) rows are zero: only the (g|0) rows are reduced by
-    them, which keeps each zero left of and 1 at its pivot.  Merged by
-    pivot, the rows are the RREF.  ``code_from_rref`` certifies it, so a
-    dependent extra row or one with a bit at a base pivot (or at a
-    (0|g) row's) raises CertificationError.
+    them, which keeps each zero left of and 1 at its pivot.  Each row is
+    written once, at its pivot's rank: the a-half pivots of the (g|0)
+    and extra rows merged, then the (0|g) rows, whose pivots are all
+    past n.  ``code_from_rref`` certifies the result, so a dependent
+    extra row or one with a bit at a base pivot (or at a (0|g) row's)
+    raises CertificationError.
     """
     n, k, g = base.n, base.k_dim, base.matrix
     x, x_piv = rref(to_matrix(2 * n, extra), GF2, 2 * n)
     if len(x_piv) < len(extra):
         raise CertificationError(f"{len(extra) - len(x_piv)} extension rows are dependent")
     w, s = divmod(n, 64)
-    mat = np.zeros((2 * k + len(x), x.shape[1]), dtype=g.dtype)
-    mat[:k, : g.shape[1]] = g
-    mat[:k] = reduce(mat[:k], x, x_piv, GF2)
-    mat[k : 2 * k, w : w + g.shape[1]] = g << np.uint64(s)
+    top = np.zeros((k, x.shape[1]), dtype=g.dtype)
+    top[:, : g.shape[1]] = g
+    top = reduce(top, x, x_piv, GF2)  # before F is allocated: the peak is F and this half
+    a_piv = [*base.pivots, *x_piv]
+    rank = np.empty(len(a_piv), dtype=np.intp)
+    # a Python sort: np.argsort's first call pages in about 256 KB of its code
+    rank[sorted(range(len(a_piv)), key=a_piv.__getitem__)] = np.arange(len(a_piv))
+    mat = np.zeros((len(a_piv) + k, x.shape[1]), dtype=g.dtype)
+    mat[rank[:k]], mat[rank[k:]] = top, x
+    del top
+    shifted = mat[len(a_piv) :]  # the (0|g) rows
+    shifted[:, w : w + g.shape[1]] = g << np.uint64(s)
     if s:
-        mat[k : 2 * k, w + 1 :] |= (g >> np.uint64(64 - s))[:, : mat.shape[1] - w - 1]
-    mat[2 * k :] = x
-    pivots = [*base.pivots, *(p + n for p in base.pivots), *x_piv]
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return code_from_rref(GF2, 2 * n, mat[order], [pivots[i] for i in order])
+        shifted[:, w + 1 :] |= (g >> np.uint64(64 - s))[:, : mat.shape[1] - w - 1]
+    return code_from_rref(GF2, 2 * n, mat, [*sorted(a_piv), *(p + n for p in base.pivots)])
 
 
 def _mixed(rows) -> list:
@@ -187,19 +197,65 @@ def steane_compose(
     budget: int = DEFAULT_BUDGET,
     designed_bound: int | None = None,
 ) -> SymplecticCode:
-    """Enlarge the chain D' > D >= D_perp into a certified large code.
-
-    F is spanned by (g|0) and (0|g) for g in D, plus r = k' - k rows
-    (e_j|m_j), where the e_j extend D to D' and the m_j are a
-    fixed-point-free mixing of the e_j.  Records min(d(D),
-    or-weight2(D')) as the distance bound when both are enumerable
-    within budget, otherwise ``designed_bound``.
+    """Enlarge the chain D' > D >= D_perp of raw binary codes, checking it first.
 
     ``extend_basis`` returns dim(D + D') - k rows, k' - k exactly when
-    D' >= D, which its count so checks; it reduces only the rows of D'
-    (or of C', from the GF(2^k) sources) that its echelon reaches.  F's
-    RREF is assembled by ``_grown_rref``, not eliminated over 2n bits
-    (the e_j are ``extend_basis`` remainders, so they and the m_j vanish
+    D' >= D, which its count so checks; D >= D^perp is checked on
+    ``d.dual()``.  Either failing raises ValueError, as does k' < k + 2.
+    Then ``_compose`` builds F from the r = k' - k rows; its docstring
+    has the flags' proof and the memory, a traced peak of 4.1 MB (about
+    1.6 F) at m=3.  ``compose_pair`` is the same construction for a
+    chain that is certified already.
+    """
+    if not d.is_binary or not d_prime.is_binary:
+        raise ValueError("composition takes binary codes")
+    if d_prime.n != d.n:
+        raise ValueError("codes have different lengths")
+    k, k_prime = d.k_dim, d_prime.k_dim
+    ext = extend_basis(d, d_prime)
+    if len(ext) != k_prime - k:
+        raise ValueError(f"D' does not contain D: dim(D + D') = {k + len(ext)} != k' = {k_prime}")
+    if not d.contains(d.dual()):
+        raise ValueError("D does not contain its dual")
+    return _compose(d, d_prime, ext, budget, designed_bound)
+
+
+def compose_pair(
+    pair: ExpandedPair,
+    budget: int = DEFAULT_BUDGET,
+    designed_bound: int | None = None,
+) -> SymplecticCode:
+    """Enlarge the certified chain D' > D >= D_perp of ``pair``, rechecking neither relation.
+
+    ``pair`` comes from ``expansion.expand_chain``, directly or through
+    ``artifacts.pair_from_obj``: ``build_dual_chain`` certified its
+    source triple, and expansion in a self-dual basis keeps both
+    relations, which is why ``expand_chain`` trusts the triple.  So
+    D' >= D fixes the extension rows' count at k' - k, and
+    ``extension_rows`` runs no ``contains``; D^perp is not built.  The
+    result equals ``steane_compose(pair.d, pair.d_prime)``, and
+    ``make_symplectic``, the 2n-bit route ``verify`` runs, stays its
+    independent check.
+    """
+    d, d_prime = pair.d, pair.d_prime
+    ext = extension_rows(d, d_prime, d_prime.k_dim - d.k_dim)
+    return _compose(d, d_prime, ext, budget, designed_bound)
+
+
+def _compose(
+    d: LinearCode, d_prime: LinearCode, ext: list[int], budget: int, designed_bound: int | None
+) -> SymplecticCode:
+    """The large code F of a chain D' > D >= D_perp and the r = k' - k rows
+    ``ext`` extending D to D', as ``extend_basis`` returns them.
+
+    F is spanned by (g|0) and (0|g) for g in D, plus the r rows
+    (e_j|m_j), where the m_j are a fixed-point-free mixing of the e_j.
+    Records min(d(D), or-weight2(D')) as the distance bound when both
+    are enumerable within budget, otherwise ``designed_bound``.  Raises
+    ValueError when k' < k + 2.
+
+    F's RREF is assembled by ``_grown_rref``, not eliminated over 2n
+    bits (the e_j are remainders modulo D, so they and the m_j vanish
     at D's pivots), and certified with k_F = 2k + r rows.  The flags
     follow: F >= D + D, so F^omega <= D^perp + D^perp <= D + D <= F since
     D >= D^perp, and k_F = k + k' >= n + 2 rules out isotropy.  F^omega
@@ -207,23 +263,14 @@ def steane_compose(
     RREF certificate raises CertificationError.  ``make_symplectic`` is
     the 2n-bit route to the same code.
 
-    Memory: ``_grown_rref`` holds F's rows in merge order and then a
-    copy sorted by pivot, about twice F at once (the reduced (g|0) half
-    is freed before the copy); D's dual and the extension rows are far
+    Memory: ``_grown_rref`` reduces the (g|0) rows before it allocates
+    F, then writes each row once at its pivot's rank, so it holds F and
+    the reduced half, about 1.5 F, at once; the extension rows are far
     smaller.  At m=3 (n = 3072, k_F = 3354, F 2.6 MB) tracemalloc puts
-    compose's peak at 5.9 MB above what was live before it, F included.
+    ``compose_pair``'s peak at 4.1 MB (1.6 F) above what was live before
+    it, F included.
     """
-    if not d.is_binary or not d_prime.is_binary:
-        raise ValueError("composition takes binary codes")
-    if d_prime.n != d.n:
-        raise ValueError("codes have different lengths")
     n, k, k_prime = d.n, d.k_dim, d_prime.k_dim
-    ext = extend_basis(d, d_prime)
-    r = len(ext)
-    if r != k_prime - k:
-        raise ValueError(f"D' does not contain D: dim(D + D') = {k + r} != k' = {k_prime}")
-    if not d.contains(d.dual()):
-        raise ValueError("D does not contain its dual")
     if k_prime < k + 2:
         raise ValueError(f"need k' >= k + 2, got k={k}, k'={k_prime}")
 
@@ -390,8 +437,12 @@ def _min_weight_difference(
     the subgroup's ``gray_span`` blocks.  Either way a block holds at
     most ``_SPAN_BLOCK`` cells, and ``argmin`` runs only on a block
     whose minimum beats the best so far.
+
+    ``big`` must contain ``small``, as the caller's certified flag says:
+    the transversal is the first k_big - k_small rows extending
+    ``small`` to ``big`` (``extension_rows``), with no ``contains``.
     """
-    trans = extend_basis(small, big)
+    trans = extension_rows(small, big, big.k_dim - small.k_dim)
     if not trans:
         raise ValueError("the two spaces coincide; the difference set is empty")
 
@@ -436,7 +487,11 @@ def quantum_params(code: SymplecticCode, budget: int = DEFAULT_BUDGET) -> Quantu
     in blocks within ``_SPAN_BLOCK`` cells.  The trace's "enumerated
     over 2^k_big states" holds since their distribution is exact.
     Only that branch reads ``code.dual_space``: both dimensions follow
-    from k_F, since dim F^omega = 2n - k_F.
+    from k_F, since dim F^omega = 2n - k_F.  The flag is trusted, not
+    rechecked: ``make_symplectic`` computes it by containment and
+    ``compose_pair``/``steane_compose`` certify it, so the coset
+    transversal is the first k_big - k_small rows extending the small
+    side to the big one, and the MacWilliams floor cross-checks d_Q.
     """
     n = code.n
     trace = []

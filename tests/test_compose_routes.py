@@ -1,6 +1,8 @@
-"""The routes that make ``steane_compose`` cost its r extension rows,
-each against the route it replaced (the oracles in ``helpers``).
+"""The routes that make compose cost its r extension rows, each against
+the route it replaced (the oracles in ``helpers``).
 
+- ``compose_pair``: the certified pair's chain, not rechecked, against
+  ``steane_compose`` on the same codes, which checks it;
 - ``extend_basis``: remainders from the GF(2^k) sources, stopped at the
   count that ``sup.contains(sub)`` certifies;
 - ``second_or_weight``: blocks of message-indexed weights in place of a
@@ -10,17 +12,20 @@ each against the route it replaced (the oracles in ``helpers``).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 import agstab.linear as linear_module
+from agstab.artifacts import report_to_obj
 from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.errors import BudgetExceeded
 from agstab.expansion import ExpansionMap, expand_chain, expand_code
 from agstab.fields import get_field, self_dual_basis
-from agstab.linear import GF2, binary_code, code_from_rref, extend_basis, make_code
-from agstab.symplectic import _krawtchouk
+from agstab.linear import GF2, LinearCode, binary_code, code_from_rref, extend_basis, make_code
+from agstab.symplectic import _krawtchouk, compose_pair, quantum_params, steane_compose
 
 from helpers import (
     extend_basis_rowwise,
@@ -50,6 +55,62 @@ def _pair(name):
 def _plain(code):
     """The same binary code, without the GF(2^k) source it was expanded from."""
     return code_from_rref(GF2, code.n, code.matrix.copy(), code.pivots)
+
+
+# -- compose_pair ----------------------------------------------------------
+
+def _no_checks(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a containment or a dual was computed")
+
+    for name in ("contains", "dual"):
+        monkeypatch.setattr(LinearCode, name, refuse)
+
+
+def _fields(f):
+    return f.space, f.n, f.is_isotropic, f.is_large, f.distance_bound
+
+
+@pytest.mark.parametrize("budget, designed", [(1 << 26, None), (1 << 8, 7)])
+@pytest.mark.parametrize("name", CHAINS)
+def test_compose_pair_equals_steane_compose(name, budget, designed):
+    pair = _pair(name)
+    want = steane_compose(pair.d, pair.d_prime, budget=budget, designed_bound=designed)
+    got = compose_pair(pair, budget=budget, designed_bound=designed)
+    assert _fields(got) == _fields(want)
+    assert got.is_large and not got.is_isotropic
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_compose_pair_computes_no_containment_or_dual(monkeypatch, name):
+    pair = _pair(name)
+    want = steane_compose(pair.d, pair.d_prime)
+    _no_checks(monkeypatch)
+    assert _fields(compose_pair(pair)) == _fields(want)
+    with pytest.raises(AssertionError, match="containment or a dual"):
+        steane_compose(pair.d, pair.d_prime)  # the raw-code entry point keeps its checks
+
+
+EXT_HAMMING = binary_code(8, [0b11111111, 0b01010101, 0b00110011, 0b00001111])
+EVEN = binary_code(8, [(1 << i) | (1 << 7) for i in range(7)])
+# sha256 of the desk report as perfbench serializes it (sorted keys)
+DESK_REPORT_SHA256 = "b24683d31f584bed7a37aa919c86640ea4da7d787eb76fa4ba6e5d2c7e942755"
+
+
+@pytest.mark.parametrize("case", ["desk", "hermitian-m1"])
+def test_exact_params_compute_no_containment_or_dual(monkeypatch, case):
+    fcode = steane_compose(EXT_HAMMING, EVEN) if case == "desk" else compose_pair(_pair(case))
+    _no_checks(monkeypatch)
+    report = quantum_params(fcode)
+    assert report.d_exact
+    assert report.params() == ("[[8, 3, 3]]" if case == "desk" else "[[16, 8, 3]]")
+
+
+def test_the_desk_report_is_unchanged():
+    report = quantum_params(steane_compose(EXT_HAMMING, EVEN))
+    assert (report.params(), report.d_witness) == ("[[8, 3, 3]]", (3, 0, 0, 0, 0, 0, 2, 1))
+    text = json.dumps(report_to_obj(report), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == DESK_REPORT_SHA256
 
 
 # -- extend_basis ----------------------------------------------------------

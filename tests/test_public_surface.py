@@ -24,6 +24,7 @@ JUSTIFIED = {
     "linear.LinearCode.weighted_dual": "perfbench hook `linear.weighted_dual`",
     "linear.make_code": "perfbench hook `linear.make_code`",
     "pauli.check_error": "perfbench hook `pauli.check_error`",
+    "symplectic.steane_compose": "perfbench hook `symplectic.steane_compose`",
 }
 
 
