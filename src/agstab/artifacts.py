@@ -10,13 +10,17 @@ Formats (all deterministic, lowercase hex symbol rows):
   fcode:  a symplectic code as a binary length-2n code plus flags.
   report: quantum code parameters with the construction trace.
 
-A triple or pair is rebuilt from its construction on load and must
-serialize to exactly the file, apart from the CLI's ``provenance.flags``,
-every value in the writer's JSON type.  Rebuilt codes are compared with
-the file's decoded rows (``_Encoded``), so only a refusal hex-encodes a
-code: the one that differs.  The parameters a rebuild starts from are
-read first, each by its key path and JSON type (``_value``), so a file
-that lacks one or holds it as another type is refused by that path.
+Every artifact that is loaded is rebuilt and must serialize to exactly
+the file, apart from the CLI's ``provenance.flags``, every value in the
+writer's JSON type: a triple from its construction, a pair from its
+source triple and basis, and an fcode by ``make_symplectic`` from its own
+rows, with its recorded ``distance_bound`` and provenance carried over
+as the file holds them.  Rebuilt codes are compared with the file's
+decoded rows (``_Encoded``; the fcode's rows are decoded once, for the
+rebuild), so only a refusal hex-encodes a code: the one that differs.
+The parameters a rebuild starts from are read first, each by its key
+path and JSON type (``_value``), so a file that lacks one or holds it as
+another type is refused by that path.
 """
 
 from __future__ import annotations
@@ -127,13 +131,19 @@ def pair_to_obj(p: ExpandedPair, encode: Callable | None = None) -> dict[str, An
 def pair_from_obj(obj: dict[str, Any]) -> ExpandedPair:
     """The pair rebuilt from the file's source triple and basis, and compared as a triple is."""
     _expect_kind(obj, "binary_pair")
-    prov = obj["provenance"]
-    field = get_field(prov["basis_field_k"])
-    basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in prov["basis"]))
-    pair = expand_chain(triple_from_obj(prov["source"]), ExpansionMap(field=field, basis=basis))
+    field_k, texts, source = (
+        _value(obj, ("provenance", key), want)
+        for key, want in (("basis_field_k", int), ("basis", list), ("source", dict))
+    )
+    field = get_field(field_k)
+    try:
+        basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in texts))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"binary_pair holds no self-dual basis of {field} at ['provenance']['basis']: {exc}") from None
+    pair = expand_chain(triple_from_obj(source), ExpansionMap(field=field, basis=basis))
     want = pair_to_obj(pair, _Encoded)
     # triple_from_obj compared the source but for its provenance.flags, which a pair may not hold
-    want["provenance"]["source"] = _less_flags(prov["source"])
+    want["provenance"]["source"] = _less_flags(source)
     _expect_rebuilt(obj, want)
     return pair
 
@@ -150,11 +160,19 @@ class _Encoded:
         f, n = self.code.field, self.code.n
         try:
             rows = obj["generators"]
-            if type(rows) is list and np.array_equal(from_symbols(f, hex_to_symbols(f, rows, n)), self.code.matrix):
-                return {"field_k": f.k, "n": n, "generators": rows}
+            if type(rows) is list:
+                return _rows_or_encoded(self.code, rows, from_symbols(f, hex_to_symbols(f, rows, n)))
         except (KeyError, TypeError, ValueError):
             pass
         return code_to_obj(self.code)
+
+
+def _rows_or_encoded(code: LinearCode, rows: list, decoded: np.ndarray) -> dict[str, Any]:
+    """``code_to_obj(code)``, holding the hex ``rows`` themselves when
+    ``decoded``, their kernel matrix, is the code's."""
+    if np.array_equal(decoded, code.matrix):
+        return {"field_k": code.field.k, "n": code.n, "generators": rows}
+    return code_to_obj(code)
 
 
 def _less_flags(obj: dict[str, Any]) -> dict[str, Any]:
@@ -193,12 +211,15 @@ def _difference(got: Any, want: Any, path: str = "") -> str | None:
     return None if got == want else path
 
 
-def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
+def fcode_to_obj(
+    f: SymplecticCode, provenance: dict[str, Any] | None = None, encode: Callable | None = None
+) -> dict[str, Any]:
+    encode = encode or code_to_obj
     return {
         "kind": "symplectic_code",
         "n": f.n,
         "k_f": f.k_dim,
-        "space": code_to_obj(f.space),
+        "space": encode(f.space),
         "is_isotropic": f.is_isotropic,
         "is_large": f.is_large,
         "distance_bound": f.distance_bound,
@@ -207,40 +228,27 @@ def fcode_to_obj(f: SymplecticCode, provenance: dict[str, Any] | None = None) ->
 
 
 def fcode_from_obj(obj: dict[str, Any]) -> SymplecticCode:
-    """F eliminated once from the file's rows, its flags recomputed, never trusted.
+    """F rebuilt by ``make_symplectic`` from the file's rows, its flags
+    recomputed, and compared as a triple is.
 
-    Every value is read by its key path and JSON type (``_value``);
-    ``k_f`` and the flags must equal what the rows give, and
-    ``distance_bound`` must be null or an int >= 1.
+    The rebuild starts from ``n``, ``space.generators``, decoded once,
+    and the recorded ``distance_bound``: null, or an int >= 1, which is
+    carried as the file holds it.  So is the provenance.
     """
     _expect_kind(obj, "symplectic_code")
-    n, k_f, field_k, width, rows, isotropic, large = (
-        _value(obj, path, want)
-        for path, want in (
-            (("n",), int),
-            (("k_f",), int),
-            (("space", "field_k"), int),
-            (("space", "n"), int),
-            (("space", "generators"), list),
-            (("is_isotropic",), bool),
-            (("is_large",), bool),
-        )
-    )
+    n, rows = _value(obj, ("n",), int), _value(obj, ("space", "generators"), list)
+    _value(obj, ("provenance",), dict)  # carried over, less the CLI's flags
     # null, or else an int: a missing key is refused by _value
     bound = None if obj.get("distance_bound", 0) is None else _value(obj, ("distance_bound",), int)
     if bound is not None and bound < 1:
         raise ValueError(f"symplectic_code holds {bound} at ['distance_bound'], not a bound >= 1")
-    if (field_k, width) != (1, 2 * n):
-        raise ValueError(f"space is not a binary code of length 2n = {2 * n}")
-    rows = to_rows(from_symbols(GF2, hex_to_symbols(GF2, rows, 2 * n)))
-    rebuilt = make_symplectic(n, rows, distance_bound=bound)
-    for key, stored, got in (
-        ("k_f", k_f, rebuilt.k_dim),
-        ("is_isotropic", isotropic, rebuilt.is_isotropic),
-        ("is_large", large, rebuilt.is_large),
-    ):
-        if stored != got:
-            raise ValueError(f"symplectic_code holds {stored!r} at [{key!r}], but F's rows give {got!r}")
+    try:
+        decoded = from_symbols(GF2, hex_to_symbols(GF2, rows, 2 * n))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"symplectic_code holds no rows of 2n = {2 * n} bits at ['space']['generators']: {exc}") from None
+    rebuilt = make_symplectic(n, to_rows(decoded), distance_bound=bound)
+    want = fcode_to_obj(rebuilt, _less_flags(obj)["provenance"], lambda code: _rows_or_encoded(code, rows, decoded))
+    _expect_rebuilt(obj, want)
     return rebuilt
 
 

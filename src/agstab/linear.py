@@ -119,31 +119,19 @@ def to_symbols(field: Field, mat: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(mat.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-# Bit j of byte b of _BIT_REVERSE is bit 7 - j of b.
-_BIT_REVERSE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
-
 def _reverse_columns(src: np.ndarray, dst: np.ndarray, field: Field, n: int) -> None:
     """Write into ``dst`` the kernel matrix whose column j is column
     n - 1 - j of ``src``; ``dst`` may be ``src``.
 
-    Rows go in blocks of ``_NULL_BLOCK``, so the scratch is one block.
-    GF(2) stays packed: reversing the bytes of a row and the bits of
-    each byte reverses all 64 * words bits of it, and a shift down by
-    the padding width, carried across words, puts bit n - 1 at bit 0.
+    Rows go in blocks of ``_NULL_BLOCK``, so the scratch is one block,
+    unpacked to n bytes a row over GF(2).
     """
     for lo in range(0, len(src), _NULL_BLOCK):
         rows = slice(lo, lo + _NULL_BLOCK)
         if field.k > 1:
             dst[rows] = src[rows, ::-1]
         else:
-            dst[rows] = _BIT_REVERSE[src[rows].view(np.uint8)[:, ::-1]].view(_WORD)
-    pad = 64 * dst.shape[1] - n
-    if field.k == 1 and pad:
-        for w in range(dst.shape[1]):
-            dst[:, w] >>= np.uint64(pad)
-            if w + 1 < dst.shape[1]:
-                dst[:, w] |= dst[:, w + 1] << np.uint64(64 - pad)
+            dst[rows] = from_symbols(field, to_symbols(field, src[rows], n)[:, ::-1])
 
 
 def dual_code(field: Field, n: int, mat: np.ndarray) -> LinearCode:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .curves import DualChainTriple, build_dual_chain, enumerate_curve, HERMITIAN, LINE
 from .errors import PipelineError
 from .expansion import ExpandedPair, ExpansionMap, expand_chain
-from .fields import get_field, self_dual_basis, element_to_hex
+from .fields import self_dual_basis, element_to_hex
 from .linear import DEFAULT_BUDGET
 from .symplectic import (
     QuantumCodeReport,
@@ -104,7 +104,7 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
         )
 
     with _stage("descent"):
-        field = get_field(2 * cfg.m)
+        field = triple.field
         basis = self_dual_basis(field)
         emap = ExpansionMap(field=field, basis=basis)
         pair = expand_chain(triple, emap)
@@ -115,10 +115,8 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
             f"certified D' > D >= D^perp"
         )
 
-    designed = designed_quantum_bound(triple.designed_d, triple.designed_d_prime)
-
     with _stage("compose"):
-        fcode = compose_pair(pair, budget=cfg.distance_budget, designed_bound=designed)
+        fcode = compose_pair(pair, budget=cfg.distance_budget)
         trace.append(
             f"compose: k_F = {fcode.k_dim} = k_D + k_D', large certified; "
             f"recorded distance bound {fcode.distance_bound}"
@@ -137,6 +135,7 @@ def pipeline_build(cfg: PipelineConfig) -> PipelineRun:
                 "params",
                 f"rate bookkeeping failed: k_Q/n = {r_q} but R + R' - 1 = {r_sum}",
             )
+        designed = designed_quantum_bound(triple.designed_d, triple.designed_d_prime)
         extra = (
             f"rates: R_Q = {r_q} = R + R' - 1 exactly; designed bound "
             f"d_Q >= min({triple.designed_d}, ceil(3*{triple.designed_d_prime}/2)) = {designed}"

@@ -220,11 +220,7 @@ def steane_compose(
     return _compose(d, d_prime, ext, budget, designed_bound)
 
 
-def compose_pair(
-    pair: ExpandedPair,
-    budget: int = DEFAULT_BUDGET,
-    designed_bound: int | None = None,
-) -> SymplecticCode:
+def compose_pair(pair: ExpandedPair, budget: int = DEFAULT_BUDGET) -> SymplecticCode:
     """Enlarge the certified chain D' > D >= D_perp of ``pair``, rechecking neither relation.
 
     ``pair`` comes from ``expansion.expand_chain``, directly or through
@@ -233,13 +229,15 @@ def compose_pair(
     relations, which is why ``expand_chain`` trusts the triple.  So
     D' >= D fixes the extension rows' count at k' - k, and
     ``extension_rows`` runs no ``contains``; D^perp is not built.  The
-    result equals ``steane_compose(pair.d, pair.d_prime)``, and
-    ``make_symplectic``, the 2n-bit route ``verify`` runs, stays its
-    independent check.
+    bound recorded when the binary distances are out of budget is the
+    source's designed one, ``designed_quantum_bound`` of its designed
+    d and d'.  The result equals ``steane_compose(pair.d, pair.d_prime,
+    budget, designed_bound=that bound)``, and ``make_symplectic``, the
+    2n-bit route ``verify`` runs, stays its independent check.
     """
-    d, d_prime = pair.d, pair.d_prime
+    d, d_prime, src = pair.d, pair.d_prime, pair.source
     ext = extension_rows(d, d_prime, d_prime.k_dim - d.k_dim)
-    return _compose(d, d_prime, ext, budget, designed_bound)
+    return _compose(d, d_prime, ext, budget, designed_quantum_bound(src.designed_d, src.designed_d_prime))
 
 
 def _compose(

@@ -167,6 +167,22 @@ def test_a_matching_pair_is_compared_without_hex_encoding_d_or_d_prime(monkeypat
     assert artifacts.pair_to_obj(pair) == obj
 
 
+@pytest.mark.parametrize("tamper, path", [
+    (lambda prov: prov.pop("basis"), "['provenance']['basis']"),
+    (lambda prov: prov.update(basis_field_k=2.0), "['provenance']['basis_field_k']"),
+    (lambda prov: prov.update(basis_field_k=True), "['provenance']['basis_field_k']"),
+    (lambda prov: prov.update(basis=[int(e, 16) for e in prov["basis"]]), "['provenance']['basis']"),
+    (lambda prov: prov.pop("source"), "['provenance']['source']"),
+], ids=["basis-dropped", "field-k-float", "field-k-true", "basis-ints", "source-dropped"])
+def test_a_pair_basis_is_read_by_its_path(tamper, path):
+    obj = json.loads(json.dumps(artifacts.pair_to_obj(
+        expand_chain(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1), _self_dual_map(2))
+    )))
+    tamper(obj["provenance"])
+    with pytest.raises(ValueError, match=r"^binary_pair .*" + re.escape(path)):
+        artifacts.pair_from_obj(obj)
+
+
 def _self_dual_map(k):
     field = get_field(k)
     return ExpansionMap(field=field, basis=self_dual_basis(field))
@@ -312,6 +328,41 @@ def test_verify_refuses_an_fcode_value_by_its_path(tmp_path, capsys, key, value)
     assert main(["verify", "--code", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: symplectic_code ") and f"[{key!r}]" in err
+
+
+@pytest.mark.parametrize("tamper, key", [
+    (lambda f: f.update(extra=None), "['extra']"),  # a key added as null, not read as missing
+    (lambda f: f["space"]["generators"].reverse(), "['space']['generators']"),  # the same span, not F's RREF
+    (lambda f: f["space"].update(field_k=2), "['space']['field_k']"),
+    (lambda f: f["space"].update(n=33), "['space']['n']"),
+], ids=["extra-null", "rows-reversed", "space-field-k", "space-n"])
+def test_an_fcode_is_refused_at_the_first_key_that_differs_from_its_rebuild(tamper, key):
+    obj = _m1_fcode_obj()
+    obj["provenance"] = {"source_pair": "pair.json", "flags": {"out": "f.json"}}  # as agstab steane writes it
+    assert artifacts.fcode_to_obj(artifacts.fcode_from_obj(obj), {"source_pair": "pair.json"}) == {
+        **obj, "provenance": {"source_pair": "pair.json"}
+    }
+    tamper(obj)
+    with pytest.raises(ValueError, match=re.escape(f"differs from its rebuilt construction at {key}") + "$"):
+        artifacts.fcode_from_obj(obj)
+
+
+def test_an_fcode_with_rows_of_another_length_is_refused_at_its_rows():
+    obj = _m1_fcode_obj()
+    obj["space"]["generators"][0] += "0"
+    with pytest.raises(ValueError, match=re.escape("symplectic_code holds no rows of 2n = 32 bits at ['space']['generators']")):
+        artifacts.fcode_from_obj(obj)
+
+
+def test_a_matching_fcode_load_decodes_f_once_and_encodes_nothing(monkeypatch):
+    obj = _m1_fcode_obj()
+    decoded, encoded = [], []
+    hex_to_symbols, code_to_obj = artifacts.hex_to_symbols, artifacts.code_to_obj
+    monkeypatch.setattr(artifacts, "hex_to_symbols", lambda f, rows, n: decoded.append((f.k, n)) or hex_to_symbols(f, rows, n))
+    monkeypatch.setattr(artifacts, "code_to_obj", lambda c: encoded.append(c.field.k) or code_to_obj(c))
+    fcode = artifacts.fcode_from_obj(obj)
+    assert (decoded, encoded) == ([(1, 32)], [])
+    assert fcode.k_dim == 24 and fcode.is_large
 
 
 def test_an_fcode_with_a_null_bound_loads_without_one():

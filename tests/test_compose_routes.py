@@ -25,7 +25,7 @@ from agstab.errors import BudgetExceeded
 from agstab.expansion import ExpansionMap, expand_chain, expand_code
 from agstab.fields import get_field, self_dual_basis
 from agstab.linear import GF2, LinearCode, binary_code, code_from_rref, extend_basis, make_code
-from agstab.symplectic import _krawtchouk, compose_pair, quantum_params, steane_compose
+from agstab.symplectic import _krawtchouk, compose_pair, designed_quantum_bound, quantum_params, steane_compose
 
 from helpers import (
     extend_basis_rowwise,
@@ -71,20 +71,27 @@ def _fields(f):
     return f.space, f.n, f.is_isotropic, f.is_large, f.distance_bound
 
 
-@pytest.mark.parametrize("budget, designed", [(1 << 26, None), (1 << 8, 7)])
+def _designed(pair):
+    """The bound ``compose_pair`` records when D's and D''s distances are out of budget."""
+    return designed_quantum_bound(pair.source.designed_d, pair.source.designed_d_prime)
+
+
+@pytest.mark.parametrize("budget", [1 << 26, 1 << 8])
 @pytest.mark.parametrize("name", CHAINS)
-def test_compose_pair_equals_steane_compose(name, budget, designed):
+def test_compose_pair_equals_steane_compose(name, budget):
     pair = _pair(name)
-    want = steane_compose(pair.d, pair.d_prime, budget=budget, designed_bound=designed)
-    got = compose_pair(pair, budget=budget, designed_bound=designed)
+    want = steane_compose(pair.d, pair.d_prime, budget=budget, designed_bound=_designed(pair))
+    got = compose_pair(pair, budget=budget)
     assert _fields(got) == _fields(want)
     assert got.is_large and not got.is_isotropic
+    if budget == 1 << 8:  # D alone has more than 2^8 words on every chain
+        assert got.distance_bound == _designed(pair)
 
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_compose_pair_computes_no_containment_or_dual(monkeypatch, name):
     pair = _pair(name)
-    want = steane_compose(pair.d, pair.d_prime)
+    want = steane_compose(pair.d, pair.d_prime, designed_bound=_designed(pair))
     _no_checks(monkeypatch)
     assert _fields(compose_pair(pair)) == _fields(want)
     with pytest.raises(AssertionError, match="containment or a dual"):
