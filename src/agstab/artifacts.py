@@ -33,7 +33,7 @@ import numpy as np
 
 from .curves import DualChainTriple, build_dual_chain, enumerate_curve
 from .expansion import ExpandedPair, ExpansionMap, expand_chain
-from .fields import SelfDualBasis, element_to_hex, get_field, hex_to_symbols, symbols_to_hex
+from .fields import SelfDualBasis, element_to_hex, hex_to_symbols, symbols_to_hex
 from .linear import GF2, LinearCode, from_symbols, to_rows, to_symbols
 from .symplectic import QuantumCodeReport, SymplecticCode, make_symplectic
 
@@ -129,18 +129,20 @@ def pair_to_obj(p: ExpandedPair, encode: Callable | None = None) -> dict[str, An
 
 
 def pair_from_obj(obj: dict[str, Any]) -> ExpandedPair:
-    """The pair rebuilt from the file's source triple and basis, and compared as a triple is."""
+    """The pair rebuilt from the file's source triple and basis, and compared as a triple is.
+
+    The basis is read in the rebuilt triple's field, so ``basis_field_k``
+    is only compared with the rebuild, like any other recorded value.
+    """
     _expect_kind(obj, "binary_pair")
-    field_k, texts, source = (
-        _value(obj, ("provenance", key), want)
-        for key, want in (("basis_field_k", int), ("basis", list), ("source", dict))
-    )
-    field = get_field(field_k)
+    texts, source = (_value(obj, ("provenance", key), want) for key, want in (("basis", list), ("source", dict)))
+    triple = triple_from_obj(source)
+    field = triple.field
     try:
         basis = SelfDualBasis(field=field, elements=tuple(int(e, 16) for e in texts))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"binary_pair holds no self-dual basis of {field} at ['provenance']['basis']: {exc}") from None
-    pair = expand_chain(triple_from_obj(source), ExpansionMap(field=field, basis=basis))
+    pair = expand_chain(triple, ExpansionMap(field=field, basis=basis))
     want = pair_to_obj(pair, _Encoded)
     # triple_from_obj compared the source but for its provenance.flags, which a pair may not hold
     want["provenance"]["source"] = _less_flags(source)

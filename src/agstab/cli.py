@@ -89,27 +89,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# --type: (the default --max-delta, the curve on a delta grid for --m)
+_BOUND_CURVES = {
+    "gv4": (Fraction(19, 100), lambda grid, m: gv_curve(grid)),
+    "agq": (DELTA_2, lambda grid, m: ag_curve(m, grid)),
+    "envelope": (DELTA_2, lambda grid, m: envelope(grid)),
+}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     step = Fraction(args.step)
-    if args.type == "gv4":
-        stop = Fraction(args.max_delta) if args.max_delta else Fraction(19, 100)
-        curves = [gv_curve(delta_grid(step, stop))]
-    elif args.type == "agq":
-        if args.m is None:
-            print("--m is required for --type agq", file=sys.stderr)
-            return 2
-        stop = Fraction(args.max_delta) if args.max_delta else DELTA_2
-        curves = [ag_curve(args.m, delta_grid(step, stop))]
-    elif args.type == "envelope":
-        stop = Fraction(args.max_delta) if args.max_delta else DELTA_2
-        curves = [envelope(delta_grid(step, stop))]
-    else:  # pragma: no cover - argparse restricts choices
+    if args.type == "agq" and args.m is None:
+        print("--m is required for --type agq", file=sys.stderr)
         return 2
-    emit_csv(curves, args.out)
+    default_stop, curve_of = _BOUND_CURVES[args.type]
+    curve = curve_of(delta_grid(step, Fraction(args.max_delta) if args.max_delta else default_stop), args.m)
+    emit_csv([curve], args.out)
     print(
         json.dumps(
-            {"written": str(args.out), "samples": sum(len(c) for c in curves),
-             "flags": _flag_echo(args)},
+            {"written": str(args.out), "samples": len(curve), "flags": _flag_echo(args)},
             sort_keys=True,
         )
     )
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="emit rate-distance bound curves as CSV")
-    p.add_argument("--type", choices=["gv4", "agq", "envelope"], required=True)
+    p.add_argument("--type", choices=_BOUND_CURVES, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--step", required=True)
     p.add_argument("--max-delta", dest="max_delta")

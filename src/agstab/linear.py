@@ -124,14 +124,12 @@ def _reverse_columns(src: np.ndarray, dst: np.ndarray, field: Field, n: int) -> 
     n - 1 - j of ``src``; ``dst`` may be ``src``.
 
     Rows go in blocks of ``_NULL_BLOCK``, so the scratch is one block,
-    unpacked to n bytes a row over GF(2).
+    unpacked to n bytes a row over GF(2); over GF(2^k) both conversions
+    are the identity, so a block is a reversed view of ``src``.
     """
     for lo in range(0, len(src), _NULL_BLOCK):
         rows = slice(lo, lo + _NULL_BLOCK)
-        if field.k > 1:
-            dst[rows] = src[rows, ::-1]
-        else:
-            dst[rows] = from_symbols(field, to_symbols(field, src[rows], n)[:, ::-1])
+        dst[rows] = from_symbols(field, to_symbols(field, src[rows], n)[:, ::-1])
 
 
 def dual_code(field: Field, n: int, mat: np.ndarray) -> LinearCode:
@@ -757,18 +755,6 @@ def binary_code(n: int, bit_rows: Iterable[int]) -> LinearCode:
     return code_from_matrix(GF2, n, to_matrix(n, bit_rows))
 
 
-def extend_basis(sub: LinearCode, sup: LinearCode) -> list[int]:
-    """The dim(sub + sup) - dim sub rows completing binary ``sub``'s basis to one of sub + sup.
-
-    ``sup.contains(sub)`` fixes their count for ``extension_rows``:
-    k(sup) - k(sub) when it holds; otherwise k(sup), an upper bound, so
-    every generator of ``sup`` is reduced, in one block.
-    """
-    if not (sub.is_binary and sup.is_binary):
-        raise TypeError("basis extension is implemented for binary codes")
-    return extension_rows(sub, sup, sup.k_dim - sub.k_dim if sup.contains(sub) else sup.k_dim)
-
-
 def extension_rows(sub: LinearCode, sup: LinearCode, count: int) -> list[int]:
     """The first ``count`` rows completing binary ``sub``'s basis to one of
     sub + sup, or all dim(sub + sup) - dim sub of them when fewer.
@@ -783,7 +769,10 @@ def extension_rows(sub: LinearCode, sup: LinearCode, count: int) -> list[int]:
     at ``count`` rows, and each block of generators is as many as could
     still be needed, or as many as were reduced already, whichever is
     more.  When ``sup`` contains ``sub`` and ``count`` is k(sup) - k(sub),
-    the rows are all of them; the caller certifies that containment.
+    the rows are all of them; the caller certifies that containment
+    (``symplectic._compose``'s two front doors, ``quantum_params``'
+    coset transversal), and none is checked here.  A count of k(sup)
+    returns all of them whether or not ``sup`` contains ``sub``.
 
     Two expansions in the same basis take the remainders from their
     sources over GF(2^k): expansion is injective and GF(2)-linear and

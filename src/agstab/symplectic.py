@@ -7,12 +7,15 @@ GF(4) generator.  The form is then the plain binary pairing
 sum_j (a_j b'_j + a'_j b_j), which agrees with the coordinatewise trace
 of x times the conjugate of y.
 
-``compose_pair`` builds the enlarged code F from a descended chain
-D' > D >= D_perp that ``expansion.expand_chain`` certified, rechecking
-neither relation: its canonical RREF is assembled from D's and the
-r = k' - k extension rows, eliminating r rows of 2n bits, and both flags
-follow from D >= D_perp (the proof is in ``_compose``'s docstring).
-``steane_compose`` builds it from raw binary codes, checked first.
+``_compose`` builds the enlarged code F of a chain D' > D >= D_perp:
+its canonical RREF is assembled from D's and the r = k' - k extension
+rows, eliminating r rows of 2n bits, and both flags follow from
+D >= D_perp (the proof is in its docstring).  It has two front doors,
+which differ only in what they check and in the bound they record when
+the binary distances are out of budget: ``compose_pair`` takes a chain
+that ``expansion.expand_chain`` certified and rechecks neither
+relation; ``steane_compose`` takes raw binary codes and checks both by
+containment first.
 ``make_symplectic`` eliminates any generators over 2n bits and checks
 the flags by containment; ``verify`` and the tests keep it as the
 independent route.  F^omega has one construction, ``_form_dual``: the
@@ -64,7 +67,6 @@ from .linear import (
     _SPAN_BLOCK,
     binary_code,
     code_from_rref,
-    extend_basis,
     extension_rows,
     gray_span,
     nullspace,
@@ -192,32 +194,25 @@ def _mixed(rows) -> list:
 
 
 def steane_compose(
-    d: LinearCode,
-    d_prime: LinearCode,
-    budget: int = DEFAULT_BUDGET,
-    designed_bound: int | None = None,
+    d: LinearCode, d_prime: LinearCode, budget: int = DEFAULT_BUDGET
 ) -> SymplecticCode:
     """Enlarge the chain D' > D >= D_perp of raw binary codes, checking it first.
 
-    ``extend_basis`` returns dim(D + D') - k rows, k' - k exactly when
-    D' >= D, which its count so checks; D >= D^perp is checked on
-    ``d.dual()``.  Either failing raises ValueError, as does k' < k + 2.
-    Then ``_compose`` builds F from the r = k' - k rows; its docstring
+    D' >= D and D >= D^perp are checked by containment (``contains``,
+    which refuses codes of different lengths); either failing raises
+    ValueError, as does k' < k + 2 from ``_compose``.  No bound is
+    recorded when the binary distances are out of budget.  ``_compose``
     has the flags' proof and the memory, a traced peak of 4.1 MB (about
     1.6 F) at m=3.  ``compose_pair`` is the same construction for a
     chain that is certified already.
     """
     if not d.is_binary or not d_prime.is_binary:
         raise ValueError("composition takes binary codes")
-    if d_prime.n != d.n:
-        raise ValueError("codes have different lengths")
-    k, k_prime = d.k_dim, d_prime.k_dim
-    ext = extend_basis(d, d_prime)
-    if len(ext) != k_prime - k:
-        raise ValueError(f"D' does not contain D: dim(D + D') = {k + len(ext)} != k' = {k_prime}")
+    if not d_prime.contains(d):
+        raise ValueError("D' does not contain D")
     if not d.contains(d.dual()):
         raise ValueError("D does not contain its dual")
-    return _compose(d, d_prime, ext, budget, designed_bound)
+    return _compose(d, d_prime, budget, None)
 
 
 def compose_pair(pair: ExpandedPair, budget: int = DEFAULT_BUDGET) -> SymplecticCode:
@@ -226,31 +221,33 @@ def compose_pair(pair: ExpandedPair, budget: int = DEFAULT_BUDGET) -> Symplectic
     ``pair`` comes from ``expansion.expand_chain``, directly or through
     ``artifacts.pair_from_obj``: ``build_dual_chain`` certified its
     source triple, and expansion in a self-dual basis keeps both
-    relations, which is why ``expand_chain`` trusts the triple.  So
-    D' >= D fixes the extension rows' count at k' - k, and
-    ``extension_rows`` runs no ``contains``; D^perp is not built.  The
-    bound recorded when the binary distances are out of budget is the
-    source's designed one, ``designed_quantum_bound`` of its designed
-    d and d'.  The result equals ``steane_compose(pair.d, pair.d_prime,
-    budget, designed_bound=that bound)``, and ``make_symplectic``, the
-    2n-bit route ``verify`` runs, stays its independent check.
+    relations, which is why ``expand_chain`` trusts the triple.  So no
+    ``contains`` runs and D^perp is not built.  The bound recorded when
+    the binary distances are out of budget is the source's designed
+    one, ``designed_quantum_bound`` of its designed d and d'.  Otherwise
+    the result equals ``steane_compose(pair.d, pair.d_prime, budget)``,
+    and ``make_symplectic``, the 2n-bit route ``verify`` runs, stays its
+    independent check.
     """
-    d, d_prime, src = pair.d, pair.d_prime, pair.source
-    ext = extension_rows(d, d_prime, d_prime.k_dim - d.k_dim)
-    return _compose(d, d_prime, ext, budget, designed_quantum_bound(src.designed_d, src.designed_d_prime))
+    src = pair.source
+    return _compose(pair.d, pair.d_prime, budget, designed_quantum_bound(src.designed_d, src.designed_d_prime))
 
 
 def _compose(
-    d: LinearCode, d_prime: LinearCode, ext: list[int], budget: int, designed_bound: int | None
+    d: LinearCode, d_prime: LinearCode, budget: int, designed_bound: int | None
 ) -> SymplecticCode:
-    """The large code F of a chain D' > D >= D_perp and the r = k' - k rows
-    ``ext`` extending D to D', as ``extend_basis`` returns them.
+    """The large code F of a chain D' > D >= D_perp that the caller certified.
 
-    F is spanned by (g|0) and (0|g) for g in D, plus the r rows
-    (e_j|m_j), where the m_j are a fixed-point-free mixing of the e_j.
-    Records min(d(D), or-weight2(D')) as the distance bound when both
-    are enumerable within budget, otherwise ``designed_bound``.  Raises
-    ValueError when k' < k + 2.
+    F is spanned by (g|0) and (0|g) for g in D, plus the r = k' - k rows
+    (e_j|m_j): the e_j extend D to D' (``extension_rows`` with count r,
+    which D' >= D makes all of them, no ``contains`` run), and the m_j
+    are a fixed-point-free mixing of the e_j.  Records
+    min(d(D), or-weight2(D')) as the distance bound when both are
+    enumerable within budget, otherwise ``designed_bound``.  The
+    OR-weight is asked for first: D' has more pairs than D has words
+    (k' >= k + 2), so D is within budget whenever it is, and when it is
+    refused no word of D has been enumerated.  Raises ValueError when
+    k' < k + 2.
 
     F's RREF is assembled by ``_grown_rref``, not eliminated over 2n
     bits (the e_j are remainders modulo D, so they and the m_j vanish
@@ -274,12 +271,12 @@ def _compose(
 
     bound = designed_bound
     try:
-        d_val = d.min_distance_exact(budget)
         d2_val = d_prime.second_or_weight(budget)
-        bound = quantum_bound(d_val, d2_val)
+        bound = quantum_bound(d.min_distance_exact(budget), d2_val)
     except BudgetExceeded:
         pass
 
+    ext = extension_rows(d, d_prime, k_prime - k)
     space = _grown_rref(d, [e | (m << n) for e, m in zip(ext, _mixed(ext))])
     return SymplecticCode(n, space, is_isotropic=False, is_large=True, distance_bound=bound)
 

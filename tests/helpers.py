@@ -8,7 +8,8 @@
   ``artifacts.code_to_obj`` and ``artifacts.report_to_obj``;
 - ``parse_csv``: the inverse of ``bounds.emit_csv``;
 - oracles, the routes that faster ones replaced: ``extend_basis_rowwise``
-  (every generator reduced on its bits, then one echelon step per row),
+  (``extension_rows`` as every generator reduced on its bits, then one
+  echelon step per row),
   ``second_or_weight_pairwise`` (one OR and popcount per word against
   every later word) and ``krawtchouk_sum`` (the binomial sum).
 """
@@ -153,9 +154,11 @@ def parse_csv(path: str | Path) -> list[BoundCurve]:
 
 
 def extend_basis_rowwise(sub: LinearCode, sup: LinearCode) -> list[int]:
-    """``linear.extend_basis`` as it was: every generator of ``sup``
-    reduced modulo ``sub`` on its bits, then each nonzero remainder, in
-    order, kept and cleared at its lowest set bit from the later ones."""
+    """All dim(sub + sup) - dim sub rows extending ``sub``, as
+    ``linear.extension_rows`` returns them, by the route it replaced:
+    every generator of ``sup`` reduced modulo ``sub`` on its bits, then
+    each nonzero remainder, in order, kept and cleared at its lowest set
+    bit from the later ones."""
     rem = reduce(sup.matrix, sub.matrix, sub.pivots, GF2)
     kept = []
     for i, row in enumerate(rem):

@@ -8,7 +8,7 @@ from agstab import artifacts, pauli
 from agstab.cli import main
 from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.expansion import ExpansionMap, expand_chain
-from agstab.fields import EPS, EPS_BAR, get_field, self_dual_basis
+from agstab.fields import EPS, EPS_BAR, element_to_hex, get_field, self_dual_basis
 from agstab.linear import binary_code, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import make_symplectic
@@ -173,7 +173,13 @@ def test_a_matching_pair_is_compared_without_hex_encoding_d_or_d_prime(monkeypat
     (lambda prov: prov.update(basis_field_k=True), "['provenance']['basis_field_k']"),
     (lambda prov: prov.update(basis=[int(e, 16) for e in prov["basis"]]), "['provenance']['basis']"),
     (lambda prov: prov.pop("source"), "['provenance']['source']"),
-], ids=["basis-dropped", "field-k-float", "field-k-true", "basis-ints", "source-dropped"])
+    # the basis is read in the source triple's field, GF(4), whatever basis_field_k names
+    (lambda prov: prov.update(basis_field_k=4), "['provenance']['basis_field_k']"),
+    (lambda prov: prov.update(basis_field_k=4, basis=[element_to_hex(get_field(4), e)
+                                                      for e in self_dual_basis(get_field(4)).elements]),
+     "['provenance']['basis']"),
+], ids=["basis-dropped", "field-k-float", "field-k-true", "basis-ints", "source-dropped",
+        "field-k-other", "basis-of-the-other-field"])
 def test_a_pair_basis_is_read_by_its_path(tamper, path):
     obj = json.loads(json.dumps(artifacts.pair_to_obj(
         expand_chain(build_dual_chain(enumerate_curve("hermitian", 2), 3, 1), _self_dual_map(2))

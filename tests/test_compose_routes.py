@@ -3,8 +3,8 @@ the route it replaced (the oracles in ``helpers``).
 
 - ``compose_pair``: the certified pair's chain, not rechecked, against
   ``steane_compose`` on the same codes, which checks it;
-- ``extend_basis``: remainders from the GF(2^k) sources, stopped at the
-  count that ``sup.contains(sub)`` certifies;
+- ``extension_rows``: remainders from the GF(2^k) sources, stopped at
+  the count the caller certifies;
 - ``second_or_weight``: blocks of message-indexed weights in place of a
   loop per word;
 - ``_krawtchouk``: the three-term recurrence in place of binomial sums.
@@ -24,7 +24,7 @@ from agstab.curves import build_dual_chain, enumerate_curve
 from agstab.errors import BudgetExceeded
 from agstab.expansion import ExpansionMap, expand_chain, expand_code
 from agstab.fields import get_field, self_dual_basis
-from agstab.linear import GF2, LinearCode, binary_code, code_from_rref, extend_basis, make_code
+from agstab.linear import GF2, LinearCode, binary_code, code_from_rref, extension_rows, make_code
 from agstab.symplectic import _krawtchouk, compose_pair, designed_quantum_bound, quantum_params, steane_compose
 
 from helpers import (
@@ -76,24 +76,32 @@ def _designed(pair):
     return designed_quantum_bound(pair.source.designed_d, pair.source.designed_d_prime)
 
 
+def _assert_same_but_the_fallback_bound(got, want, pair):
+    """``compose_pair``'s code against ``steane_compose``'s: equal, but
+    where the distances are out of budget, ``steane_compose`` records no
+    bound and ``compose_pair`` the source's designed one."""
+    assert _fields(got)[:-1] == _fields(want)[:-1]
+    assert got.distance_bound == (_designed(pair) if want.distance_bound is None else want.distance_bound)
+
+
 @pytest.mark.parametrize("budget", [1 << 26, 1 << 8])
 @pytest.mark.parametrize("name", CHAINS)
 def test_compose_pair_equals_steane_compose(name, budget):
     pair = _pair(name)
-    want = steane_compose(pair.d, pair.d_prime, budget=budget, designed_bound=_designed(pair))
+    want = steane_compose(pair.d, pair.d_prime, budget=budget)
     got = compose_pair(pair, budget=budget)
-    assert _fields(got) == _fields(want)
+    _assert_same_but_the_fallback_bound(got, want, pair)
     assert got.is_large and not got.is_isotropic
     if budget == 1 << 8:  # D alone has more than 2^8 words on every chain
-        assert got.distance_bound == _designed(pair)
+        assert want.distance_bound is None and got.distance_bound == _designed(pair)
 
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_compose_pair_computes_no_containment_or_dual(monkeypatch, name):
     pair = _pair(name)
-    want = steane_compose(pair.d, pair.d_prime, designed_bound=_designed(pair))
+    want = steane_compose(pair.d, pair.d_prime)
     _no_checks(monkeypatch)
-    assert _fields(compose_pair(pair)) == _fields(want)
+    _assert_same_but_the_fallback_bound(compose_pair(pair), want, pair)
     with pytest.raises(AssertionError, match="containment or a dual"):
         steane_compose(pair.d, pair.d_prime)  # the raw-code entry point keeps its checks
 
@@ -120,16 +128,30 @@ def test_the_desk_report_is_unchanged():
     assert hashlib.sha256(text).hexdigest() == DESK_REPORT_SHA256
 
 
-# -- extend_basis ----------------------------------------------------------
+def test_compose_refuses_the_or_weight_before_it_enumerates_d(monkeypatch):
+    # the m=1 D' has 2^14 - 1 words, over 2^26 pairs: D's 2^10 words go unused
+    pair = _pair("hermitian-m1")
+    assert steane_compose(EXT_HAMMING, EVEN).distance_bound == 3  # both within budget
+
+    def refuse(self, budget):
+        raise AssertionError("D's words were enumerated")
+
+    monkeypatch.setattr(LinearCode, "min_distance_exact", refuse)
+    assert compose_pair(pair).distance_bound == _designed(pair) == 2
+    assert steane_compose(pair.d, pair.d_prime).distance_bound is None
+
+
+# -- extension_rows --------------------------------------------------------
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_extension_rows_match_the_rowwise_route_on_shipped_pairs(name):
     pair = _pair(name)
     d, d_prime = pair.d, pair.d_prime
     want = extend_basis_rowwise(d, d_prime)
-    assert len(want) == d_prime.k_dim - d.k_dim
-    assert extend_basis(d, d_prime) == want  # from the GF(2^k) sources
-    assert extend_basis(_plain(d), _plain(d_prime)) == want  # on the bits
+    r = d_prime.k_dim - d.k_dim
+    assert len(want) == r
+    assert extension_rows(d, d_prime, r) == want  # from the GF(2^k) sources
+    assert extension_rows(_plain(d), _plain(d_prime), r) == want  # on the bits
 
 
 def _random_expanded_pair(k, n, nested, rng):
@@ -147,8 +169,9 @@ def _random_expanded_pair(k, n, nested, rng):
 def test_extension_rows_match_the_rowwise_route_on_random_expanded_chains(k, n, nested, seed):
     sub, sup = _random_expanded_pair(k, n, nested, random.Random(1000 * k + 10 * n + seed))
     want = extend_basis_rowwise(sub, sup)
-    assert extend_basis(sub, sup) == want
-    assert extend_basis(_plain(sub), _plain(sup)) == want
+    count = sup.k_dim - sub.k_dim if nested else sup.k_dim  # k(sup) bounds dim(sub + sup) - k(sub)
+    assert extension_rows(sub, sup, count) == want
+    assert extension_rows(_plain(sub), _plain(sup), count) == want
     if nested:
         assert len(want) == sup.k_dim - sub.k_dim
 
@@ -162,11 +185,11 @@ def test_m2_extension_reduces_only_the_source_rows_it_keeps(monkeypatch):
         return real(vecs, basis, pivots, field)
 
     monkeypatch.setattr(linear_module, "reduce", recording)
-    ext = extend_basis(pair.d, pair.d_prime)
-    # D' >= D on the GF(16) sources (C's 35 rows modulo C'), then the
-    # first 4 of C''s 39 rows, whose 16 expanded remainders are the rows
+    ext = extension_rows(pair.d, pair.d_prime, pair.d_prime.k_dim - pair.d.k_dim)
+    # the first 4 of C''s 39 GF(16) source rows, whose 16 expanded
+    # remainders are the rows; no containment is reduced
     assert len(ext) == 16
-    assert seen == [(4, 64, pair.d.k_dim // 4), (4, 64, 4)]
+    assert seen == [(4, 64, 4)]
 
 
 # -- second_or_weight ------------------------------------------------------

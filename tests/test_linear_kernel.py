@@ -41,7 +41,7 @@ from agstab.linear import (
     _reverse_columns,
     binary_code,
     code_from_matrix,
-    extend_basis,
+    extension_rows,
     from_symbols,
     gray_span,
     make_code,
@@ -527,7 +527,7 @@ def reference_extend_basis(sub, sup):
 
 @settings(deadline=None)
 @given(matrices(ks=(1,)), st.integers(0, 2**32 - 1))
-def test_extend_basis_matches_the_sequential_procedure(case, seed):
+def test_extension_rows_match_the_sequential_procedure(case, seed):
     field, n, symbols = case
     sup = code_from_matrix(field, n, from_symbols(field, symbols))
     rng = random.Random(seed)
@@ -539,7 +539,7 @@ def test_extend_basis_matches_the_sequential_procedure(case, seed):
                 v ^= row
         combos.append(v)
     sub = binary_code(n, combos)
-    ext = extend_basis(sub, sup)
+    ext = extension_rows(sub, sup, sup.k_dim - sub.k_dim)
     assert ext == reference_extend_basis(sub, sup)
     assert len(ext) == sup.k_dim - sub.k_dim
     assert binary_code(n, list(sub.bit_rows) + ext) == sup

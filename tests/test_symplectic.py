@@ -9,7 +9,7 @@ import agstab.symplectic as symplectic_module
 from agstab import artifacts
 from agstab.errors import BudgetExceeded, CertificationError
 from agstab.fields import EPS, EPS_BAR, get_field
-from agstab.linear import binary_code, extend_basis, gray_span, make_code
+from agstab.linear import binary_code, extension_rows, gray_span, make_code
 from agstab.pipeline import PipelineConfig, pipeline_build
 from agstab.symplectic import (
     _block_weights,
@@ -160,6 +160,8 @@ class TestSteaneCompose:
         sup = binary_code(8, [1, 2, 4, 8])
         with pytest.raises(ValueError, match="D does not contain its dual"):
             steane_compose(no_dual, sup)
+        with pytest.raises(ValueError, match="codes have different lengths"):
+            steane_compose(EXT_HAMMING, binary_code(9, [1 << i for i in range(9)]))
 
     def test_dimension_bookkeeping(self):
         f = steane_compose(EXT_HAMMING, EVEN)
@@ -280,7 +282,7 @@ def _reference_min_weight_difference(big, small, n):
     mask = (1 << n) - 1
     sub = _gray(small.bit_rows)
     best, witness = n + 1, 0
-    for rep in _gray(extend_basis(small, big))[1:]:
+    for rep in _gray(extension_rows(small, big, big.k_dim - small.k_dim))[1:]:
         for s in sub:
             v = rep ^ s
             w = ((v & mask) | (v >> n)).bit_count()
@@ -536,13 +538,13 @@ def test_search_disagreeing_with_the_floor_is_refused(monkeypatch, floor):
 
 # -- steane_compose's chain route against the 2n-bit route ----------------
 
-def _two_n_bit_route(d, d_prime, budget, designed):
+def _two_n_bit_route(d, d_prime, budget):
     """The composition as ``make_symplectic`` on all (g|0), (0|g), (e|m) generators."""
     n = d.n
-    ext = extend_basis(d, d_prime)
+    ext = extension_rows(d, d_prime, d_prime.k_dim - d.k_dim)
     mixed = ext[1:] + [ext[0] ^ ext[1]]
     gens = [*d.bit_rows, *(g << n for g in d.bit_rows), *(e | m << n for e, m in zip(ext, mixed))]
-    bound = designed
+    bound = None
     try:
         bound = quantum_bound(d.min_distance_exact(budget), d_prime.second_or_weight(budget))
     except BudgetExceeded:
@@ -550,9 +552,9 @@ def _two_n_bit_route(d, d_prime, budget, designed):
     return make_symplectic(n, gens, distance_bound=bound)
 
 
-def _assert_routes_agree(d, d_prime, budget=1 << 26, designed=None):
-    got = steane_compose(d, d_prime, budget=budget, designed_bound=designed)
-    want = _two_n_bit_route(d, d_prime, budget, designed)
+def _assert_routes_agree(d, d_prime, budget=1 << 26):
+    got = steane_compose(d, d_prime, budget=budget)
+    want = _two_n_bit_route(d, d_prime, budget)
     assert (got.space, got.dual_space) == (want.space, want.dual_space)
     assert (got.is_isotropic, got.is_large, got.distance_bound) == (
         want.is_isotropic, want.is_large, want.distance_bound
@@ -571,13 +573,16 @@ SHIPPED_CHAINS = {
 @pytest.mark.parametrize("name", SHIPPED_CHAINS)
 def test_compose_matches_the_2n_bit_route_on_shipped_chains(name):
     run = pipeline_build(PipelineConfig(**SHIPPED_CHAINS[name]))
+    _assert_routes_agree(run.pair.d, run.pair.d_prime)
+    raw = steane_compose(run.pair.d, run.pair.d_prime)
+    assert run.fcode.space == raw.space
+    # out of budget, the pipeline's compose_pair records the designed bound and steane_compose none
     designed = designed_quantum_bound(run.triple.designed_d, run.triple.designed_d_prime)
-    _assert_routes_agree(run.pair.d, run.pair.d_prime, designed=designed)
-    assert run.fcode.space == steane_compose(run.pair.d, run.pair.d_prime).space
+    assert run.fcode.distance_bound == (designed if raw.distance_bound is None else raw.distance_bound)
 
 
 def test_compose_matches_the_2n_bit_route_on_the_desk_code():
-    _assert_routes_agree(EXT_HAMMING, EVEN, designed=2)
+    _assert_routes_agree(EXT_HAMMING, EVEN)
 
 
 def _random_chain(n, seed):
@@ -603,22 +608,22 @@ RANDOM_CHAINS = [
 @pytest.mark.parametrize("n, seed", RANDOM_CHAINS)
 def test_compose_matches_the_2n_bit_route_on_random_chains(n, seed):
     d, d_prime = _random_chain(n, seed)
-    # budget 2^12: small codes record the enumerated bound, larger ones the designed one
-    _assert_routes_agree(d, d_prime, budget=1 << 12, designed=1)
+    # budget 2^12: small codes record the enumerated bound, larger ones none
+    _assert_routes_agree(d, d_prime, budget=1 << 12)
 
 
 @pytest.mark.parametrize("chain", [(EXT_HAMMING, EVEN), _random_chain(65, 1)], ids=["desk", "n65"])
 def test_an_extension_row_at_a_pivot_is_refused(monkeypatch, chain):
     # F's span is unchanged, but e_0 is no longer a remainder modulo D, so
     # the assembled rows are no RREF; the certificate must catch it.
-    real = symplectic_module.extend_basis
+    real = symplectic_module.extension_rows
 
-    def crooked(sub, sup):
-        rows = real(sub, sup)
+    def crooked(sub, sup, count):
+        rows = real(sub, sup, count)
         rows[0] ^= sub.bit_rows[0]  # a bit at D's first pivot
         return rows
 
-    monkeypatch.setattr(symplectic_module, "extend_basis", crooked)
+    monkeypatch.setattr(symplectic_module, "extension_rows", crooked)
     with pytest.raises(CertificationError, match="reduced row echelon|pivots do not increase"):
         steane_compose(*chain)
 
@@ -736,12 +741,12 @@ def test_m2_form_dual_is_eliminated_on_first_read_only(monkeypatch):
 
 
 @pytest.mark.parametrize("extra", [3, 5])
-def test_a_d_prime_missing_d_is_refused_by_the_extension_rank(extra):
+def test_a_d_prime_missing_d_is_refused_by_containment(extra):
     # D less its last row, plus `extra` random rows: k' = k - 1 + extra >= k + 2
     d, _ = _random_chain(65, 1)
     rng = random.Random(extra)
     d_bad = binary_code(65, [*d.bit_rows[:-1], *(rng.getrandbits(65) for _ in range(extra))])
     assert d_bad.k_dim == d.k_dim - 1 + extra and not d_bad.contains(d)
-    assert len(extend_basis(d, d_bad)) == d_bad.k_dim - d.k_dim + 1
+    assert len(extension_rows(d, d_bad, d_bad.k_dim)) == d_bad.k_dim - d.k_dim + 1
     with pytest.raises(ValueError, match="D' does not contain D"):
         steane_compose(d, d_bad)
