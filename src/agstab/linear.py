@@ -19,7 +19,9 @@ Python ints; ``to_matrix``/``to_rows`` are that GF(2) int boundary.
 ``nullspace`` work on its output.  ``rref`` and ``reduce`` update rows
 by table gathers.  Over GF(2), the Method of Four Russians (Albrecht,
 Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
-``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums.
+``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums;
+``rref`` finds a block's pivot rows, and the sum of them at each pivot,
+in one Gauss-Jordan pass over the block's 8-bit values as Python ints.
 Over GF(2^k), ``rref`` tables each pivot row's q multiples, and
 ``reduce`` those of ``_REDUCE_ROWS`` basis rows together, on the free
 columns only (as in M4RIE: Albrecht, ISSAC 2012).
@@ -71,8 +73,8 @@ _RREF_BLOCK = 128
 _BLOCK_COLS = 8
 # Basis rows per GF(2^k) ``reduce`` table; 16 would raise its peak.
 _REDUCE_ROWS = 8
-# Nonzero block values that ``_pivot_rows`` inserts one by one before it
-# switches to whole-column scans; a dense block fills within about 10.
+# Nonzero block values that ``_pivot_rows`` converts to Python ints at a
+# time; a dense block fills within about 10, so most blocks take one.
 _PLAN_ROWS = 32
 # Cells per enumeration block: 2^16 words are 512 KB, and a consumer's
 # temporaries (XOR, popcount) stay within a few times that.
@@ -192,50 +194,46 @@ def _xor_gathered(mat: np.ndarray, w: int, table: np.ndarray, idx: np.ndarray) -
         mat[hit, w:] ^= np.take(table, idx[hit], axis=0)
 
 
-def _pivot_rows(block: np.ndarray, r: int, width: int) -> tuple[list[int], list[int]]:
-    """The pivot rows of a Four-Russians block and their block values.
+def _pivot_rows(block: np.ndarray, r: int, width: int) -> tuple[list[int], list[int], list[int]]:
+    """The pivot rows of a Four-Russians block, its pivot bits and their combinations.
 
     ``block`` holds every row's value in the block's ``width`` columns;
-    rows r and below are zero left of it.  A row is picked when its value
-    lies outside the span of the values of the rows above it (from r),
-    until ``width`` picks.  The first ``_PLAN_ROWS`` nonzero values are
-    inserted into an XOR basis as Python ints, which fills a dense
-    block; past them, each further pick is the first row whose value
-    the boolean table of the span so far misses.
+    rows r and below are zero left of it.  Their nonzero values go in row
+    order, ``_PLAN_ROWS`` at a time as Python ints, into one Gauss-Jordan
+    basis keyed by lowest set bit: a value is reduced at the basis's
+    pivot bits, and a nonzero remainder picks its row, becomes the entry
+    at its own lowest bit and is cleared from the other entries, until
+    ``width`` picks.  Each entry carries the combination of picked rows
+    (bit i: the i-th pick) whose values sum to it.  Returns the picked
+    rows, the pivot bits (1 << column in the block) in increasing order,
+    and for each the combination whose value has a single 1 among the
+    pivot bits, its own.
     """
     nonzero = r + np.flatnonzero(block[r:])
-    head = nonzero[:_PLAN_ROWS]
     rows: list[int] = []
-    vals: list[int] = []
-    basis: list[tuple[int, int]] = []  # (leading bit, value), largest first
-    for i, v in zip(head.tolist(), block[head].tolist()):
-        x = v
-        for lead, b in basis:
-            if x & lead:
-                x ^= b
-        if x:
-            basis.append((1 << x.bit_length() - 1, x))
-            basis.sort(reverse=True)
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit: (value, combination)
+    for lo in range(0, len(nonzero), _PLAN_ROWS):
+        if len(rows) == width:
+            break
+        head = nonzero[lo : lo + _PLAN_ROWS]
+        for i, x in zip(head.tolist(), block[head].tolist()):
+            comb = 1 << len(rows)
+            for low, (v, c) in basis.items():
+                if x & low:
+                    x ^= v
+                    comb ^= c
+            if not x:
+                continue
+            low = x & -x
+            for key, (v, c) in basis.items():
+                if v & low:
+                    basis[key] = (v ^ x, c ^ comb)
+            basis[low] = (x, comb)
             rows.append(i)
-            vals.append(v)
             if len(rows) == width:
-                return rows, vals
-    rest = nonzero[_PLAN_ROWS:]
-    if rest.size:
-        values = np.arange(1 << width)
-        span = values == 0
-        for v in vals:
-            span |= span[values ^ v]
-        while len(rows) < width:
-            outside = np.flatnonzero(~span[block[rest]])
-            if not outside.size:
                 break
-            i = int(rest[outside[0]])
-            rows.append(i)
-            vals.append(int(block[i]))
-            span |= span[values ^ vals[-1]]
-            rest = rest[outside[0] + 1 :]
-    return rows, vals
+    lows = sorted(basis)
+    return rows, lows, [basis[low][1] for low in lows]
 
 
 def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
@@ -245,13 +243,15 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     table gather:
 
     - GF(2): columns go in blocks of ``_BLOCK_COLS`` inside one word
-      (Four Russians).  The block's pivot rows are those not yet used
-      whose block value lies outside the span of the values above them
-      (``_pivot_rows``); they are brought into Gauss-Jordan form among
-      themselves through the table of their 2^j XOR combinations, and
-      one gather of that table (``_xor_gathered``) clears the block
-      from every row that has a bit in it, above and below.  The RREF
-      is unique, so which rows are picked changes no output.
+      (Four Russians).  One pass over the block values of the rows not
+      yet used (``_pivot_rows``) picks the pivot rows, those whose value
+      lies outside the span of the values above them, and gives the
+      combination of them that is the reduced row at each pivot bit.
+      A block value indexes the table of the pivot rows' 2^j XOR
+      combinations at the sum of the combinations at its pivot bits, and
+      one gather of it (``_xor_gathered``) clears the block's pivot
+      columns from every row, above and below.  The RREF is unique, so
+      which rows are picked changes no output.
     - GF(2^k): per pivot, the pivot row's q multiples (from the pivot
       on) are tabled, and each row is cleared by a gather of the one
       its pivot-column entry names.
@@ -276,7 +276,7 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
         w, shift = c0 >> 6, np.uint64(c0 & 63)
         width = min(_BLOCK_COLS, n - c0)
         block = (mat[:, w] >> shift) & np.uint64((1 << width) - 1)
-        rows, vals = _pivot_rows(block, r, width)
+        rows, lows, combs = _pivot_rows(block, r, width)
         if not rows:
             # rows r.. are zero up to c0 + width: on to their lowest set bit
             live = np.bitwise_or.reduce(mat[r:, w:], axis=0)
@@ -287,33 +287,15 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
             c = 64 * (w + int(words[0])) + (low & -low).bit_length() - 1
             c0 = c - c % _BLOCK_COLS
             continue
-        # Gauss-Jordan on the picked values: combs[t] is the combination
-        # of pivot rows (bit i: rows[i]) whose block value has a single 1
-        # among the pivot bits, at lows[t].
-        j = len(rows)
-        combs = [1 << t for t in range(j)]
-        lows = []
-        for t in range(j):
-            p = min(range(t, j), key=lambda i: vals[i] & -vals[i])
-            vals[t], vals[p] = vals[p], vals[t]
-            combs[t], combs[p] = combs[p], combs[t]
-            low = vals[t] & -vals[t]
-            for i in range(j):
-                if i != t and vals[i] & low:
-                    vals[i] ^= vals[t]
-                    combs[i] ^= combs[t]
-            lows.append(low)
-        # A block value selects the sum of the reduced rows at its pivot
-        # bits, which is the pivot-row combination lut[value]; lut[0] = 0
-        # selects the zero row of the table.
+        # lut[value] is the combination of pivot rows at its pivot bits;
+        # lut[0] = 0 selects the zero row of the table.
         comb_at = dict(zip(lows, combs))
-        lut = np.zeros(1 << width, dtype=np.intp)
-        for i in range(width):
-            lut[1 << i : 2 << i] = lut[: 1 << i] ^ comb_at.get(1 << i, 0)
+        lut = _xor_table(np.array([[comb_at.get(1 << i, 0)] for i in range(width)]))[:, 0]
         table = _xor_table(mat[rows, w:])
         _xor_gathered(mat, w, table, lut[block])
         # The pivot rows are now zero: rows r.. take the reduced rows, and
         # the rows they held move into the freed slots.
+        j = len(rows)
         freed = [i for i in rows if i >= r + j]
         mat[freed, w:] = mat[[i for i in range(r, r + j) if i not in rows], w:]
         mat[r : r + j, w:] = table[combs]
@@ -643,12 +625,12 @@ class LinearCode:
         """
         if not self.is_binary:
             raise TypeError("the OR-weight is defined for binary codes only")
-        m = (1 << self.k_dim) - 1
+        k = self.k_dim
+        m = (1 << k) - 1
         if m < 2:
             raise ValueError("need at least two nonzero codewords")
-        pairs = m * (m - 1) // 2
-        if pairs > budget:
-            raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
+        if m * (m - 1) // 2 > budget:  # named by k: a large k has too many digits to print
+            raise BudgetExceeded(f"(2^{k} - 1)(2^{k} - 2)/2 codeword pairs exceed budget {budget}")
         msg = np.arange(m + 1, dtype=np.int32)
         wt = np.empty(m + 1, dtype=np.int32)
         # gray_span's word t is the sum of the rows at the bits of t ^ (t >> 1)

@@ -399,18 +399,14 @@ class DetectabilityReport:
     checked: int
     passed: bool
     violations: tuple[tuple[int, ...], ...]
-    rationale: str
-
-
-_RATIONALE = (
-    "Pauli words span every operator supported on fewer than dmax "
-    "coordinates, and the projector condition is linear in the error, "
-    "so checking Pauli words suffices."
-)
 
 
 def detectability_check(p: RangeBasis, dmax: int) -> DetectabilityReport:
     """Verify P E P = lambda_E P for every Pauli error of weight < dmax.
+
+    Pauli words span every operator supported on fewer than dmax
+    coordinates, and the projector condition is linear in the error, so
+    checking Pauli words suffices.
 
     The words of each weight, in ``weight_words`` order, go through the
     kernel of ``check_error`` in blocks of _SPAN_BLOCK / (rank 2^r)
@@ -435,13 +431,11 @@ def detectability_check(p: RangeBasis, dmax: int) -> DetectabilityReport:
             if len(violations) == MAX_VIOLATIONS:
                 checked += int(bad[-1]) + 1
                 return DetectabilityReport(
-                    n=n, dmax=dmax, checked=checked, passed=False,
-                    violations=tuple(violations), rationale=_RATIONALE,
+                    n=n, dmax=dmax, checked=checked, passed=False, violations=tuple(violations)
                 )
             checked += len(block)
     return DetectabilityReport(
-        n=n, dmax=dmax, checked=checked, passed=not violations,
-        violations=tuple(violations), rationale=_RATIONALE,
+        n=n, dmax=dmax, checked=checked, passed=not violations, violations=tuple(violations)
     )
 
 

@@ -177,10 +177,10 @@ def extend_basis_rowwise(sub: LinearCode, sup: LinearCode) -> list[int]:
 def second_or_weight_pairwise(code: LinearCode, budget: int) -> int:
     """The OR-weight over pairs of distinct nonzero words, each word ORed
     with every later one."""
-    m = (1 << code.k_dim) - 1
-    pairs = m * (m - 1) // 2
-    if pairs > budget:
-        raise BudgetExceeded(f"{pairs} codeword pairs exceed budget {budget}")
+    k = code.k_dim
+    m = (1 << k) - 1
+    if m * (m - 1) // 2 > budget:
+        raise BudgetExceeded(f"(2^{k} - 1)(2^{k} - 2)/2 codeword pairs exceed budget {budget}")
     words = np.concatenate(list(gray_span(code.matrix)))[1:]  # drop zero
     return min(int(np.bitwise_count(words[i] | words[i + 1 :]).sum(axis=1).min()) for i in range(m - 1))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -212,8 +213,17 @@ def test_the_or_weight_refuses_its_budget_before_it_enumerates(monkeypatch):
         raise AssertionError("enumerated past the budget")
 
     monkeypatch.setattr(linear_module, "gray_span", no_enumeration)
-    with pytest.raises(BudgetExceeded, match="8001 codeword pairs exceed budget 8000"):
+    with pytest.raises(BudgetExceeded, match=re.escape("(2^7 - 1)(2^7 - 2)/2 codeword pairs exceed budget 8000")):
         code.second_or_weight(budget=8000)
+
+
+def test_the_or_weight_refuses_a_dimension_whose_pair_count_has_too_many_digits_to_print():
+    # (2^7200 - 1)(2^7200 - 2)/2 has more than 4300 decimal digits, which
+    # Python refuses to print, so the message names it by k
+    code = binary_code(7200, [1 << i for i in range(7200)])
+    for or_weight in (code.second_or_weight, lambda budget: second_or_weight_pairwise(code, budget)):
+        with pytest.raises(BudgetExceeded, match=re.escape("(2^7200 - 1)(2^7200 - 2)/2 codeword pairs exceed")):
+            or_weight(1 << 26)
 
 
 # -- Krawtchouk ------------------------------------------------------------

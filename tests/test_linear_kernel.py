@@ -6,7 +6,9 @@ rows and duplicate rows.  The kernel is checked against the definition
 of reduced row echelon form, against a brute-force span oracle, and
 against one-pivot-at-a-time Python eliminations.  Full and near-full
 rank matrices up to 200 columns take the blocked GF(2) kernel and the
-grouped ``reduce`` through many pivot blocks; GF(2^k) ``reduce`` is
+grouped ``reduce`` through many pivot blocks, rank-deficient blocks
+are scanned to their last row, and a block's pivot rows and
+combinations are checked against a span oracle; GF(2^k) ``reduce`` is
 checked at the edges of its batches of basis rows, ``expand_code``
 against the symbolwise expansion for every k in 1..8, and both against
 their tracemalloc ceilings at the herm-m3 size.  A code's
@@ -34,6 +36,7 @@ from agstab.expansion import _EXPAND_BLOCK, ExpansionMap, expand_code
 from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
     GF2,
+    _BLOCK_COLS,
     _PLAN_ROWS,
     _REDUCE_ROWS,
     _SPAN_BLOCK,
@@ -349,6 +352,64 @@ def test_short_wide_rref_jumps_to_the_lowest_set_bit(monkeypatch, m, n, seed):
     # the first block, the blocks with pivots and the block after each: no
     # block without a bit in the rows left is visited twice in a row
     assert len(visited) <= 1 + 2 * len({p // 8 for p in pivots}) < n // 8
+
+
+@pytest.mark.parametrize("n", [64, 130, 256])
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_deficient_blocks_match_the_reference(n, seed):
+    # columns 2i and 2i + 1 are equal, so each 8-column block has rank <= 4
+    # and every nonzero row below the picks is scanned
+    rng = np.random.default_rng(100 * n + seed)
+    symbols = np.repeat(rng.integers(0, 2, (300, (n + 1) // 2), dtype=np.uint8), 2, axis=1)[:, :n]
+    rows = to_rows(from_symbols(GF2, symbols))
+    rr, pivots = rref(from_symbols(GF2, symbols), GF2, n)
+    ref_rows, ref_pivots = reference_rref_bits(rows, n)
+    assert pivots == ref_pivots
+    assert to_rows(rr) == ref_rows
+    assert len(pivots) == (n + 1) // 2
+
+
+def first_independent_rows(values, r, width):
+    """The rows from r, in order, whose value lies outside the span of the
+    values picked before them, until ``width`` picks."""
+    span, picks = {0}, []
+    for i in range(r, len(values)):
+        if len(picks) < width and values[i] not in span:
+            picks.append(i)
+            span |= {s ^ values[i] for s in span}
+    return picks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pivot_rows_give_each_pivot_bit_its_combination(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, _BLOCK_COLS + 1))
+    r = int(rng.integers(0, 8))
+    # The first ``head`` rows from r take values in the span of the first
+    # ``split`` of a few random vectors, the rest in the span of them all,
+    # and many values are zero: blocks of every rank occur, and blocks
+    # that gain a pivot only past the first _PLAN_ROWS values.
+    gens = rng.integers(0, 1 << width, int(rng.integers(0, width + 1)))
+    split, head = int(rng.integers(0, len(gens) + 1)), r + int(rng.integers(0, 3 * _PLAN_ROWS))
+    m = head + int(rng.integers(1, _PLAN_ROWS))
+    values = []
+    for i in range(m):
+        pool = gens[:split] if i < head else gens
+        values.append(int(np.bitwise_xor.reduce(pool[rng.random(len(pool)) < 0.5], initial=0)))
+    values = [v if rng.random() < 0.7 else 0 for v in values]
+    block = np.array(values, dtype=np.uint64)
+    block[:r] = rng.integers(0, 1 << width, r, dtype=np.uint64)  # rows above r are ignored
+    rows, lows, combs = linear._pivot_rows(block, r, width)
+    assert rows == first_independent_rows(block.tolist(), r, width)
+    assert lows == sorted(set(lows)) and len(lows) == len(combs) == len(rows)
+    mask = sum(lows)
+    for low, comb in zip(lows, combs):
+        x = 0
+        for i, row in enumerate(rows):
+            if comb >> i & 1:
+                x ^= int(block[row])
+        assert x & mask == low
+        assert x & (low - 1) == 0  # its pivot bit is its lowest set bit
 
 
 @settings(deadline=None)
