@@ -22,9 +22,10 @@ Bard and Hart, ACM TOMS 2010) takes columns or pivots in blocks of
 ``_BLOCK_COLS`` and gathers from the table of a block's 2^8 row sums;
 ``rref`` finds a block's pivot rows, and the sum of them at each pivot,
 in one Gauss-Jordan pass over the block's 8-bit values as Python ints.
-Over GF(2^k), ``rref`` tables each pivot row's q multiples, and
-``reduce`` those of ``_REDUCE_ROWS`` basis rows together, on the free
-columns only (as in M4RIE: Albrecht, ISSAC 2012).
+Over GF(2^k), ``rref`` works on the transpose and tables each pivot
+column's q multiples, and ``reduce`` those of ``_REDUCE_ROWS`` basis
+rows together, on the free columns only (as in M4RIE: Albrecht, ISSAC
+2012).
 
 ``LinearCode.dual`` eliminates min(k, n - k) rows, choosing by k and n
 alone: the n - k rows of the nullspace when 2k >= n, else the k rows
@@ -252,20 +253,25 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
       one gather of it (``_xor_gathered``) clears the block's pivot
       columns from every row, above and below.  The RREF is unique, so
       which rows are picked changes no output.
-    - GF(2^k): per pivot, the pivot row's q multiples (from the pivot
-      on) are tabled, and each row is cleared by a gather of the one
-      its pivot-column entry names.
+    - GF(2^k): on a transposed copy, each pivot tables its column's q
+      multiples, and one gather of them, indexed by the normalised pivot
+      row, clears every row (``_rref_symbols``).
 
     Row r of the result is zero left of its pivot, so each update
     touches only the words (or columns) from the pivot onward.  A GF(2)
     block in which rows r and below have no bit jumps to the block of
     their lowest set bit, so a short, wide system visits about one block
-    per 8 pivots, not every block.  Beyond
-    ``mat``, the scratch of one update is the gathered table rows and
-    the copy of the rows they update, each at most the size of the
-    trailing matrix, plus a table of at most 2^8 rows.  ``mat`` is
-    reduced in place, which saves a copy of the largest matrices the
-    pipeline eliminates; the returned rows are a view of it.
+    per 8 pivots, not every block.  Beyond ``mat``, one GF(2) update
+    gathers table rows and copies the rows they update, each at most the
+    trailing matrix, from a table of at most 2^8 rows; ``mat`` is reduced
+    in place, which saves a copy of the largest matrices the pipeline
+    eliminates.  Over GF(2^k), for m rows of n symbols, the transposed
+    copy, one gather of at most n x m, a q x m table and index arrays
+    stay under 2mn + qm + 32(m + n) bytes (256 KB by tracemalloc for
+    herm-m3's 223 x 512 over GF(64)); the rank-r result is written back
+    into ``mat[:r]``.  The returned rows are a view of ``mat``, so a
+    read-only ``mat`` of rank >= 1 raises; the rows past them are left
+    unspecified.
     """
     if field.k > 1:
         return _rref_symbols(mat, field, n)
@@ -305,41 +311,39 @@ def rref(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
     return mat[:r], pivots
 
 
-def _multiples(field: Field, row: np.ndarray) -> np.ndarray:
-    """The q x len(row) table whose row x is x * row, each row contiguous.
-
-    ``mul_table`` is symmetric, so this is ``mul_table[row]`` transposed;
-    the copy lays each multiple out in one run, so that a gather of
-    table rows copies whole rows; gathering from the strided
-    ``mul_table[:, row]`` took five times as long.  ``reduce`` builds
-    stacks of them by ``_xor_table``.
-    """
-    return field.mul_table[row].T.copy()
-
-
 def _rref_symbols(mat: np.ndarray, field: Field, n: int) -> tuple[np.ndarray, list[int]]:
-    """``rref`` over GF(2^k), k > 1, one pivot column at a time."""
+    """``rref`` over GF(2^k), k > 1, on the transposed copy ``t``, whose
+    row j is column j.  Pivot column c is the contiguous row ``t[c]``;
+    row x of its q x m table of multiples is x * t[c] (``mul_table`` is
+    symmetric: its rows at t[c] transposed, and copied, so that a gather
+    reads whole rows).  Row i takes t[c, i] times the normalised
+    pivot row, so one gather of the table, indexed by that row, clears
+    columns c.. of every row.
+    """
     m = len(mat)
     mul, inv = field.mul_table, field.inv_table
+    t = np.ascontiguousarray(mat.T)
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = mat[:, c].copy()
-        below = np.flatnonzero(col[r:])
+        below = np.flatnonzero(t[c, r:])
         if not below.size:
             continue
         p = r + int(below[0])
-        if p != r:
-            mat[[r, p]] = mat[[p, r]]
-            col[[r, p]] = col[[p, r]]
-        if col[r] != 1:
-            mat[r, c:] = mul[inv[col[r]], mat[r, c:]]
-        col[r] = 0
-        _xor_gathered(mat, c, _multiples(field, mat[r, c:]), col)
+        col = t[c].copy()
+        prow = np.take(mul[inv[col[p]]], t[c:, p])
+        col[p] = 0
+        # Row r, zero at c when p > r, moves to slot p; neither row is
+        # touched by the gather, and slot r then takes the pivot row.
+        t[c:, p] = t[c:, r]
+        _xor_gathered(t[c:], 0, np.take(mul, col, axis=0).T.copy(), prow)
+        t[c:, r] = prow
         pivots.append(c)
         r += 1
+    if r:  # an all-zero matrix is left as it is, even when read-only
+        mat[:r] = t[:, :r].T
     return mat[:r], pivots
 
 
@@ -547,8 +551,8 @@ class LinearCode:
           second elimination.
 
         Scratch of the second route beyond the two codes: one copy of
-        this matrix, reversed and reduced in place, one k x trailing-width
-        gather per elimination block, and blocks of rows.
+        this matrix, reversed, ``rref``'s scratch on it (over GF(2^k), a
+        transposed copy, not in place), and blocks of rows.
 
         An expansion of C, a length-m code over GF(2^s), in a self-dual
         basis (a_i) is dualized over GF(2^s) instead, as expand(C^perp):
@@ -663,7 +667,7 @@ def _sources(a: LinearCode, b: LinearCode) -> tuple[LinearCode, LinearCode, Self
 
 
 def code_from_matrix(field: Field, n: int, mat: np.ndarray) -> LinearCode:
-    """The code spanned by the rows of a kernel matrix, which is reduced in place."""
+    """The code spanned by the rows of a kernel matrix, which ``rref`` overwrites."""
     rr, pv = rref(mat, field, n)
     if len(rr) < len(mat):
         rr = rr.copy()  # let the dependent rows go

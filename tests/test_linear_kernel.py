@@ -8,10 +8,13 @@ against one-pivot-at-a-time Python eliminations.  Full and near-full
 rank matrices up to 200 columns take the blocked GF(2) kernel and the
 grouped ``reduce`` through many pivot blocks, rank-deficient blocks
 are scanned to their last row, and a block's pivot rows and
-combinations are checked against a span oracle; GF(2^k) ``reduce`` is
-checked at the edges of its batches of basis rows, ``expand_code``
-against the symbolwise expansion for every k in 1..8, and both against
-their tracemalloc ceilings at the herm-m3 size.  A code's
+combinations are checked against a span oracle; GF(2^k) ``rref`` is
+checked on tall, wide and column-reversed systems in every field the
+pipeline uses, and to return a view of its input in both kernels;
+GF(2^k) ``reduce`` is checked at the edges of its batches of basis
+rows, ``expand_code`` against the symbolwise expansion for every k in
+1..8, and these three against their tracemalloc ceilings at the
+herm-m3 size.  A code's
 one stored form is checked to compare and hash canonically, to be
 read-only, to round-trip through its int and tuple views, to
 serialize to the per-symbol hex rows of a local ``row_to_hex``, and to
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from agstab import linear
 from agstab.artifacts import _HEX_BLOCK, code_to_obj
 from agstab.errors import CertificationError
-from agstab.curves import enumerate_curve, evaluation_code
+from agstab.curves import _monomial_values, enumerate_curve, evaluation_code, rr_basis
 from agstab.expansion import _EXPAND_BLOCK, ExpansionMap, expand_code
 from agstab.fields import element_to_hex, get_field, hex_to_symbols, self_dual_basis, symbols_to_hex
 from agstab.linear import (
@@ -208,14 +211,21 @@ def high_rank(field, n, m, deficit, seed):
 
 
 # (k, n, m, deficit): full and near-full rank past several pivot blocks,
-# with fewer and with more rows than columns.  The Python references
-# bound n for k > 1.
+# with fewer and with more rows than columns; over GF(2^k), every field
+# the pipeline eliminates in, tall and as wide as the chain's duals
+# (m about n / 2).  The Python references bound n for k > 1.
 HIGH_RANK = [
     (1, n, m, deficit)
     for n in (63, 64, 65, 129, 200)
     for m in (n - 9, n + 11)
     for deficit in (0, 1, 5)
-] + [(k, n, n + 3, deficit) for k in (2, 4, 8) for n in (63, 65) for deficit in (0, 2)]
+] + [
+    (k, n, m, deficit)
+    for k in (2, 3, 4, 6, 8)
+    for n in (63, 65)
+    for m in (n // 2, n + 3)
+    for deficit in (0, 2)
+]
 
 
 @pytest.mark.parametrize("k, n, m, deficit", HIGH_RANK)
@@ -237,6 +247,51 @@ def test_high_rank_rref_matches_the_reference(k, n, m, deficit):
     again.flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         rref(again, field, n)
+
+
+@pytest.mark.parametrize("k", (3, 6))
+def test_column_reversed_rref_matches_the_reference(k, monkeypatch):
+    # ``dual_code``'s kind of input, an RREF with its columns reversed,
+    # here of dimension 50 > n / 2: each pivot row has at most n - 50
+    # nonzero entries past its pivot, so the GF(2^k) kernel's later
+    # gathers update the hit rows of the transpose alone.
+    field = get_field(k)
+    n = 65
+    code = code_of_dimension(field, n, 50, np.random.default_rng(k))
+    symbols = code.matrix[:, ::-1].copy()
+    few_hits, real = [], linear._xor_gathered
+    monkeypatch.setattr(
+        linear,
+        "_xor_gathered",
+        lambda mat, w, table, idx: few_hits.append(3 * np.count_nonzero(idx) <= len(mat))
+        or real(mat, w, table, idx),
+    )
+    rr, pivots = rref(symbols.copy(), field, n)
+    ref_rows, ref_pivots = reference_rref(symbols.tolist(), field, n)
+    assert pivots == ref_pivots
+    assert [tuple(row) for row in rr.tolist()] == ref_rows
+    assert any(few_hits) and not all(few_hits)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_rref_returns_a_view_of_its_input(k):
+    field = get_field(k)
+    n = 70
+    symbols = high_rank(field, n, 40, 3, seed=k)
+    mat = from_symbols(field, symbols)
+    rr, pivots = rref(mat, field, n)
+    assert len(pivots) == 37
+    assert np.shares_memory(rr, mat)
+    # A read-only matrix of rank >= 1 raises; an all-zero one has nothing
+    # to write and returns.
+    mat = from_symbols(field, symbols)
+    mat.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        rref(mat, field, n)
+    zero = from_symbols(field, np.zeros((5, n), dtype=np.uint8))
+    zero.flags.writeable = False
+    rr, pivots = rref(zero, field, n)
+    assert pivots == [] and rr.shape == (0, zero.shape[1])
 
 
 @pytest.mark.parametrize("k, n, m, deficit", HIGH_RANK)
@@ -690,6 +745,21 @@ def test_reduce_and_expand_code_scratch_at_herm_m3_size():
     emap = ExpansionMap(field=field, basis=self_dual_basis(field))
     assert _peak_bytes(lambda: reduce(ev.matrix, dual.matrix, dual.pivots, field)) < 256_000
     assert _peak_bytes(lambda: expand_code(dual, emap)) < 900_000
+
+
+def test_rref_scratch_at_herm_m3_size():
+    """The ceiling that ``rref``'s docstring states for GF(2^k), on the
+    223 x 512 values of herm-m3's evaluation code E over GF(64): the
+    transposed copy, one gather and one table, 2mn + qm bytes, and index
+    arrays within 32(m + n).  The input is copied before tracing."""
+    curve = enumerate_curve("hermitian", 8)
+    field, n = curve.field, curve.n_points
+    values = _monomial_values(field, rr_basis(curve, 250), curve.points)
+    m = len(values)
+    assert (m, n) == (223, 512)
+    copies = iter([values.copy(), values.copy()])
+    peak = _peak_bytes(lambda: rref(next(copies), field, n))
+    assert peak < 2 * m * n + field.order * m + 32 * (m + n)
 
 
 def gray_loop(rows):
